@@ -4,102 +4,29 @@ Builds the full, reduced, auxiliary, and error realizations of a
 diffusively coupled network, computes exact H2/H-infinity norms, and
 evaluates a-priori reduction-error bounds for almost equitable partitions
 (with a triangle-inequality route for arbitrary partitions).
+
+The names below cover building a network and analysing it; the norm
+engines, assembly routines and individual bounds live in their modules
+(``netred.norms``, ``netred.netsys``, ``netred.bounds``, ...).
 """
 
-from .bounds import (
-    BoundReport,
-    full_report,
-    h2_bound_aep,
-    hinf_bound_symmetric,
-    hinf_error_single_integrator,
-    spectrum_difference,
-    triangle_bound_general,
-)
-from .graphcore import (
-    Laplacian,
-    Partition,
-    ReducedGraph,
-    WeightedGraph,
-    degree_wrt_cell,
-    is_almost_equitable,
-    is_connected,
-    laplacian_from_graph,
-    project_to_aep_laplacian,
-    reduce_graph,
-)
-from .linalg import (
-    StateSpace,
-    SymmetricEig,
-    is_hurwitz,
-    kron,
-    pinv,
-    solve_lyapunov,
-    solve_lyapunov_with_kernel,
-    sym_eig,
-)
-from .netsys import (
-    AgentDynamics,
-    AuxSystem,
-    NetworkSystem,
-    assemble_error_system,
-    assemble_full,
-    assemble_reduced,
-    aux_systems,
-    is_synchronized,
-    reduced_synchronization_preserved,
-)
-from .norms import (
-    NormResult,
-    h2_norm,
-    h2_norm_network_spectral,
-    h2_norm_quadrature,
-    h2_norm_reduced_spectral,
-    hinf_norm_dc,
-    hinf_norm_sweep,
-)
+from .bounds import Analysis, BoundReport, Tolerances, full_report
+from .graphcore import Laplacian, Partition, WeightedGraph, laplacian_from_graph
+from .netsys import AgentDynamics, NetworkSystem
+from .norms import NormResult
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AgentDynamics",
-    "AuxSystem",
+    "Analysis",
     "BoundReport",
     "Laplacian",
     "NetworkSystem",
     "NormResult",
     "Partition",
-    "ReducedGraph",
-    "StateSpace",
-    "SymmetricEig",
+    "Tolerances",
     "WeightedGraph",
-    "assemble_error_system",
-    "assemble_full",
-    "assemble_reduced",
-    "aux_systems",
-    "degree_wrt_cell",
     "full_report",
-    "h2_bound_aep",
-    "h2_norm",
-    "h2_norm_network_spectral",
-    "h2_norm_quadrature",
-    "h2_norm_reduced_spectral",
-    "hinf_bound_symmetric",
-    "hinf_error_single_integrator",
-    "hinf_norm_dc",
-    "hinf_norm_sweep",
-    "is_almost_equitable",
-    "is_connected",
-    "is_hurwitz",
-    "is_synchronized",
-    "kron",
     "laplacian_from_graph",
-    "pinv",
-    "project_to_aep_laplacian",
-    "reduce_graph",
-    "reduced_synchronization_preserved",
-    "solve_lyapunov",
-    "solve_lyapunov_with_kernel",
-    "spectrum_difference",
-    "sym_eig",
-    "triangle_bound_general",
 ]

@@ -8,12 +8,16 @@ bounds), and the leaders' cellmate counts 1 - 1/|cell|.  For a single
 integrator the H-infinity error is known exactly.  For arbitrary
 partitions, a triangle-inequality route through the closest AEP-compatible
 Laplacian gives a computable (single-integrator) bound.
+
+Every function here takes an :class:`Analysis`, which decides each
+precondition once under one set of :class:`Tolerances`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,14 +31,16 @@ from .errors import (
     UnstablePoles,
 )
 from .graphcore import (
+    AEP_RTOL,
     ZERO_EIG_TOL,
     Partition,
+    ReducedGraph,
     is_almost_equitable,
     is_connected,
     project_to_aep_laplacian,
     reduce_graph,
 )
-from .linalg import StateSpace
+from .linalg import STABILITY_MARGIN, StateSpace
 from .netsys import (
     NetworkSystem,
     assemble_error_system,
@@ -43,6 +49,8 @@ from .netsys import (
     reduced_laplacian_spectrum,
 )
 from .norms import (
+    METHOD_LYAPUNOV,
+    METHOD_SWEEP,
     NormResult,
     aux_dc_gain,
     aux_gramian_h2_sq,
@@ -52,6 +60,33 @@ from .norms import (
 )
 
 EIG_MATCH_RTOL = 1e-7
+
+# Requirement (a boolean Analysis property) -> the error that refuses it.  The
+# error's class name is the refusal kind in reports and in CLI errors.
+REFUSALS = {
+    "connected": Disconnected,
+    "synchronized": NotSynchronized,
+    "aep": NotAEP,
+    "symmetric": NotSymmetricDynamics,
+    "single_integrator": NotSingleIntegrator,
+}
+# Report field -> (norm, requirements).  Every field first needs a connected,
+# synchronized network; the first requirement that fails names the field's
+# refusal.  The triangle route stands in only where the AEP bounds do not
+# apply, so under an AEP its fields stay empty and no reason is recorded.
+PRECONDITIONS = {
+    "abs_h2_bound": ("h2", ("aep",)),
+    "rel_h2_bound": ("h2", ("aep",)),
+    "triangle_h2_bound": ("h2", ("not_aep", "single_integrator")),
+    "true_h2_error": ("h2", ()),
+    "full_h2_norm": ("h2", ()),
+    "abs_hinf_bound": ("hinf", ("aep", "symmetric")),
+    "rel_hinf_bound": ("hinf", ("aep", "symmetric")),
+    "hinf_exact_error": ("hinf", ("aep", "symmetric", "single_integrator")),
+    "triangle_hinf_bound": ("hinf", ("not_aep", "single_integrator")),
+    "true_hinf_error": ("hinf", ()),
+    "full_hinf_norm": ("hinf", ()),
+}
 
 
 @dataclass
@@ -133,39 +168,145 @@ def spectrum_difference(lams, lams_hat, rtol: float = EIG_MATCH_RTOL) -> np.ndar
     return np.array(remaining)
 
 
-def _require_aep_bound_preconditions(ns: NetworkSystem, pi: Partition) -> None:
-    if not is_connected(ns.laplacian):
-        raise Disconnected("bounds require a connected graph")
-    if not is_almost_equitable(ns.laplacian, pi):
-        raise NotAEP("bounds require an almost equitable partition")
-    if not is_synchronized(ns):
-        raise NotSynchronized("bounds require a synchronized network")
+@dataclass(frozen=True)
+class Tolerances:
+    """The thresholds of every decision in a run (``options.tolerances`` in a file)."""
+
+    zero_eig_tol: float = ZERO_EIG_TOL
+    aep_rtol: float = AEP_RTOL
+    stability_margin: float = STABILITY_MARGIN
 
 
-def _h2_constants(ns: NetworkSystem, pi: Partition):
-    """(s_max, s_min): extreme auxiliary H2 norms over the lost / full spectrum."""
-    lams = ns.laplacian.spectral.eigenvalues
-    lams_hat = reduced_laplacian_spectrum(ns.laplacian, pi)
-    lost = spectrum_difference(lams, lams_hat)
-    nonzero = [float(v) for v in lams if v > ZERO_EIG_TOL]
-    s_max = max((math.sqrt(aux_gramian_h2_sq(ns.dyn, lam)) for lam in lost), default=0.0)
-    s_min = min((math.sqrt(aux_gramian_h2_sq(ns.dyn, lam)) for lam in nonzero), default=0.0)
-    return s_max, s_min
+class Analysis:
+    """A network and a partition, with every precondition decided once.
+
+    Each property is computed on first use and kept, so a report, the CLI
+    gate and the oracle checks share one spectrum, one AEP test, one
+    synchronization test, one reduction and one pair of realizations, all
+    under the same tolerances.
+    """
+
+    def __init__(self, ns: NetworkSystem, pi: Partition, tolerances: Tolerances = Tolerances()):
+        self.ns, self.pi, self.tol = ns, pi, tolerances
+
+    @cached_property
+    def connected(self) -> bool:
+        return is_connected(self.ns.laplacian, self.tol.zero_eig_tol)
+
+    @cached_property
+    def synchronized(self) -> bool:
+        return is_synchronized(self.ns, self.tol.stability_margin, self.tol.zero_eig_tol)
+
+    @cached_property
+    def aep(self) -> bool:
+        return is_almost_equitable(self.ns.laplacian, self.pi, self.tol.aep_rtol)
+
+    not_aep = property(lambda self: not self.aep)
+    symmetric = property(lambda self: self.ns.dyn.is_symmetric())
+    single_integrator = property(lambda self: self.ns.dyn.is_single_integrator())
+
+    def unmet(self, *needs: str) -> str | None:
+        """The first of ``needs`` (boolean property names) that is false, or None."""
+        return next((need for need in needs if not getattr(self, need)), None)
+
+    def require(self, *needs: str) -> None:
+        need = self.unmet(*needs)
+        if need is not None:
+            raise REFUSALS[need](f"precondition not met: {need.replace('_', ' ')}")
+
+    def blocker(self, field_name: str) -> str | None:
+        """The first unmet requirement of a report field (see PRECONDITIONS), or None."""
+        return self.unmet("connected", "synchronized", *PRECONDITIONS[field_name][1])
+
+    def refusal(self, triangle: bool = False) -> str | None:
+        """The error kind refusing an ``analyze`` run, or None.  A run promises the AEP
+        bounds, or with ``triangle`` and a non-AEP partition the triangle bounds;
+        a leaderless network, whose norms are all zero, is never refused."""
+        if self.ns.n_leaders == 0:
+            return None
+        need = self.blocker("triangle_h2_bound" if triangle and self.not_aep else "abs_h2_bound")
+        return need and REFUSALS[need].__name__
+
+    @cached_property
+    def nonzero_eigenvalues(self) -> list:
+        lams = self.ns.laplacian.spectral.eigenvalues
+        return [float(v) for v in lams if v > self.tol.zero_eig_tol]
+
+    @cached_property
+    def reduced(self) -> ReducedGraph:
+        return reduce_graph(self.ns.laplacian, self.pi, self.ns.leaders)
+
+    @cached_property
+    def reduced_eigenvalues(self) -> np.ndarray:
+        return reduced_laplacian_spectrum(self.ns.laplacian, self.pi)
+
+    @cached_property
+    def lost_eigenvalues(self) -> np.ndarray:
+        """sigma(L) minus sigma(L_hat), matched within the eigenvalue shift an
+        AEP residual of aep_rtol allows (about sqrt(N k) aep_rtol, relative)."""
+        slack = self.tol.aep_rtol * math.sqrt(self.pi.n_nodes * self.pi.n_cells)
+        lams = self.ns.laplacian.spectral.eigenvalues
+        return spectrum_difference(lams, self.reduced_eigenvalues, max(EIG_MATCH_RTOL, slack))
+
+    @cached_property
+    def aep_projection(self) -> tuple:
+        """``(l_aep, delta_frobenius)``, see :func:`project_to_aep_laplacian`."""
+        return project_to_aep_laplacian(self.ns.laplacian, self.pi)
+
+    @cached_property
+    def surrogate(self) -> Analysis:
+        """The run on l_aep, for which the partition is almost equitable by construction."""
+        ns = NetworkSystem(self.aep_projection[0], self.ns.leaders, self.ns.dyn)
+        surrogate = Analysis(ns, self.pi, self.tol)
+        surrogate.aep = True  # (I - proj) l_aep P = 0 exactly; no test to repeat
+        return surrogate
+
+    @cached_property
+    def full_system(self) -> StateSpace:
+        return assemble_full(self.ns)
+
+    @cached_property
+    def error_system(self) -> StateSpace:
+        return assemble_error_system(self.ns, self.pi)
+
+    def _extremes(self, upper, lower=None) -> tuple:
+        """(max of ``upper`` over the lost spectrum, min of ``lower`` over the nonzero one)."""
+        s_max = max((upper(lam) for lam in self.lost_eigenvalues), default=0.0)
+        lower = lower or upper
+        return s_max, min((lower(lam) for lam in self.nonzero_eigenvalues), default=0.0)
+
+    @cached_property
+    def h2_constants(self) -> tuple:
+        """(s_max, s_min): extreme auxiliary H2 norms over the lost / nonzero spectrum."""
+        return self._extremes(lambda lam: math.sqrt(aux_gramian_h2_sq(self.ns.dyn, lam)))
+
+    @cached_property
+    def hinf_constants(self) -> tuple:
+        """(s_max, s_min) for symmetric dynamics: the auxiliary H-infinity norms are then
+        sigma_max of the DC gains lam (lam B - A)^{-1} E; s_min takes their sigma_min."""
+
+        def sv(lam):
+            return np.linalg.svd(aux_dc_gain(self.ns.dyn, float(lam)), compute_uv=False)
+
+        return self._extremes(
+            lambda lam: float(sv(lam).max(initial=0.0)),
+            lambda lam: float(sv(lam).min(initial=math.inf)),
+        )
 
 
-def h2_bound_aep(ns: NetworkSystem, pi: Partition):
+def h2_bound_aep(an: Analysis):
     """Absolute and relative a-priori H2 error bounds for an AEP.
 
     abs^2 = s_max^2 * sum_i (1 - 1/|cell of leader i|), with s_max the
     largest auxiliary H2 norm over the eigenvalues lost by the reduction;
     rel^2 = (s_max/s_min)^2 * sum_i(...) / (m (1 - 1/N)).
     """
-    _require_aep_bound_preconditions(ns, pi)
-    m, n_agents = ns.n_leaders, ns.n_agents
+    an.require("connected", "synchronized", "aep")
+    m, n_agents = an.ns.n_leaders, an.ns.n_agents
     if m == 0 or n_agents == 1:
         return 0.0, 0.0
-    s_max, s_min = _h2_constants(ns, pi)
-    terms = sum(cellmate_terms(pi, ns.leaders))
+    s_max, s_min = an.h2_constants
+    terms = sum(cellmate_terms(an.pi, an.ns.leaders))
     abs_bound = s_max * math.sqrt(terms)
     if terms == 0.0 or s_max == 0.0:
         return 0.0, 0.0
@@ -173,51 +314,21 @@ def h2_bound_aep(ns: NetworkSystem, pi: Partition):
     return abs_bound, rel_bound
 
 
-def hinf_error_single_integrator(ns: NetworkSystem, pi: Partition) -> float:
+def hinf_error_single_integrator(an: Analysis) -> float:
     """Exact H-infinity reduction error for single-integrator agents on an AEP.
 
     Equals 1 when two leaders share a cell, otherwise
     sqrt(max_i (1 - 1/|cell of leader i|)).
     """
-    if not ns.dyn.is_single_integrator():
-        raise NotSingleIntegrator("exact H-infinity error needs A=0, B=1, E=1")
-    if not is_connected(ns.laplacian):
-        raise Disconnected("exact H-infinity error requires a connected graph")
-    if not is_almost_equitable(ns.laplacian, pi):
-        raise NotAEP("exact H-infinity error requires an almost equitable partition")
-    if ns.n_leaders == 0:
+    an.require("connected", "synchronized", "aep", "single_integrator")
+    if an.ns.n_leaders == 0:
         return 0.0
-    if leaders_share_cell(pi, ns.leaders):
+    if leaders_share_cell(an.pi, an.ns.leaders):
         return 1.0
-    return math.sqrt(max(cellmate_terms(pi, ns.leaders)))
+    return math.sqrt(max(cellmate_terms(an.pi, an.ns.leaders)))
 
 
-def _hinf_constants(ns: NetworkSystem, pi: Partition):
-    """(s_max, s_min) for symmetric dynamics.
-
-    The auxiliary drift A - lam B is then symmetric Hurwitz, so each
-    auxiliary H-infinity norm equals sigma_max of its DC gain
-    lam (lam B - A)^{-1} E; s_min takes sigma_min over the whole nonzero
-    spectrum instead.
-    """
-    lams = ns.laplacian.spectral.eigenvalues
-    lams_hat = reduced_laplacian_spectrum(ns.laplacian, pi)
-    lost = spectrum_difference(lams, lams_hat)
-    nonzero = [float(v) for v in lams if v > ZERO_EIG_TOL]
-    s_max = 0.0
-    for lam in lost:
-        sv = np.linalg.svd(aux_dc_gain(ns.dyn, float(lam)), compute_uv=False)
-        s_max = max(s_max, float(sv.max(initial=0.0)))
-    s_min = math.inf
-    for lam in nonzero:
-        sv = np.linalg.svd(aux_dc_gain(ns.dyn, lam), compute_uv=False)
-        s_min = min(s_min, float(sv.min(initial=math.inf)))
-    if not nonzero:
-        s_min = 0.0
-    return s_max, s_min
-
-
-def hinf_bound_symmetric(ns: NetworkSystem, pi: Partition):
+def hinf_bound_symmetric(an: Analysis):
     """Absolute and relative a-priori H-infinity bounds for symmetric (A, B) on an AEP.
 
     abs^2 = s_max^2 * max_i (1 - 1/|cell_i|) when the leaders occupy
@@ -225,13 +336,12 @@ def hinf_bound_symmetric(ns: NetworkSystem, pi: Partition):
     s_min^2 times the leader spread factor (the spread is 1 for two or more
     leaders).
     """
-    if not ns.dyn.is_symmetric():
-        raise NotSymmetricDynamics("this bound needs symmetric agent matrices A and B")
-    _require_aep_bound_preconditions(ns, pi)
+    an.require("connected", "synchronized", "aep", "symmetric")
+    ns, pi = an.ns, an.pi
     m = ns.n_leaders
     if m == 0 or ns.n_agents == 1:
         return 0.0, 0.0
-    s_max, s_min = _hinf_constants(ns, pi)
+    s_max, s_min = an.hinf_constants
     if leaders_share_cell(pi, ns.leaders):
         factor = 1.0
     else:
@@ -244,7 +354,7 @@ def hinf_bound_symmetric(ns: NetworkSystem, pi: Partition):
     return abs_bound, rel_bound
 
 
-def triangle_bound_general(ns: NetworkSystem, pi: Partition, norm: str):
+def triangle_bound_general(an: Analysis, norm: str):
     """Reduction error bound for an arbitrary partition (single integrators).
 
     Route: approximate L by the closest AEP-compatible matrix l_aep and
@@ -260,160 +370,91 @@ def triangle_bound_general(ns: NetworkSystem, pi: Partition, norm: str):
     """
     if norm not in ("h2", "hinf"):
         raise ValueError(f"norm must be 'h2' or 'hinf', got {norm!r}")
-    if not ns.dyn.is_single_integrator():
-        raise NotSingleIntegrator("the triangle route is derived for A=0, B=1, E=1")
-    if not is_connected(ns.laplacian):
-        raise Disconnected("the triangle route requires a connected graph")
-    l_aep, _delta = project_to_aep_laplacian(ns.laplacian, pi)
-    d_l = ns.laplacian.mat - l_aep.mat
-    rg = reduce_graph(ns.laplacian, pi, ns.leaders)
+    an.require("connected", "synchronized", "single_integrator")
+    ns, rg, surrogate = an.ns, an.reduced, an.surrogate
+    d_l = ns.laplacian.mat - surrogate.ns.laplacian.mat
     term1_sys = StateSpace(-ns.laplacian.mat, ns.m_matrix, d_l)
-    term3_sys = StateSpace(-rg.laplacian_hat, rg.m_hat, d_l @ pi.char_matrix)
-    ns_aep = NetworkSystem(l_aep, ns.leaders, ns.dyn)
+    term3_sys = StateSpace(-rg.laplacian_hat, rg.m_hat, d_l @ an.pi.char_matrix)
     if norm == "h2":
         term1 = 2.0 * h2_norm(term1_sys).value
-        term2 = h2_bound_aep(ns_aep, pi)[0]
+        term2 = h2_bound_aep(surrogate)[0]
         term3 = h2_norm(term3_sys).value
     else:
         term1 = 2.0 * hinf_norm_sweep(term1_sys).value
-        term2 = hinf_error_single_integrator(ns_aep, pi)
+        term2 = hinf_error_single_integrator(surrogate)
         term3 = hinf_norm_sweep(term3_sys).value
     return term1 + term2 + term3, (term1, term2, term3)
 
 
-def _single_integrator_full_hinf(ns: NetworkSystem) -> NormResult:
-    """Exact ||S||_Hinf of the full single-integrator network (DC-dominant)."""
-    sys = assemble_full(ns)
-    return hinf_norm_dc(sys, -ns.laplacian.mat)
-
-
-def full_report(ns: NetworkSystem, pi: Partition, norms=("h2", "hinf")) -> BoundReport:
+def full_report(an: Analysis, norms=("h2", "hinf")) -> BoundReport:
     """Evaluate every applicable bound plus oracle true errors.
 
     Inapplicable quantities stay None with the reason recorded in
-    ``report.unavailable``.  Norm-based work is gated on connectivity and
-    synchronization rather than reported as infinite.
+    ``report.unavailable`` (see PRECONDITIONS).  Norm-based work is gated on
+    connectivity and synchronization rather than reported as infinite.
     """
-    connected = is_connected(ns.laplacian)
-    synchronized = is_synchronized(ns)
-    aep = is_almost_equitable(ns.laplacian, pi)
+    ns, pi = an.ns, an.pi
     report = BoundReport(
-        aep=aep,
-        synchronized=synchronized,
-        connected=connected,
+        aep=an.aep,
+        synchronized=an.synchronized,
+        connected=an.connected,
         leaders_share_cell=leaders_share_cell(pi, ns.leaders),
         cellmate_terms=cellmate_terms(pi, ns.leaders),
+        unavailable={
+            name: "NotRequested" for name, (norm, _) in PRECONDITIONS.items() if norm not in norms
+        },
     )
-    want_h2 = "h2" in norms
-    want_hinf = "hinf" in norms
-    if not want_h2:
-        for name in ("abs_h2_bound", "rel_h2_bound", "triangle_h2_bound",
-                     "true_h2_error", "full_h2_norm"):
-            report.unavailable[name] = "NotRequested"
-    if not want_hinf:
-        for name in ("abs_hinf_bound", "rel_hinf_bound", "hinf_exact_error",
-                     "triangle_hinf_bound", "true_hinf_error", "full_hinf_norm"):
-            report.unavailable[name] = "NotRequested"
+    fields = [name for name, (norm, _) in PRECONDITIONS.items() if norm in norms]
 
     if ns.n_leaders == 0:
-        # no external input: every transfer function and error is zero
-        def zero(method: str) -> NormResult:
-            return NormResult(0.0, method, {"trivial": "leaderless network"})
-
-        if want_h2:
-            report.abs_h2_bound = report.rel_h2_bound = 0.0
-            report.true_h2_error = zero("lyapunov_kernel")
-            report.full_h2_norm = zero("lyapunov_kernel")
-        if want_hinf:
-            report.abs_hinf_bound = report.rel_hinf_bound = 0.0
-            report.true_hinf_error = zero("frequency_sweep")
-            report.full_hinf_norm = zero("frequency_sweep")
-            if ns.dyn.is_single_integrator():
-                report.hinf_exact_error = 0.0
-            else:
-                report.unavailable["hinf_exact_error"] = "NotSingleIntegrator"
+        # no external input: every transfer function, bound and error is zero
+        for name in fields:
+            if name.startswith(("true_", "full_")):
+                method = METHOD_LYAPUNOV if PRECONDITIONS[name][0] == "h2" else METHOD_SWEEP
+                setattr(report, name, NormResult(0.0, method, {"trivial": "leaderless network"}))
+            elif name == "hinf_exact_error" and not an.single_integrator:
+                report.unavailable[name] = "NotSingleIntegrator"
+            elif not name.startswith("triangle_"):
+                setattr(report, name, 0.0)
         return report
 
-    norm_fields = [
-        "abs_h2_bound",
-        "rel_h2_bound",
-        "abs_hinf_bound",
-        "rel_hinf_bound",
-        "triangle_h2_bound",
-        "triangle_hinf_bound",
-        "true_h2_error",
-        "true_hinf_error",
-        "full_h2_norm",
-        "full_hinf_norm",
-        "hinf_exact_error",
-    ]
-    if not connected:
-        for name in norm_fields:
-            report.unavailable[name] = "Disconnected"
-        return report
-    if not synchronized:
-        for name in norm_fields:
-            report.unavailable[name] = "NotSynchronized"
-        return report
+    needs = {name: an.blocker(name) for name in fields}
+    for name, need in needs.items():
+        if need in REFUSALS:
+            report.unavailable[name] = REFUSALS[need].__name__
+    admitted = {name for name, need in needs.items() if need is None}
 
-    single = ns.dyn.is_single_integrator()
-    symmetric = ns.dyn.is_symmetric()
-    full_sys = assemble_full(ns)
-    error_sys = assemble_error_system(ns, pi)
-
-    if want_h2:
-        if aep:
-            report.s_max_h2, report.s_min_h2 = _h2_constants(ns, pi)
-            report.abs_h2_bound, report.rel_h2_bound = h2_bound_aep(ns, pi)
-        elif single:
-            total, terms = triangle_bound_general(ns, pi, "h2")
-            report.triangle_h2_bound, report.triangle_h2_terms = total, terms
-            report.unavailable["abs_h2_bound"] = "NotAEP"
-            report.unavailable["rel_h2_bound"] = "NotAEP"
-        else:
-            report.unavailable["abs_h2_bound"] = "NotAEP"
-            report.unavailable["rel_h2_bound"] = "NotAEP"
-            report.unavailable["triangle_h2_bound"] = "NotSingleIntegrator"
-        report.full_h2_norm = h2_norm(full_sys)
+    if "abs_h2_bound" in admitted:
+        report.s_max_h2, report.s_min_h2 = an.h2_constants
+        report.abs_h2_bound, report.rel_h2_bound = h2_bound_aep(an)
+    if "triangle_h2_bound" in admitted:
+        report.triangle_h2_bound, report.triangle_h2_terms = triangle_bound_general(an, "h2")
+    if "full_h2_norm" in admitted:
+        report.full_h2_norm = h2_norm(an.full_system)
+    if "true_h2_error" in admitted:
         try:
-            report.true_h2_error = h2_norm(error_sys)
+            report.true_h2_error = h2_norm(an.error_system)
         except KernelConditionViolated:
             report.unavailable["true_h2_error"] = "NotSynchronized"
 
-    if want_hinf:
-        if aep:
-            if single:
-                exact = hinf_error_single_integrator(ns, pi)
-                report.hinf_exact_error = exact
-                report.s_max_hinf, report.s_min_hinf = 1.0, 1.0
-                report.abs_hinf_bound = exact
-                spread = leader_spread(ns.n_leaders, ns.n_agents)
-                report.rel_hinf_bound = exact / math.sqrt(spread) if exact > 0.0 else 0.0
-            elif symmetric:
-                report.s_max_hinf, report.s_min_hinf = _hinf_constants(ns, pi)
-                report.abs_hinf_bound, report.rel_hinf_bound = hinf_bound_symmetric(ns, pi)
-                report.unavailable["hinf_exact_error"] = "NotSingleIntegrator"
-            else:
-                for name in ("abs_hinf_bound", "rel_hinf_bound", "hinf_exact_error"):
-                    report.unavailable[name] = "NotSymmetricDynamics"
-        elif single:
-            total, terms = triangle_bound_general(ns, pi, "hinf")
-            report.triangle_hinf_bound, report.triangle_hinf_terms = total, terms
-            for name in ("abs_hinf_bound", "rel_hinf_bound", "hinf_exact_error"):
-                report.unavailable[name] = "NotAEP"
-        else:
-            for name in ("abs_hinf_bound", "rel_hinf_bound", "hinf_exact_error"):
-                report.unavailable[name] = "NotAEP"
-            report.unavailable["triangle_hinf_bound"] = "NotSingleIntegrator"
-        if single:
-            report.full_hinf_norm = _single_integrator_full_hinf(ns)
-        elif symmetric:
-            report.full_hinf_norm = hinf_norm_dc(full_sys, full_sys.A)
-        else:
-            report.full_hinf_norm = hinf_norm_sweep(full_sys)
+    if "abs_hinf_bound" in admitted and an.single_integrator:
+        exact = hinf_error_single_integrator(an)
+        report.hinf_exact_error = report.abs_hinf_bound = exact
+        report.s_max_hinf = report.s_min_hinf = 1.0
+        spread = leader_spread(ns.n_leaders, ns.n_agents)
+        report.rel_hinf_bound = exact / math.sqrt(spread) if exact > 0.0 else 0.0
+    elif "abs_hinf_bound" in admitted:
+        report.s_max_hinf, report.s_min_hinf = an.hinf_constants
+        report.abs_hinf_bound, report.rel_hinf_bound = hinf_bound_symmetric(an)
+    if "triangle_hinf_bound" in admitted:
+        report.triangle_hinf_bound, report.triangle_hinf_terms = triangle_bound_general(an, "hinf")
+    if "full_hinf_norm" in admitted:
+        # symmetric agents (single integrators included) peak at DC, with witness A
+        sys = an.full_system
+        report.full_hinf_norm = hinf_norm_dc(sys, sys.A) if an.symmetric else hinf_norm_sweep(sys)
+    if "true_hinf_error" in admitted:
         try:
-            report.true_hinf_error = hinf_norm_sweep(error_sys)
+            report.true_hinf_error = hinf_norm_sweep(an.error_system)
         except UnstablePoles:
             report.unavailable["true_hinf_error"] = "NotSynchronized"
-
     return report

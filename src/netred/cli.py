@@ -15,17 +15,11 @@ import json
 import sys
 import time
 
-from .bounds import full_report, leaders_share_cell
+from .bounds import Analysis, Tolerances, full_report
 from .errors import (
     InvalidPartition,
     NegativeWeight,
     UnknownExample,
-)
-from .graphcore import (
-    is_almost_equitable,
-    is_connected,
-    project_to_aep_laplacian,
-    reduce_graph,
 )
 from .netfile import (
     SCHEMA_VERSION,
@@ -35,16 +29,19 @@ from .netfile import (
     network_from_payload,
     report_to_dict,
 )
-from .netsys import (
-    assemble_error_system,
-    is_synchronized,
-    reduced_laplacian_spectrum,
-)
 from .norms import h2_norm_quadrature, hinf_norm_dc
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_REFUSED = 3
+
+REFUSAL_MESSAGES = {
+    "Disconnected": "the graph is not connected; bounds are undefined",
+    "NotSynchronized": "the network does not synchronize; norm-based bounds are refused",
+    "NotAEP": "the partition is not almost equitable; rerun with --triangle to "
+    "use the optimal AEP-compatible approximation route",
+    "NotSingleIntegrator": "the triangle route applies to single-integrator agents only",
+}
 
 
 def _fail(code: int, kind: str, message: str, **extra) -> int:
@@ -61,25 +58,19 @@ def _write(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _oracle_checks(ns, pi, report, norms) -> dict:
+def _oracle_checks(an: Analysis, report) -> dict:
     """Independent recomputation of the true errors where an oracle applies."""
     checks = {}
-    error_sys = assemble_error_system(ns, pi)
-    if "h2" in norms and report.true_h2_error is not None:
-        quad = h2_norm_quadrature(error_sys)
+    if report.true_h2_error is not None:
+        quad = h2_norm_quadrature(an.error_system)
         gap = abs(report.true_h2_error.value - quad.value) / max(quad.value, 1e-12)
         checks["true_h2_error_quadrature"] = {
             "value": quad.value,
             "relative_gap": gap,
             "certificate": quad.certificate,
         }
-    if (
-        "hinf" in norms
-        and report.true_hinf_error is not None
-        and report.aep
-        and ns.dyn.is_single_integrator()
-    ):
-        dc = hinf_norm_dc(error_sys, -ns.laplacian.mat)
+    if report.true_hinf_error is not None and an.aep and an.single_integrator:
+        dc = hinf_norm_dc(an.error_system, -an.ns.laplacian.mat)
         gap = abs(report.true_hinf_error.value - dc.value)
         checks["true_hinf_error_dc"] = {
             "value": dc.value,
@@ -112,52 +103,24 @@ def cmd_analyze(args) -> int:
         if name not in ("h2", "hinf"):
             return _fail(EXIT_VALIDATION, "flags", f"unknown norm {name!r} in --norms")
     oracle = args.oracle_check or options["oracle_check"]
-    tolerances = options["tolerances"]
+    an = Analysis(ns, pi, Tolerances(**options["tolerances"]))
+    kind = an.refusal(triangle=args.triangle)
+    if kind is not None:
+        return _fail(EXIT_REFUSED, kind, REFUSAL_MESSAGES[kind])
 
-    connected = is_connected(ns.laplacian, tol=tolerances.get("zero_eig_tol", 1e-9))
-    aep = is_almost_equitable(ns.laplacian, pi, rtol=tolerances.get("aep_rtol", 1e-9))
-    synchronized = is_synchronized(ns)
-
-    if ns.n_leaders > 0:
-        if not connected:
-            return _fail(
-                EXIT_REFUSED, "Disconnected", "the graph is not connected; bounds are undefined"
-            )
-        if not synchronized:
-            return _fail(
-                EXIT_REFUSED,
-                "NotSynchronized",
-                "the network does not synchronize; norm-based bounds are refused",
-            )
-        if not aep and not args.triangle:
-            return _fail(
-                EXIT_REFUSED,
-                "NotAEP",
-                "the partition is not almost equitable; rerun with --triangle to "
-                "use the optimal AEP-compatible approximation route",
-            )
-        if not aep and args.triangle and not ns.dyn.is_single_integrator():
-            return _fail(
-                EXIT_REFUSED,
-                "NotSingleIntegrator",
-                "the triangle route applies to single-integrator agents only",
-            )
-
-    report = full_report(ns, pi, norms=norms)
-    lam = ns.laplacian.spectral.eigenvalues
-    lam_hat = reduced_laplacian_spectrum(ns.laplacian, pi)
-    rg = reduce_graph(ns.laplacian, pi, ns.leaders)
+    report = full_report(an, norms=norms)
+    rg = an.reduced
     out = {
         "schema_version": SCHEMA_VERSION,
         "input": payload,
         "analysis": {
-            "connected": connected,
-            "aep": aep,
-            "synchronized": synchronized,
-            "leaders_share_cell": leaders_share_cell(pi, ns.leaders),
+            "connected": report.connected,
+            "aep": report.aep,
+            "synchronized": report.synchronized,
+            "leaders_share_cell": report.leaders_share_cell,
             "eigenvalues": {
-                "laplacian": lam.tolist(),
-                "reduced_laplacian": lam_hat.tolist(),
+                "laplacian": ns.laplacian.spectral.eigenvalues.tolist(),
+                "reduced_laplacian": an.reduced_eigenvalues.tolist(),
             },
             "reduction": {
                 "laplacian_hat": rg.laplacian_hat.tolist(),
@@ -167,15 +130,15 @@ def cmd_analyze(args) -> int:
         },
         "bounds": report_to_dict(report),
     }
-    if not aep:
-        l_aep, delta = project_to_aep_laplacian(ns.laplacian, pi)
+    if an.not_aep:
+        l_aep, delta = an.aep_projection
         out["l_aep"] = {
             "matrix": l_aep.mat.tolist(),
             "delta_frobenius": delta,
             "has_negative_weights": l_aep.has_negative_weights,
         }
     if oracle:
-        out["oracle_checks"] = _oracle_checks(ns, pi, report, norms)
+        out["oracle_checks"] = _oracle_checks(an, report)
     out["timings"] = {"total_s": time.perf_counter() - started}
     _write(dump_json(out), args.out)
     return EXIT_OK

@@ -37,10 +37,6 @@ class NegativeWeight(NetredError):
     """An input graph carries a negative edge weight."""
 
 
-class NodeInCell(NetredError):
-    """A node was required to lie outside a cell but belongs to it."""
-
-
 class InvalidPartition(NetredError):
     """A collection of cells is not a partition of the node set."""
 

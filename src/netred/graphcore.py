@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidPartition, NegativeWeight, NodeInCell
+from .errors import InvalidPartition, NegativeWeight
 from .linalg import SymmetricEig, sym_eig
 
 ZERO_EIG_TOL = 1e-9
@@ -84,9 +84,9 @@ class Laplacian:
         row_sums = np.abs(m.sum(axis=1)).max(initial=0.0)
         if row_sums > ROW_SUM_TOL * scale:
             raise ValueError(f"Laplacian row sums reach {row_sums:.3e}, expected zero")
-        if m.shape[0] and np.linalg.eigvalsh(0.5 * (m + m.T)).min() < -ZERO_EIG_TOL:
-            raise ValueError("Laplacian is not positive semi-definite")
         object.__setattr__(self, "mat", 0.5 * (m + m.T))
+        if self.n_nodes and self.spectral.eigenvalues[0] < -ZERO_EIG_TOL:
+            raise ValueError("Laplacian is not positive semi-definite")
 
     @property
     def n_nodes(self) -> int:
@@ -201,21 +201,6 @@ def is_connected(lap: Laplacian, tol: float = ZERO_EIG_TOL) -> bool:
     if lap.n_nodes <= 1:
         return True
     return bool(lap.spectral.eigenvalues[1] > tol)
-
-
-def degree_wrt_cell(graph: WeightedGraph, node: int, cell) -> float:
-    """Total weight from ``node`` into the cell, for a node outside the cell."""
-    members = {int(v) for v in cell}
-    node = int(node)
-    if node in members:
-        raise NodeInCell(f"node {node} belongs to the cell")
-    total = 0.0
-    for i, j, w in graph.edges:
-        if i == node and j in members:
-            total += w
-        elif j == node and i in members:
-            total += w
-    return total
 
 
 def is_almost_equitable(lap: Laplacian, pi: Partition, rtol: float = AEP_RTOL) -> bool:

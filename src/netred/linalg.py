@@ -112,11 +112,6 @@ def pinv(mat, rank_tol: float = RANK_TOL) -> np.ndarray:
     return (u * inv) @ u.T
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; the assembly primitive for networked systems."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
 def is_hurwitz(mat, margin: float = STABILITY_MARGIN) -> bool:
     """True iff every eigenvalue has real part < -margin."""
     m = _square(mat)
@@ -182,6 +177,22 @@ def _psd_quadratic_trace(x, b, rank_tol: float = RANK_TOL) -> float:
     return float(w[keep] @ (proj**2).sum(axis=1))
 
 
+def kernel_checked_split(
+    a, c, margin=STABILITY_MARGIN, kernel_tol=KERNEL_TOL, error=KernelConditionViolated
+):
+    """``stable_unstable_split(a)``, raising ``error`` when C observes the
+    closed-right-half-plane part: |C v| above kernel_tol * (1 + max|C|) on its basis v."""
+    v_s, a_s, v_u = stable_unstable_split(a, margin)
+    c_scale = 1.0 + np.abs(c).max(initial=0.0)
+    violation = np.abs(c @ v_u).max(initial=0.0)
+    if violation > kernel_tol * c_scale:
+        raise error(
+            f"output observes a closed-right-half-plane mode "
+            f"(|C v| = {violation:.3e} > {kernel_tol:.1e} * {c_scale:.3e})"
+        )
+    return v_s, a_s, v_u
+
+
 def solve_lyapunov_with_kernel(
     a,
     b,
@@ -205,20 +216,13 @@ def solve_lyapunov_with_kernel(
     a = _square(a, "A")
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    v_s, a_s, v_u = stable_unstable_split(a, margin)
+    v_s, a_s, v_u = kernel_checked_split(a, c, margin, kernel_tol)
     n = a.shape[0]
     if v_u.shape[1] == 0:
         q = c.T @ c
         x = sla.solve_continuous_lyapunov(a.T, -q)
         x = 0.5 * (x + x.T)
         return x, _psd_quadratic_trace(x, b)
-    c_scale = 1.0 + np.abs(c).max(initial=0.0)
-    violation = np.abs(c @ v_u).max(initial=0.0)
-    if violation > kernel_tol * c_scale:
-        raise KernelConditionViolated(
-            f"output observes a closed-right-half-plane mode "
-            f"(|C v| = {violation:.3e} > {kernel_tol:.1e} * {c_scale:.3e})"
-        )
     n_s = v_s.shape[1]
     if n_s == 0:
         return np.zeros((n, n)), 0.0

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import Disconnected
 from .graphcore import (
@@ -28,7 +29,7 @@ from .graphcore import (
     leader_selector,
     reduce_graph,
 )
-from .linalg import STABILITY_MARGIN, StateSpace, is_hurwitz, kron
+from .linalg import STABILITY_MARGIN, StateSpace, is_hurwitz
 
 
 @dataclass(frozen=True)
@@ -113,13 +114,16 @@ class AuxSystem:
     realization: StateSpace
 
 
+def _drift(dyn: AgentDynamics, coupling: np.ndarray) -> np.ndarray:
+    """Networked drift I (x) A - coupling (x) B for a square coupling matrix."""
+    return np.kron(np.eye(coupling.shape[0]), dyn.A) - np.kron(coupling, dyn.B)
+
+
 def assemble_full(ns: NetworkSystem) -> StateSpace:
     """Full network realization (I (x) A - L (x) B, M (x) E, L (x) I)."""
-    n = ns.dyn.n
-    a = kron(np.eye(ns.n_agents), ns.dyn.A) - kron(ns.laplacian.mat, ns.dyn.B)
-    b = kron(ns.m_matrix, ns.dyn.E)
-    c = kron(ns.laplacian.mat, np.eye(n))
-    return StateSpace(a, b, c)
+    b = np.kron(ns.m_matrix, ns.dyn.E)
+    c = np.kron(ns.laplacian.mat, np.eye(ns.dyn.n))
+    return StateSpace(_drift(ns.dyn, ns.laplacian.mat), b, c)
 
 
 def assemble_reduced(ns: NetworkSystem, pi: Partition) -> StateSpace:
@@ -129,11 +133,9 @@ def assemble_reduced(ns: NetworkSystem, pi: Partition) -> StateSpace:
     for V = P (x) I and W = P (P^T P)^{-1} (x) I.
     """
     rg = reduce_graph(ns.laplacian, pi, ns.leaders)
-    n = ns.dyn.n
-    a = kron(np.eye(pi.n_cells), ns.dyn.A) - kron(rg.laplacian_hat, ns.dyn.B)
-    b = kron(rg.m_hat, ns.dyn.E)
-    c = kron(ns.laplacian.mat @ pi.char_matrix, np.eye(n))
-    return StateSpace(a, b, c)
+    b = np.kron(rg.m_hat, ns.dyn.E)
+    c = np.kron(ns.laplacian.mat @ pi.char_matrix, np.eye(ns.dyn.n))
+    return StateSpace(_drift(ns.dyn, rg.laplacian_hat), b, c)
 
 
 def symmetrized_reduced_coupling(lap: Laplacian, pi: Partition) -> np.ndarray:
@@ -156,19 +158,12 @@ def assemble_error_system(ns: NetworkSystem, pi: Partition) -> StateSpace:
     """
     rg = reduce_graph(ns.laplacian, pi, ns.leaders)
     l_bar = symmetrized_reduced_coupling(ns.laplacian, pi)
-    n = ns.dyn.n
+    eye = np.eye(ns.dyn.n)
     root = np.sqrt(pi.sizes)
-    a_full = kron(np.eye(ns.n_agents), ns.dyn.A) - kron(ns.laplacian.mat, ns.dyn.B)
-    a_red = kron(np.eye(pi.n_cells), ns.dyn.A) - kron(l_bar, ns.dyn.B)
-    a = np.block(
-        [
-            [a_full, np.zeros((a_full.shape[0], a_red.shape[1]))],
-            [np.zeros((a_red.shape[0], a_full.shape[1])), a_red],
-        ]
-    )
-    b = np.vstack([kron(ns.m_matrix, ns.dyn.E), kron(root[:, None] * rg.m_hat, ns.dyn.E)])
+    a = sla.block_diag(_drift(ns.dyn, ns.laplacian.mat), _drift(ns.dyn, l_bar))
+    b = np.vstack([np.kron(ns.m_matrix, ns.dyn.E), np.kron(root[:, None] * rg.m_hat, ns.dyn.E)])
     lp_scaled = (ns.laplacian.mat @ pi.char_matrix) / root[None, :]
-    c = np.hstack([kron(ns.laplacian.mat, np.eye(n)), -kron(lp_scaled, np.eye(n))])
+    c = np.hstack([np.kron(ns.laplacian.mat, eye), -np.kron(lp_scaled, eye)])
     return StateSpace(a, b, c)
 
 
@@ -188,13 +183,16 @@ def aux_systems(ns: NetworkSystem) -> list:
     return out
 
 
-def is_synchronized(ns: NetworkSystem, margin: float = STABILITY_MARGIN) -> bool:
+def _hurwitz_over(dyn: AgentDynamics, lams, margin: float, zero_eig_tol: float) -> bool:
+    """True iff A - lam B is Hurwitz for every lam in ``lams`` above zero_eig_tol."""
+    return all(is_hurwitz(dyn.A - lam * dyn.B, margin) for lam in lams if lam > zero_eig_tol)
+
+
+def is_synchronized(
+    ns: NetworkSystem, margin: float = STABILITY_MARGIN, zero_eig_tol: float = ZERO_EIG_TOL
+) -> bool:
     """True iff A - lam B is Hurwitz for every nonzero Laplacian eigenvalue."""
-    return all(
-        is_hurwitz(ns.dyn.A - lam * ns.dyn.B, margin)
-        for lam in ns.laplacian.spectral.eigenvalues
-        if lam > ZERO_EIG_TOL
-    )
+    return _hurwitz_over(ns.dyn, ns.laplacian.spectral.eigenvalues, margin, zero_eig_tol)
 
 
 def reduced_laplacian_spectrum(lap: Laplacian, pi: Partition) -> np.ndarray:
@@ -211,8 +209,5 @@ def reduced_synchronization_preserved(
     network is synchronized (the quotient spectrum embeds in the original);
     can fail for general partitions.
     """
-    return all(
-        is_hurwitz(ns.dyn.A - lam * ns.dyn.B, margin)
-        for lam in reduced_laplacian_spectrum(ns.laplacian, pi)
-        if lam > ZERO_EIG_TOL
-    )
+    lams_hat = reduced_laplacian_spectrum(ns.laplacian, pi)
+    return _hurwitz_over(ns.dyn, lams_hat, margin, ZERO_EIG_TOL)

@@ -38,10 +38,11 @@ from .linalg import (
     RANK_TOL,
     STABILITY_MARGIN,
     StateSpace,
+    SymmetricEig,
+    kernel_checked_split,
     pinv,
     solve_lyapunov,
     solve_lyapunov_with_kernel,
-    stable_unstable_split,
     sym_eig,
 )
 from .netsys import (
@@ -93,33 +94,21 @@ def h2_norm(
     )
 
 
-def _deflate_marginal(sys: StateSpace, margin: float, kernel_tol: float):
+def _deflate_marginal(sys: StateSpace, margin: float, kernel_tol: float) -> StateSpace:
     """Restrict the realization to its stable invariant subspace.
 
     Valid (transfer function unchanged) because the marginal modes must be
     unobservable; raises UnstablePoles otherwise.
     """
-    v_s, a_s, v_u = stable_unstable_split(sys.A, margin)
+    v_s, a_s, v_u = kernel_checked_split(sys.A, sys.C, margin, kernel_tol, UnstablePoles)
     if v_u.shape[1] == 0:
-        return sys.A, sys.B, sys.C
-    c_scale = 1.0 + np.abs(sys.C).max(initial=0.0)
-    violation = np.abs(sys.C @ v_u).max(initial=0.0)
-    if violation > kernel_tol * c_scale:
-        raise UnstablePoles(
-            f"observable pole in the closed right half plane (|C v| = {violation:.3e})"
-        )
-    n_s = v_s.shape[1]
-    if n_s == 0:
-        return np.zeros((0, 0)), np.zeros((0, sys.n_inputs)), np.zeros((sys.n_outputs, 0))
-    t = np.hstack([v_s, v_u])
-    b_s = np.linalg.solve(t, sys.B)[:n_s]
-    return a_s, b_s, sys.C @ v_s
+        return sys
+    b_s = np.linalg.solve(np.hstack([v_s, v_u]), sys.B)[: v_s.shape[1]]
+    return StateSpace(a_s, b_s, sys.C @ v_s)
 
 
-def _max_gain(a, b, c, omega: float) -> float:
-    n = a.shape[0]
-    resp = c @ np.linalg.solve(1j * omega * np.eye(n) - a, b.astype(complex))
-    return float(np.linalg.svd(resp, compute_uv=False).max(initial=0.0))
+def _max_gain(sys: StateSpace, omega: float) -> float:
+    return float(np.linalg.svd(sys.response(1j * omega), compute_uv=False).max(initial=0.0))
 
 
 def hinf_norm_sweep(
@@ -141,14 +130,15 @@ def hinf_norm_sweep(
     """
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return _zero_result(METHOD_SWEEP)
-    a, b, c = _deflate_marginal(sys, margin, kernel_tol)
-    if a.shape[0] == 0:
+    stable = _deflate_marginal(sys, margin, kernel_tol)
+    if stable.n_states == 0:
         return NormResult(0.0, METHOD_SWEEP, {"trivial": "transfer function is zero"})
-    dc = float(np.linalg.svd(c @ np.linalg.solve(a, b), compute_uv=False).max(initial=0.0))
+    dc_gain = stable.C @ np.linalg.solve(stable.A, stable.B)
+    dc = float(np.linalg.svd(dc_gain, compute_uv=False).max(initial=0.0))
     t_lo, t_hi = math.log10(w_lo), math.log10(w_hi)
     n_coarse = int(round((t_hi - t_lo) * coarse_ppd)) + 1
     ts = np.linspace(t_lo, t_hi, n_coarse)
-    vals = np.array([_max_gain(a, b, c, 10.0**t) for t in ts])
+    vals = np.array([_max_gain(stable, 10.0**t) for t in ts])
     evals = n_coarse
 
     # interior local maxima of the coarse sweep, best first, at most three
@@ -165,14 +155,14 @@ def hinf_norm_sweep(
         lo, hi = ts[i] - step, ts[i] + step
         n_dense = max(int(round((hi - lo) * peak_ppd)) + 1, 16)
         dts = np.linspace(lo, hi, n_dense)
-        dvals = np.array([_max_gain(a, b, c, 10.0**t) for t in dts])
+        dvals = np.array([_max_gain(stable, 10.0**t) for t in dts])
         evals += n_dense
         j = int(dvals.argmax())
         if dvals[j] > best_val:
             best_val, best_omega = float(dvals[j]), float(10.0 ** dts[j])
         j0, j1 = max(j - 1, 0), min(j + 1, n_dense - 1)
         res = minimize_scalar(
-            lambda t: -_max_gain(a, b, c, 10.0**t),
+            lambda t: -_max_gain(stable, 10.0**t),
             bounds=(dts[j0], dts[j1]),
             method="bounded",
             options={"xatol": w_rtol / math.log(10.0)},
@@ -211,20 +201,14 @@ def h2_norm_quadrature(
     """
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return _zero_result(METHOD_SWEEP)
-    a, b, c = _deflate_marginal(sys, margin, kernel_tol)
-    if a.shape[0] == 0:
+    stable = _deflate_marginal(sys, margin, kernel_tol)
+    if stable.n_states == 0:
         return NormResult(0.0, METHOD_SWEEP, {"trivial": "transfer function is zero"})
-    f0 = float(np.linalg.norm(c @ np.linalg.solve(a, b), "fro") ** 2)
+    f0 = float(np.linalg.norm(stable.C @ np.linalg.solve(stable.A, stable.B), "fro") ** 2)
     decades = math.log10(w_hi) - math.log10(w_lo)
     n_pts = int(round(decades * points_per_decade)) + 1
     ws = np.logspace(math.log10(w_lo), math.log10(w_hi), n_pts)
-
-    def integrand(omega: float) -> float:
-        n = a.shape[0]
-        resp = c @ np.linalg.solve(1j * omega * np.eye(n) - a, b.astype(complex))
-        return float(np.linalg.norm(resp, "fro") ** 2)
-
-    fs = np.array([integrand(w) for w in ws])
+    fs = np.array([np.linalg.norm(stable.response(1j * w), "fro") ** 2 for w in ws])
 
     def integral(grid, values):
         return float(np.trapezoid(np.concatenate([[f0], values]), np.concatenate([[0.0], grid])))
@@ -232,7 +216,7 @@ def h2_norm_quadrature(
     i_fine = integral(ws, fs)
     i_coarse = integral(ws[::2], fs[::2])
     i_rich = i_fine + (i_fine - i_coarse) / 3.0
-    tail = float(np.linalg.norm(c @ b, "fro") ** 2) / w_hi
+    tail = float(np.linalg.norm(stable.C @ stable.B, "fro") ** 2) / w_hi
     h2sq = (i_rich + tail) / math.pi
     return NormResult(
         math.sqrt(max(h2sq, 0.0)),
@@ -262,6 +246,19 @@ def aux_dc_gain(dyn: AgentDynamics, lam: float) -> np.ndarray:
     return lam * np.linalg.solve(lam * dyn.B - dyn.A, dyn.E)
 
 
+def _spectral_h2(dyn: AgentDynamics, eig: SymmetricEig, g: np.ndarray) -> NormResult:
+    """sqrt of the sum over nonzero eigenvalues lam_i of ||g_i||^2 tr(E^T X_i E)."""
+    total = 0.0
+    used = []
+    for i, lam in enumerate(eig.eigenvalues):
+        if lam <= ZERO_EIG_TOL:
+            continue
+        weight = float((g[i] ** 2).sum())
+        total += weight * aux_gramian_h2_sq(dyn, float(lam))
+        used.append(float(lam))
+    return NormResult(math.sqrt(max(total, 0.0)), METHOD_SPECTRAL, {"eigenvalues": used})
+
+
 def h2_norm_network_spectral(ns: NetworkSystem) -> NormResult:
     """H2 norm of the full network from the Laplacian eigenbasis.
 
@@ -273,16 +270,7 @@ def h2_norm_network_spectral(ns: NetworkSystem) -> NormResult:
     if not is_synchronized(ns):
         raise NotSynchronized("spectral H2 formula requires a synchronized network")
     eig = ns.laplacian.spectral
-    g = eig.eigenvectors.T @ ns.m_matrix
-    total = 0.0
-    used = []
-    for i, lam in enumerate(eig.eigenvalues):
-        if lam <= ZERO_EIG_TOL:
-            continue
-        weight = float((g[i] ** 2).sum())
-        total += weight * aux_gramian_h2_sq(ns.dyn, float(lam))
-        used.append(float(lam))
-    return NormResult(math.sqrt(max(total, 0.0)), METHOD_SPECTRAL, {"eigenvalues": used})
+    return _spectral_h2(ns.dyn, eig, eig.eigenvectors.T @ ns.m_matrix)
 
 
 def h2_norm_reduced_spectral(ns: NetworkSystem, pi: Partition) -> NormResult:
@@ -301,16 +289,7 @@ def h2_norm_reduced_spectral(ns: NetworkSystem, pi: Partition) -> NormResult:
     root = np.sqrt(pi.sizes)
     p = pi.char_matrix
     m_hat_scaled = (p.T @ ns.m_matrix) / root[:, None]  # (P^T P)^{1/2} M_hat
-    g = eig.eigenvectors.T @ m_hat_scaled
-    total = 0.0
-    used = []
-    for i, lam in enumerate(eig.eigenvalues):
-        if lam <= ZERO_EIG_TOL:
-            continue
-        weight = float((g[i] ** 2).sum())
-        total += weight * aux_gramian_h2_sq(ns.dyn, float(lam))
-        used.append(float(lam))
-    return NormResult(math.sqrt(max(total, 0.0)), METHOD_SPECTRAL, {"eigenvalues": used})
+    return _spectral_h2(ns.dyn, eig, eig.eigenvectors.T @ m_hat_scaled)
 
 
 def hinf_norm_dc(

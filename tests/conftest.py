@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from netred.bounds import (
+    Analysis,
     cellmate_terms,
     h2_bound_aep,
     hinf_bound_symmetric,
@@ -50,7 +51,7 @@ def aep_h2_corpus():
         )
         if ns.n_leaders == 0:
             ns, pi = random_aep_instance(rng, dynamics=dyn, n_leaders=1)
-        abs_bound, rel_bound = h2_bound_aep(ns, pi)
+        abs_bound, rel_bound = h2_bound_aep(Analysis(ns, pi))
         full = h2_norm(assemble_full(ns))
         reduced = h2_norm(assemble_reduced(ns, pi))
         error = h2_norm(assemble_error_system(ns, pi))
@@ -100,7 +101,7 @@ def single_int_aep_corpus():
                 "seed": seed,
                 "ns": ns,
                 "pi": pi,
-                "exact": hinf_error_single_integrator(ns, pi),
+                "exact": hinf_error_single_integrator(Analysis(ns, pi)),
                 "shared": leaders_share_cell(pi, ns.leaders),
             }
         )
@@ -124,7 +125,7 @@ def symmetric_hinf_corpus():
         )
         if ns.n_leaders == 0:
             ns, pi = random_aep_instance(rng, dynamics=dyn, max_cells=4, n_leaders=1)
-        abs_bound, rel_bound = hinf_bound_symmetric(ns, pi)
+        abs_bound, rel_bound = hinf_bound_symmetric(Analysis(ns, pi))
         records.append(
             {"seed": seed, "ns": ns, "pi": pi, "abs_bound": abs_bound, "rel_bound": rel_bound}
         )

@@ -2,7 +2,7 @@
 
 The oracles here deliberately avoid the production code paths they check:
 the Lyapunov oracle solves the linear system by Kronecker vectorization,
-and the equitability oracle tests degree constancy cell by cell.
+and the equitability oracles test degree constancy cell by cell.
 """
 
 from __future__ import annotations
@@ -51,6 +51,25 @@ def lyap_kron_oracle(a, q):
     lhs = np.kron(np.eye(n), a.T) + np.kron(a.T, np.eye(n))
     x = np.linalg.solve(lhs, -q.reshape(-1, order="F"))
     return x.reshape((n, n), order="F")
+
+
+class NodeInCell(ValueError):
+    """A node was required to lie outside a cell but belongs to it."""
+
+
+def degree_wrt_cell(graph, node: int, cell) -> float:
+    """Total weight from ``node`` into the cell, for a node outside the cell."""
+    members = {int(v) for v in cell}
+    node = int(node)
+    if node in members:
+        raise NodeInCell(f"node {node} belongs to the cell")
+    total = 0.0
+    for i, j, w in graph.edges:
+        if i == node and j in members:
+            total += w
+        elif j == node and i in members:
+            total += w
+    return total
 
 
 def aep_by_degree_constancy(graph, pi, tol=1e-9) -> bool:

@@ -9,6 +9,7 @@ import time
 import numpy as np
 
 from netred.bounds import (
+    Analysis,
     h2_bound_aep,
     hinf_bound_symmetric,
     hinf_error_single_integrator,
@@ -143,7 +144,7 @@ def test_criterion_5_hinf_bound_symmetric(symmetric_hinf_corpus, single_int_aep_
         assert true_err <= rec["abs_bound"] * (1 + 1e-6) + 1e-10, rec["seed"]
     worst_gap = 0.0
     for rec in single_int_aep_corpus:
-        abs_bound, _ = hinf_bound_symmetric(rec["ns"], rec["pi"])
+        abs_bound, _ = hinf_bound_symmetric(Analysis(rec["ns"], rec["pi"]))
         worst_gap = max(worst_gap, abs(abs_bound - rec["exact"]))
         assert abs(abs_bound - rec["exact"]) <= 1e-9, rec["seed"]
     elapsed = time.perf_counter() - started
@@ -160,10 +161,10 @@ def test_criterion_6_triangle_bound(non_aep_corpus):
     for rec in non_aep_corpus:
         ns, pi = rec["ns"], rec["pi"]
         err_sys = assemble_error_system(ns, pi)
-        total_h2, _ = triangle_bound_general(ns, pi, "h2")
+        total_h2, _ = triangle_bound_general(Analysis(ns, pi), "h2")
         true_h2 = h2_norm(err_sys).value
         assert true_h2 <= total_h2, (rec["seed"], true_h2, total_h2)
-        total_hinf, _ = triangle_bound_general(ns, pi, "hinf")
+        total_hinf, _ = triangle_bound_general(Analysis(ns, pi), "hinf")
         true_hinf = hinf_norm_sweep(err_sys).value
         assert true_hinf <= total_hinf, (rec["seed"], true_hinf, total_hinf)
     aep_checked = 0
@@ -173,12 +174,12 @@ def test_criterion_6_triangle_bound(non_aep_corpus):
         if ns.n_leaders == 0:
             continue
         for norm in ("h2", "hinf"):
-            total, (t1, t2, t3) = triangle_bound_general(ns, pi, norm)
+            total, (t1, t2, t3) = triangle_bound_general(Analysis(ns, pi), norm)
             assert t1 <= 1e-10 and t3 <= 1e-10, (seed, norm, t1, t3)
             reference = (
-                h2_bound_aep(ns, pi)[0]
+                h2_bound_aep(Analysis(ns, pi))[0]
                 if norm == "h2"
-                else hinf_error_single_integrator(ns, pi)
+                else hinf_error_single_integrator(Analysis(ns, pi))
             )
             assert abs(total - reference) <= 1e-9, (seed, norm)
         aep_checked += 1

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from netred.bounds import (
+    PRECONDITIONS,
+    Analysis,
+    Tolerances,
     cellmate_terms,
     full_report,
     h2_bound_aep,
@@ -26,7 +29,7 @@ from netred.generators import (
     single_integrator,
 )
 from netred.graphcore import Partition, WeightedGraph, laplacian_from_graph
-from netred.netsys import AgentDynamics, NetworkSystem, assemble_error_system
+from netred.netsys import AgentDynamics, NetworkSystem, assemble_error_system, is_synchronized
 from netred.norms import h2_norm, hinf_norm_dc, hinf_norm_sweep
 
 from .support import PATH5_AEP_PROJECTION, PATH5_LAPLACIAN, make_dynamics
@@ -82,39 +85,39 @@ class TestCellmateBookkeeping:
 class TestH2BoundAep:
     def test_k3_leader_alone_bound_zero_and_true_error_tiny(self):
         ns, pi = _k3()
-        abs_bound, rel_bound = h2_bound_aep(ns, pi)
+        abs_bound, rel_bound = h2_bound_aep(Analysis(ns, pi))
         assert abs_bound == 0.0 and rel_bound == 0.0
         assert h2_norm(assemble_error_system(ns, pi)).value <= 1e-8
 
     def test_singleton_partition_bound_zero(self):
         ns, _ = _k3()
         pi = Partition(n_nodes=3, cells=((0,), (1,), (2,)))
-        assert h2_bound_aep(ns, pi) == (0.0, 0.0)
+        assert h2_bound_aep(Analysis(ns, pi)) == (0.0, 0.0)
 
     def test_preconditions(self):
         ns, pi = _path5()
         with pytest.raises(NotAEP):
-            h2_bound_aep(ns, pi)
+            h2_bound_aep(Analysis(ns, pi))
         g = WeightedGraph(n_nodes=4, edges=((0, 1, 1.0), (2, 3, 1.0)))
         ns2 = NetworkSystem(
             laplacian=laplacian_from_graph(g), leaders=(0,), dyn=single_integrator()
         )
         pi2 = Partition(n_nodes=4, cells=((0, 1), (2, 3)))
         with pytest.raises(Disconnected):
-            h2_bound_aep(ns2, pi2)
+            h2_bound_aep(Analysis(ns2, pi2))
         lap = laplacian_from_graph(path_graph(2))
         bad = NetworkSystem(
             laplacian=lap, leaders=(0,), dyn=AgentDynamics(A=[[1.0]], B=[[0.0]], E=[[1.0]])
         )
         with pytest.raises(NotSynchronized):
-            h2_bound_aep(bad, Partition(n_nodes=2, cells=((0,), (1,))))
+            h2_bound_aep(Analysis(bad, Partition(n_nodes=2, cells=((0,), (1,)))))
 
     def test_soundness_on_sample(self):
         for seed in range(20):
             rng = np.random.default_rng(5000 + seed)
             kind = ("single", "symmetric", "dissipative")[seed % 3]
             ns, pi = random_aep_instance(rng, dynamics=make_dynamics(rng, kind))
-            abs_bound, _ = h2_bound_aep(ns, pi)
+            abs_bound, _ = h2_bound_aep(Analysis(ns, pi))
             true_err = h2_norm(assemble_error_system(ns, pi)).value
             assert true_err <= abs_bound * (1 + 1e-7) + 1e-10
 
@@ -122,17 +125,17 @@ class TestH2BoundAep:
 class TestHinfSingleIntegrator:
     def test_two_leaders_sharing_cell(self):
         ns, pi = _k3(leaders=(1, 2))
-        assert hinf_error_single_integrator(ns, pi) == 1.0
+        assert hinf_error_single_integrator(Analysis(ns, pi)) == 1.0
 
     def test_leaders_alone(self):
         lap = laplacian_from_graph(complete_graph(4))
         ns = NetworkSystem(laplacian=lap, leaders=(0, 1), dyn=single_integrator())
         pi = Partition(n_nodes=4, cells=((0,), (1,), (2, 3)))
-        assert hinf_error_single_integrator(ns, pi) == 0.0
+        assert hinf_error_single_integrator(Analysis(ns, pi)) == 0.0
 
     def test_k3_cross_checked_by_oracles(self):
         ns, pi = _k3()
-        exact = hinf_error_single_integrator(ns, pi)
+        exact = hinf_error_single_integrator(Analysis(ns, pi))
         assert exact == 0.0
         err = assemble_error_system(ns, pi)
         assert hinf_norm_sweep(err).value <= 1e-5
@@ -143,7 +146,7 @@ class TestHinfSingleIntegrator:
         lap = laplacian_from_graph(complete_graph(4))
         ns = NetworkSystem(laplacian=lap, leaders=(2,), dyn=single_integrator())
         pi = Partition(n_nodes=4, cells=((0,), (1,), (2, 3)))
-        exact = hinf_error_single_integrator(ns, pi)
+        exact = hinf_error_single_integrator(Analysis(ns, pi))
         assert exact == pytest.approx(np.sqrt(0.5), abs=1e-12)
         dc = hinf_norm_dc(assemble_error_system(ns, pi), -lap.mat)
         assert abs(dc.value - exact) <= 1e-9
@@ -156,7 +159,7 @@ class TestHinfSingleIntegrator:
             dyn=AgentDynamics(A=[[0.0]], B=[[2.0]], E=[[1.0]]),
         )
         with pytest.raises(NotSingleIntegrator):
-            hinf_error_single_integrator(fat, pi)
+            hinf_error_single_integrator(Analysis(fat, pi))
 
     def test_matches_dc_closed_form_on_corpus(self, single_int_aep_corpus):
         for rec in single_int_aep_corpus:
@@ -169,8 +172,8 @@ class TestHinfBoundSymmetric:
     def test_single_integrator_specialization_matches_exact(self):
         for leaders in ((0,), (1, 2), (0, 1)):
             ns, pi = _k3(leaders=leaders)
-            abs_bound, _ = hinf_bound_symmetric(ns, pi)
-            exact = hinf_error_single_integrator(ns, pi)
+            abs_bound, _ = hinf_bound_symmetric(Analysis(ns, pi))
+            exact = hinf_error_single_integrator(Analysis(ns, pi))
             assert abs(abs_bound - exact) <= 1e-9
 
     def test_leaders_alone_bound_zero(self):
@@ -179,7 +182,7 @@ class TestHinfBoundSymmetric:
         dyn = make_dynamics(rng, "symmetric", n=2)
         ns = NetworkSystem(laplacian=lap, leaders=(0,), dyn=dyn)
         pi = Partition(n_nodes=4, cells=((0,), (1,), (2, 3)))
-        abs_bound, rel_bound = hinf_bound_symmetric(ns, pi)
+        abs_bound, rel_bound = hinf_bound_symmetric(Analysis(ns, pi))
         assert abs_bound == 0.0 and rel_bound == 0.0
 
     def test_rejects_nonsymmetric_dynamics(self):
@@ -189,7 +192,7 @@ class TestHinfBoundSymmetric:
         )
         bad = NetworkSystem(laplacian=ns.laplacian, leaders=(0,), dyn=skew)
         with pytest.raises(NotSymmetricDynamics):
-            hinf_bound_symmetric(bad, pi)
+            hinf_bound_symmetric(Analysis(bad, pi))
 
     def test_soundness_on_sample(self, symmetric_hinf_corpus):
         for rec in symmetric_hinf_corpus[:15]:
@@ -201,18 +204,20 @@ class TestTriangleBound:
     def test_aep_partition_collapses_to_middle_term(self):
         ns, pi = _k3()
         for norm in ("h2", "hinf"):
-            total, (t1, t2, t3) = triangle_bound_general(ns, pi, norm)
+            total, (t1, t2, t3) = triangle_bound_general(Analysis(ns, pi), norm)
             assert t1 <= 1e-10 and t3 <= 1e-10
             reference = (
-                h2_bound_aep(ns, pi)[0] if norm == "h2" else hinf_error_single_integrator(ns, pi)
+                h2_bound_aep(Analysis(ns, pi))[0]
+                if norm == "h2"
+                else hinf_error_single_integrator(Analysis(ns, pi))
             )
             assert abs(total - reference) <= 1e-9
 
     def test_path5_bounds_dominate_true_errors(self):
         ns, pi = _path5()
         err = assemble_error_system(ns, pi)
-        total_h2, _ = triangle_bound_general(ns, pi, "h2")
-        total_hinf, _ = triangle_bound_general(ns, pi, "hinf")
+        total_h2, _ = triangle_bound_general(Analysis(ns, pi), "h2")
+        total_hinf, _ = triangle_bound_general(Analysis(ns, pi), "hinf")
         assert h2_norm(err).value <= total_h2
         assert hinf_norm_sweep(err).value <= total_hinf
 
@@ -231,18 +236,18 @@ class TestTriangleBound:
             laplacian=ns.laplacian, leaders=(0,), dyn=make_dynamics(rng, "symmetric", n=2)
         )
         with pytest.raises(NotSingleIntegrator):
-            triangle_bound_general(fat, pi, "h2")
+            triangle_bound_general(Analysis(fat, pi), "h2")
 
     def test_rejects_unknown_norm(self):
         ns, pi = _path5()
         with pytest.raises(ValueError):
-            triangle_bound_general(ns, pi, "h1")
+            triangle_bound_general(Analysis(ns, pi), "h1")
 
 
 class TestFullReport:
     def test_aep_single_integrator_all_bounds_present(self):
         ns, pi = _k3()
-        rep = full_report(ns, pi)
+        rep = full_report(Analysis(ns, pi))
         assert rep.aep and rep.synchronized and rep.connected
         assert rep.abs_h2_bound == 0.0
         assert rep.hinf_exact_error == 0.0
@@ -252,7 +257,7 @@ class TestFullReport:
 
     def test_non_aep_gating(self):
         ns, pi = _path5()
-        rep = full_report(ns, pi)
+        rep = full_report(Analysis(ns, pi))
         assert not rep.aep
         assert rep.triangle_h2_bound is not None
         assert rep.triangle_hinf_bound is not None
@@ -267,7 +272,7 @@ class TestFullReport:
             laplacian=lap, leaders=(0,), dyn=make_dynamics(rng, "symmetric", n=2)
         )
         pi = Partition(n_nodes=5, cells=((0, 1, 2), (3, 4)))
-        rep = full_report(ns, pi)
+        rep = full_report(Analysis(ns, pi))
         assert rep.unavailable["triangle_h2_bound"] == "NotSingleIntegrator"
         assert rep.unavailable["abs_h2_bound"] == "NotAEP"
 
@@ -275,7 +280,7 @@ class TestFullReport:
         lap = laplacian_from_graph(WeightedGraph(n_nodes=1, edges=()))
         ns = NetworkSystem(laplacian=lap, leaders=(0,), dyn=single_integrator())
         pi = Partition(n_nodes=1, cells=((0,),))
-        rep = full_report(ns, pi)
+        rep = full_report(Analysis(ns, pi))
         assert rep.abs_h2_bound == 0.0
         assert rep.rel_hinf_bound == 0.0
         assert rep.true_h2_error.value <= 1e-12
@@ -285,7 +290,7 @@ class TestFullReport:
         lap = laplacian_from_graph(complete_graph(3))
         ns = NetworkSystem(laplacian=lap, leaders=(), dyn=single_integrator())
         pi = Partition(n_nodes=3, cells=((0,), (1, 2)))
-        rep = full_report(ns, pi)
+        rep = full_report(Analysis(ns, pi))
         assert rep.abs_h2_bound == 0.0 and rep.abs_hinf_bound == 0.0
         assert rep.true_h2_error.value == 0.0
         assert rep.true_hinf_error.value == 0.0
@@ -296,7 +301,7 @@ class TestFullReport:
             laplacian=lap, leaders=(0,), dyn=AgentDynamics(A=[[1.0]], B=[[0.0]], E=[[1.0]])
         )
         pi = Partition(n_nodes=2, cells=((0,), (1,)))
-        rep = full_report(bad, pi)
+        rep = full_report(Analysis(bad, pi))
         assert not rep.synchronized
         assert rep.abs_h2_bound is None
         assert rep.unavailable["abs_h2_bound"] == "NotSynchronized"
@@ -307,7 +312,7 @@ class TestFullReport:
             laplacian=laplacian_from_graph(g), leaders=(0,), dyn=single_integrator()
         )
         pi = Partition(n_nodes=4, cells=((0, 1), (2, 3)))
-        rep = full_report(ns, pi)
+        rep = full_report(Analysis(ns, pi))
         assert rep.unavailable["abs_h2_bound"] == "Disconnected"
 
     def test_relative_denominator_lower_bounds(self, aep_h2_corpus):
@@ -315,9 +320,7 @@ class TestFullReport:
         # squared is at least m (1 - 1/N) times the smallest auxiliary norm
         for rec in aep_h2_corpus[:60]:
             ns, pi = rec["ns"], rec["pi"]
-            from netred.bounds import _h2_constants
-
-            _, s_min = _h2_constants(ns, pi)
+            _, s_min = Analysis(ns, pi).h2_constants
             m, n_agents = ns.n_leaders, ns.n_agents
             floor = m * (1.0 - 1.0 / n_agents) * s_min**2
             assert rec["h2_full"] ** 2 >= floor * (1 - 1e-9)
@@ -328,5 +331,45 @@ class TestFullReport:
             ns, pi = rec["ns"], rec["pi"]
             if ns.n_leaders < 2:
                 continue
-            rep = full_report(ns, pi, norms=("hinf",))
+            rep = full_report(Analysis(ns, pi), norms=("hinf",))
             assert rep.full_hinf_norm.value >= rep.s_min_hinf * (1 - 1e-9)
+
+
+def _cycle4(dyn):
+    graph = WeightedGraph(n_nodes=4, edges=((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)))
+    ns = NetworkSystem(laplacian=laplacian_from_graph(graph), leaders=(0,), dyn=dyn)
+    return ns, Partition(n_nodes=4, cells=((0, 2), (1, 3)))
+
+
+class TestTolerances:
+    def test_aep_rtol_reaches_the_report(self):
+        graph = WeightedGraph(n_nodes=3, edges=((0, 1, 1.0), (0, 2, 1.0001), (1, 2, 1.0)))
+        ns = NetworkSystem(laplacian_from_graph(graph), (0,), single_integrator())
+        pi = Partition(n_nodes=3, cells=((0,), (1, 2)))
+        assert not full_report(Analysis(ns, pi)).aep
+        rep = full_report(Analysis(ns, pi, Tolerances(aep_rtol=1e-2)))
+        assert rep.aep
+        assert rep.abs_h2_bound is not None and rep.abs_hinf_bound is not None
+        assert rep.triangle_h2_bound is None and rep.triangle_hinf_bound is None
+        assert "abs_h2_bound" not in rep.unavailable
+
+    def test_zero_eig_tol_marks_every_norm_field_disconnected(self):
+        # lambda_2 of the unit 4-cycle is 2, below the override
+        an = Analysis(*_cycle4(single_integrator()), Tolerances(zero_eig_tol=10.0))
+        assert an.refusal() == "Disconnected"
+        rep = full_report(an)
+        assert not rep.connected
+        for name in PRECONDITIONS:
+            assert getattr(rep, name) is None
+            assert rep.unavailable[name] == "Disconnected"
+
+    def test_zero_eig_tol_reaches_every_nonzero_spectrum_filter(self):
+        # A - lam B = 3 - lam is Hurwitz only for lam > 3: of the spectrum
+        # {0, 2, 2, 4} the default keeps 2 (not Hurwitz), a tolerance of 2.5 does not
+        ns, pi = _cycle4(AgentDynamics(A=[[3.0]], B=[[1.0]], E=[[1.0]]))
+        assert not is_synchronized(ns)
+        assert is_synchronized(ns, zero_eig_tol=2.5)
+        assert not Analysis(ns, pi).synchronized
+        an = Analysis(ns, pi, Tolerances(zero_eig_tol=2.5))
+        assert an.synchronized
+        assert an.nonzero_eigenvalues == pytest.approx([4.0])

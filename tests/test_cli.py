@@ -178,6 +178,44 @@ class TestAnalyze:
         assert err["error"]["kind"] == "NotSingleIntegrator"
 
 
+def _near_aep_triangle():
+    """Triangle whose partition {{1}, {2, 3}} is almost equitable only within 1e-4."""
+    return {
+        "schema_version": 1,
+        "n_nodes": 3,
+        "edges": [[1, 2, 1.0], [1, 3, 1.0001], [2, 3, 1.0]],
+        "leaders": [1],
+        "agent": {"A": [[0.0]], "B": [[1.0]], "E": [[1.0]]},
+        "partition": [[1], [2, 3]],
+        "options": {"tolerances": {"aep_rtol": 1e-2}},
+    }
+
+
+class TestFileTolerances:
+    def test_aep_rtol_decides_analysis_and_bounds_alike(self, tmp_path):
+        code, report = _run(tmp_path, _near_aep_triangle())
+        assert code == 0
+        assert report["analysis"]["aep"] is True
+        assert report["bounds"]["aep"] is True
+        assert report["bounds"]["abs_h2_bound"] is not None
+        assert report["bounds"]["triangle_h2_bound"] is None
+        assert "l_aep" not in report
+
+    def test_zero_eig_tol_override_refuses_as_disconnected(self, tmp_path, capsys):
+        payload = {
+            "schema_version": 1,
+            "n_nodes": 4,
+            "edges": [[1, 2, 1.0], [2, 3, 1.0], [3, 4, 1.0], [4, 1, 1.0]],
+            "leaders": [1],
+            "agent": {"A": [[0.0]], "B": [[1.0]], "E": [[1.0]]},
+            "partition": [[1, 3], [2, 4]],
+            "options": {"tolerances": {"zero_eig_tol": 10}},
+        }
+        code, _ = _run(tmp_path, payload)
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "Disconnected"
+
+
 class TestReportContract:
     def test_round_trip(self, tmp_path):
         payload = generate_example("random-aep", seed=3)

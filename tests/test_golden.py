@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -81,8 +81,5 @@ def record(tmp_dir: Path) -> None:
 
 
 if __name__ == "__main__":
-    import tempfile
-
     with tempfile.TemporaryDirectory() as tmp:
         record(Path(tmp))
-    sys.exit(0)

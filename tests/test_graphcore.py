@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from netred.errors import InvalidPartition, NegativeWeight, NodeInCell
+from netred.errors import InvalidPartition, NegativeWeight
 from netred.generators import (
     complete_graph,
     lift_aep_graph,
@@ -13,7 +13,6 @@ from netred.graphcore import (
     Laplacian,
     Partition,
     WeightedGraph,
-    degree_wrt_cell,
     is_almost_equitable,
     is_connected,
     laplacian_from_graph,
@@ -22,7 +21,14 @@ from netred.graphcore import (
     reduce_graph,
 )
 
-from .support import PATH5_AEP_PROJECTION, PATH5_CELLS, PATH5_LAPLACIAN, aep_by_degree_constancy
+from .support import (
+    PATH5_AEP_PROJECTION,
+    PATH5_CELLS,
+    PATH5_LAPLACIAN,
+    NodeInCell,
+    aep_by_degree_constancy,
+    degree_wrt_cell,
+)
 
 
 @pytest.fixture()

@@ -7,7 +7,6 @@ from netred.graphcore import laplacian_from_graph
 from netred.linalg import (
     StateSpace,
     is_hurwitz,
-    kron,
     pinv,
     solve_lyapunov,
     solve_lyapunov_with_kernel,
@@ -75,20 +74,20 @@ class TestPinv:
 class TestKron:
     def test_identity_block_diag(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = kron(np.eye(2), m)
+        out = np.kron(np.eye(2), m)
         expected = np.block([[m, np.zeros((2, 2))], [np.zeros((2, 2)), m]])
         np.testing.assert_array_equal(out, expected)
 
     def test_ones_times_basis(self):
-        out = kron(np.ones((2, 1)), np.array([[1.0], [0.0]]))
+        out = np.kron(np.ones((2, 1)), np.array([[1.0], [0.0]]))
         np.testing.assert_array_equal(out, np.array([[1.0], [0.0], [1.0], [0.0]]))
 
     def test_mixed_product_identity(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             a, b, c, d = (rng.normal(size=(2, 2)) for _ in range(4))
-            lhs = kron(a, b) @ kron(c, d)
-            rhs = kron(a @ c, b @ d)
+            lhs = np.kron(a, b) @ np.kron(c, d)
+            rhs = np.kron(a @ c, b @ d)
             assert np.abs(lhs - rhs).max() <= 1e-12
 
 

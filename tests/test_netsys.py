@@ -9,7 +9,7 @@ from netred.generators import (
     single_integrator,
 )
 from netred.graphcore import Partition, WeightedGraph, laplacian_from_graph
-from netred.linalg import kron, stable_unstable_split
+from netred.linalg import stable_unstable_split
 from netred.netsys import (
     AgentDynamics,
     NetworkSystem,
@@ -78,8 +78,8 @@ class TestPetrovGalerkinContract:
         ns, pi = random_aep_instance(rng, dynamics=make_dynamics(rng, "dissipative", n=2))
         n = ns.dyn.n
         p = pi.char_matrix
-        w = kron(p / pi.sizes[None, :], np.eye(n))
-        v = kron(p, np.eye(n))
+        w = np.kron(p / pi.sizes[None, :], np.eye(n))
+        v = np.kron(p, np.eye(n))
         np.testing.assert_array_equal(w.T @ v, np.eye(pi.n_cells * n))
 
     def test_reduced_equals_projection(self):
@@ -89,8 +89,8 @@ class TestPetrovGalerkinContract:
         red = assemble_reduced(ns, pi)
         n = ns.dyn.n
         p = pi.char_matrix
-        w = kron(p / pi.sizes[None, :], np.eye(n))
-        v = kron(p, np.eye(n))
+        w = np.kron(p / pi.sizes[None, :], np.eye(n))
+        v = np.kron(p, np.eye(n))
         np.testing.assert_allclose(red.A, w.T @ full.A @ v, atol=1e-12)
         np.testing.assert_allclose(red.B, w.T @ full.B, atol=1e-12)
         np.testing.assert_allclose(red.C, full.C @ v, atol=1e-12)
