@@ -40,7 +40,7 @@ from .graphcore import (
     project_to_aep_laplacian,
     reduce_graph,
 )
-from .linalg import STABILITY_MARGIN, StateSpace
+from .linalg import StateSpace
 from .netsys import (
     NetworkSystem,
     assemble_error_system,
@@ -61,14 +61,15 @@ from .norms import (
 
 EIG_MATCH_RTOL = 1e-7
 
-# Requirement (a boolean Analysis property) -> the error that refuses it.  The
-# error's class name is the refusal kind in reports and in CLI errors.
+# Requirement (a boolean Analysis property) -> (the error that refuses it, what
+# it asks for).  The error's class name is the refusal kind in reports and in
+# CLI errors.
 REFUSALS = {
-    "connected": Disconnected,
-    "synchronized": NotSynchronized,
-    "aep": NotAEP,
-    "symmetric": NotSymmetricDynamics,
-    "single_integrator": NotSingleIntegrator,
+    "connected": (Disconnected, "a connected graph"),
+    "synchronized": (NotSynchronized, "a synchronized network"),
+    "aep": (NotAEP, "an almost equitable partition"),
+    "symmetric": (NotSymmetricDynamics, "symmetric agent matrices A and B"),
+    "single_integrator": (NotSingleIntegrator, "single-integrator agents (A=0, B=1, E=1)"),
 }
 # Report field -> (norm, requirements).  Every field first needs a connected,
 # synchronized network; the first requirement that fails names the field's
@@ -174,7 +175,6 @@ class Tolerances:
 
     zero_eig_tol: float = ZERO_EIG_TOL
     aep_rtol: float = AEP_RTOL
-    stability_margin: float = STABILITY_MARGIN
 
 
 class Analysis:
@@ -195,7 +195,7 @@ class Analysis:
 
     @cached_property
     def synchronized(self) -> bool:
-        return is_synchronized(self.ns, self.tol.stability_margin, self.tol.zero_eig_tol)
+        return is_synchronized(self.ns, zero_eig_tol=self.tol.zero_eig_tol)
 
     @cached_property
     def aep(self) -> bool:
@@ -209,10 +209,12 @@ class Analysis:
         """The first of ``needs`` (boolean property names) that is false, or None."""
         return next((need for need in needs if not getattr(self, need)), None)
 
-    def require(self, *needs: str) -> None:
+    def require(self, what: str, *needs: str) -> None:
+        """Raise the error of the first unmet requirement, saying that ``what`` needs it."""
         need = self.unmet(*needs)
         if need is not None:
-            raise REFUSALS[need](f"precondition not met: {need.replace('_', ' ')}")
+            error, asks_for = REFUSALS[need]
+            raise error(f"{what} needs {asks_for}")
 
     def blocker(self, field_name: str) -> str | None:
         """The first unmet requirement of a report field (see PRECONDITIONS), or None."""
@@ -225,7 +227,7 @@ class Analysis:
         if self.ns.n_leaders == 0:
             return None
         need = self.blocker("triangle_h2_bound" if triangle and self.not_aep else "abs_h2_bound")
-        return need and REFUSALS[need].__name__
+        return need and REFUSALS[need][0].__name__
 
     @cached_property
     def nonzero_eigenvalues(self) -> list:
@@ -301,7 +303,7 @@ def h2_bound_aep(an: Analysis):
     largest auxiliary H2 norm over the eigenvalues lost by the reduction;
     rel^2 = (s_max/s_min)^2 * sum_i(...) / (m (1 - 1/N)).
     """
-    an.require("connected", "synchronized", "aep")
+    an.require("the a-priori H2 bound", "connected", "aep", "synchronized")
     m, n_agents = an.ns.n_leaders, an.ns.n_agents
     if m == 0 or n_agents == 1:
         return 0.0, 0.0
@@ -320,7 +322,7 @@ def hinf_error_single_integrator(an: Analysis) -> float:
     Equals 1 when two leaders share a cell, otherwise
     sqrt(max_i (1 - 1/|cell of leader i|)).
     """
-    an.require("connected", "synchronized", "aep", "single_integrator")
+    an.require("the exact H-infinity error", "single_integrator", "connected", "aep")
     if an.ns.n_leaders == 0:
         return 0.0
     if leaders_share_cell(an.pi, an.ns.leaders):
@@ -336,7 +338,9 @@ def hinf_bound_symmetric(an: Analysis):
     s_min^2 times the leader spread factor (the spread is 1 for two or more
     leaders).
     """
-    an.require("connected", "synchronized", "aep", "symmetric")
+    an.require(
+        "the a-priori H-infinity bound", "symmetric", "connected", "aep", "synchronized"
+    )
     ns, pi = an.ns, an.pi
     m = ns.n_leaders
     if m == 0 or ns.n_agents == 1:
@@ -370,7 +374,7 @@ def triangle_bound_general(an: Analysis, norm: str):
     """
     if norm not in ("h2", "hinf"):
         raise ValueError(f"norm must be 'h2' or 'hinf', got {norm!r}")
-    an.require("connected", "synchronized", "single_integrator")
+    an.require("the triangle route", "single_integrator", "connected")
     ns, rg, surrogate = an.ns, an.reduced, an.surrogate
     d_l = ns.laplacian.mat - surrogate.ns.laplacian.mat
     term1_sys = StateSpace(-ns.laplacian.mat, ns.m_matrix, d_l)
@@ -421,7 +425,7 @@ def full_report(an: Analysis, norms=("h2", "hinf")) -> BoundReport:
     needs = {name: an.blocker(name) for name in fields}
     for name, need in needs.items():
         if need in REFUSALS:
-            report.unavailable[name] = REFUSALS[need].__name__
+            report.unavailable[name] = REFUSALS[need][0].__name__
     admitted = {name for name, need in needs.items() if need is None}
 
     if "abs_h2_bound" in admitted:

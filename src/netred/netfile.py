@@ -54,19 +54,6 @@ def _require(condition: bool, field: str, message: str) -> None:
         raise FileFormatError(field, message)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _require_known(obj: dict, known, prefix: str) -> None:
-    unknown = sorted(set(obj) - set(known))
-    _require(not unknown, prefix + (unknown[0] if unknown else ""), "unknown field")
-
-
 def _as_float_matrix(value, field: str) -> list:
     _require(isinstance(value, list) and value, field, "must be a nonempty nested list")
     width = None
@@ -77,7 +64,11 @@ def _as_float_matrix(value, field: str) -> list:
             width = len(row)
         _require(len(row) == width, f"{field}[{r_idx}]", f"expected {width} entries")
         for c_idx, entry in enumerate(row):
-            _require(_is_number(entry), f"{field}[{r_idx}][{c_idx}]", "must be a number")
+            _require(
+                isinstance(entry, (int, float)) and not isinstance(entry, bool),
+                f"{field}[{r_idx}][{c_idx}]",
+                "must be a number",
+            )
         out.append([float(entry) for entry in row])
     return out
 
@@ -88,14 +79,19 @@ def validate_network_payload(payload: dict) -> dict:
     Every failure names the offending field (and index) in the exception.
     """
     _require(isinstance(payload, dict), "$", "top level must be an object")
-    _require_known(payload, _TOP_LEVEL_FIELDS, "")
+    unknown = sorted(set(payload) - _TOP_LEVEL_FIELDS)
+    _require(not unknown, unknown[0] if unknown else "$", "unknown field")
     for name in ("n_nodes", "edges", "leaders", "agent", "partition"):
         _require(name in payload, name, "missing required field")
     version = payload.get("schema_version", SCHEMA_VERSION)
     _require(version == SCHEMA_VERSION, "schema_version", f"expected {SCHEMA_VERSION}")
 
     n_nodes = payload["n_nodes"]
-    _require(_is_int(n_nodes) and n_nodes >= 1, "n_nodes", "must be a positive integer")
+    _require(
+        isinstance(n_nodes, int) and not isinstance(n_nodes, bool) and n_nodes >= 1,
+        "n_nodes",
+        "must be a positive integer",
+    )
 
     edges = payload["edges"]
     _require(isinstance(edges, list), "edges", "must be a list")
@@ -104,10 +100,18 @@ def validate_network_payload(payload: dict) -> dict:
         _require(isinstance(edge, list) and len(edge) == 3, field, "must be [i, j, weight]")
         i, j, w = edge
         for name, value in (("i", i), ("j", j)):
-            _require(_is_int(value), f"{field}.{name}", "must be an integer node index")
+            _require(
+                isinstance(value, int) and not isinstance(value, bool),
+                f"{field}.{name}",
+                "must be an integer node index",
+            )
             _require(1 <= value <= n_nodes, f"{field}.{name}", f"must be in 1..{n_nodes}")
         _require(i != j, field, f"self-loop on node {i}")
-        _require(_is_number(w), f"{field}.weight", "must be a number")
+        _require(
+            isinstance(w, (int, float)) and not isinstance(w, bool),
+            f"{field}.weight",
+            "must be a number",
+        )
         _require(w >= 0, f"{field}.weight", f"negative weight {w}")
 
     leaders = payload["leaders"]
@@ -115,7 +119,7 @@ def validate_network_payload(payload: dict) -> dict:
     seen = set()
     for l_idx, v in enumerate(leaders):
         field = f"leaders[{l_idx}]"
-        _require(_is_int(v), field, "must be an integer")
+        _require(isinstance(v, int) and not isinstance(v, bool), field, "must be an integer")
         _require(1 <= v <= n_nodes, field, f"node {v} out of range 1..{n_nodes}")
         _require(v not in seen, field, f"leader {v} listed twice")
         seen.add(v)
@@ -124,7 +128,8 @@ def validate_network_payload(payload: dict) -> dict:
     _require(isinstance(agent, dict), "agent", "must be an object with A, B, E")
     for name in ("A", "B", "E"):
         _require(name in agent, f"agent.{name}", "missing required field")
-    _require_known(agent, "ABE", "agent.")
+    unknown = sorted(set(agent) - {"A", "B", "E"})
+    _require(not unknown, f"agent.{unknown[0] if unknown else ''}", "unknown field")
     a = _as_float_matrix(agent["A"], "agent.A")
     b = _as_float_matrix(agent["B"], "agent.B")
     e = _as_float_matrix(agent["E"], "agent.E")
@@ -140,16 +145,19 @@ def validate_network_payload(payload: dict) -> dict:
         field = f"partition[{c_idx}]"
         _require(isinstance(cell, list) and cell, field, "cell must be a nonempty list")
         for v in cell:
-            _require(_is_int(v), field, "nodes are integers")
+            _require(isinstance(v, int) and not isinstance(v, bool), field, "nodes are integers")
             _require(1 <= v <= n_nodes, field, f"node {v} out of range 1..{n_nodes}")
-            _require(v not in owner, field, f"node {v} already in partition[{owner.get(v)}]")
+            _require(
+                v not in owner, field, f"node {v} already in partition[{owner.get(v)}]"
+            )
             owner[v] = c_idx
     missing = sorted(set(range(1, n_nodes + 1)) - owner.keys())
     _require(not missing, "partition", f"node {missing[0] if missing else 0} not covered")
 
     options = payload.get("options", {})
     _require(isinstance(options, dict), "options", "must be an object")
-    _require_known(options, _OPTION_FIELDS, "options.")
+    unknown = sorted(set(options) - _OPTION_FIELDS)
+    _require(not unknown, f"options.{unknown[0] if unknown else ''}", "unknown field")
     norms = options.get("norms", ["h2", "hinf"])
     _require(isinstance(norms, list) and norms, "options.norms", "must be a nonempty list")
     for n_idx, name in enumerate(norms):
@@ -158,10 +166,16 @@ def validate_network_payload(payload: dict) -> dict:
     _require(isinstance(oracle, bool), "options.oracle_check", "must be a boolean")
     tolerances = options.get("tolerances", {})
     _require(isinstance(tolerances, dict), "options.tolerances", "must be an object")
-    _require_known(tolerances, _TOLERANCE_FIELDS, "options.tolerances.")
+    unknown = sorted(set(tolerances) - _TOLERANCE_FIELDS)
+    _require(
+        not unknown, f"options.tolerances.{unknown[0] if unknown else ''}", "unknown field"
+    )
     for name, value in tolerances.items():
-        field = f"options.tolerances.{name}"
-        _require(_is_number(value) and value > 0, field, "must be a positive number")
+        _require(
+            isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0,
+            f"options.tolerances.{name}",
+            "must be a positive number",
+        )
     return payload
 
 
@@ -230,25 +244,37 @@ def generate_example(name: str, seed: int = 0) -> dict:
     """
     from . import generators
 
-    fixed = {
-        "paper-section7": generators.five_node_path_instance,
-        "k3-aep": generators.k3_aep_instance,
-    }
-    if name in fixed:
-        return _instance_payload(*fixed[name](), {"name": name})
-    if name in ("random-aep", "random-general"):
+    if name == "paper-section7":
+        ns, pi = generators.five_node_path_instance()
+        return _instance_payload(ns, pi, {"name": name})
+    if name == "k3-aep":
+        ns, pi = generators.k3_aep_instance()
+        return _instance_payload(ns, pi, {"name": name})
+    if name == "random-aep":
         rng = np.random.default_rng(seed)
-        if name == "random-aep":
-            graph, pi = lift_aep_graph(rng, _random_cell_sizes(rng))
-            n_leaders = int(rng.integers(1, min(4, graph.n_nodes) + 1))
-        else:
-            n_nodes = int(rng.integers(5, 13))
-            graph = random_connected_graph(rng, n_nodes)
-            pi = random_partition(rng, n_nodes, int(rng.integers(2, n_nodes)))
-            n_leaders = int(rng.integers(1, 4))
+        graph, pi = lift_aep_graph(rng, _random_cell_sizes(rng))
+        n_leaders = int(rng.integers(1, min(4, graph.n_nodes) + 1))
         chosen = rng.choice(graph.n_nodes, size=n_leaders, replace=False)
         leaders = tuple(sorted(int(v) for v in np.atleast_1d(chosen)))
-        ns = NetworkSystem(laplacian_from_graph(graph), leaders, generators.single_integrator())
+        ns = NetworkSystem(
+            laplacian=laplacian_from_graph(graph),
+            leaders=leaders,
+            dyn=generators.single_integrator(),
+        )
+        return _instance_payload(ns, pi, {"name": name, "seed": seed})
+    if name == "random-general":
+        rng = np.random.default_rng(seed)
+        n_nodes = int(rng.integers(5, 13))
+        graph = random_connected_graph(rng, n_nodes)
+        pi = random_partition(rng, n_nodes, int(rng.integers(2, n_nodes)))
+        n_leaders = int(rng.integers(1, 4))
+        chosen = rng.choice(n_nodes, size=n_leaders, replace=False)
+        leaders = tuple(sorted(int(v) for v in np.atleast_1d(chosen)))
+        ns = NetworkSystem(
+            laplacian=laplacian_from_graph(graph),
+            leaders=leaders,
+            dyn=generators.single_integrator(),
+        )
         return _instance_payload(ns, pi, {"name": name, "seed": seed})
     raise UnknownExample(
         f"unknown example {name!r}; known: paper-section7, k3-aep, random-aep, random-general"

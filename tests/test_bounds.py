@@ -373,3 +373,16 @@ class TestTolerances:
         an = Analysis(ns, pi, Tolerances(zero_eig_tol=2.5))
         assert an.synchronized
         assert an.nonzero_eigenvalues == pytest.approx([4.0])
+
+    def test_bound_errors_name_the_bound_and_its_requirement(self):
+        ns, pi = _path5()
+        with pytest.raises(NotAEP, match="the a-priori H2 bound needs an almost equitable"):
+            h2_bound_aep(Analysis(ns, pi))
+        # a disconnected network of non-integrators is refused for its dynamics first
+        g = WeightedGraph(n_nodes=4, edges=((0, 1, 1.0), (2, 3, 1.0)))
+        dyn = AgentDynamics(A=[[0.0]], B=[[2.0]], E=[[1.0]])
+        an = Analysis(NetworkSystem(laplacian_from_graph(g), (0,), dyn), pi=_cycle4(dyn)[1])
+        with pytest.raises(NotSingleIntegrator, match="the exact H-infinity error needs single"):
+            hinf_error_single_integrator(an)
+        with pytest.raises(NotSingleIntegrator, match="the triangle route needs single"):
+            triangle_bound_general(an, "h2")
