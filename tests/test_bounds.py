@@ -374,6 +374,8 @@ class TestTolerances:
         assert an.synchronized
         assert an.nonzero_eigenvalues == pytest.approx([4.0])
 
+
+class TestRequirements:
     def test_bound_errors_name_the_bound_and_its_requirement(self):
         ns, pi = _path5()
         with pytest.raises(NotAEP, match="the a-priori H2 bound needs an almost equitable"):
