@@ -59,8 +59,6 @@ from .norms import (
     hinf_norm_sweep,
 )
 
-EIG_MATCH_RTOL = 1e-7
-
 # Requirement (a boolean Analysis property) -> (the error that refuses it, what
 # it asks for).  The error's class name is the refusal kind in reports and in
 # CLI errors.
@@ -149,26 +147,6 @@ def leader_spread(n_leaders: int, n_agents: int) -> float:
     return 1.0
 
 
-def spectrum_difference(lams, lams_hat, rtol: float = EIG_MATCH_RTOL) -> np.ndarray:
-    """Multiset difference sigma(L) \\ sigma(L_hat) by greedy closest matching.
-
-    Each reduced eigenvalue consumes the closest unmatched original one;
-    matching beyond tolerance raises ValueError (it cannot happen for an
-    almost equitable partition).
-    """
-    lams = sorted(float(v) for v in lams)
-    tol = rtol * (1.0 + max(abs(v) for v in lams)) if lams else 0.0
-    remaining = list(lams)
-    for lam_hat in sorted(float(v) for v in lams_hat):
-        idx = min(range(len(remaining)), key=lambda i: abs(remaining[i] - lam_hat))
-        if abs(remaining[idx] - lam_hat) > tol:
-            raise ValueError(
-                f"reduced eigenvalue {lam_hat:.6g} not matched in the original spectrum"
-            )
-        remaining.pop(idx)
-    return np.array(remaining)
-
-
 @dataclass(frozen=True)
 class Tolerances:
     """The thresholds of every decision in a run (``options.tolerances`` in a file)."""
@@ -244,11 +222,11 @@ class Analysis:
 
     @cached_property
     def lost_eigenvalues(self) -> np.ndarray:
-        """sigma(L) minus sigma(L_hat), matched within the eigenvalue shift an
-        AEP residual of aep_rtol allows (about sqrt(N k) aep_rtol, relative)."""
-        slack = self.tol.aep_rtol * math.sqrt(self.pi.n_nodes * self.pi.n_cells)
-        lams = self.ns.laplacian.spectral.eigenvalues
-        return spectrum_difference(lams, self.reduced_eigenvalues, max(EIG_MATCH_RTOL, slack))
+        """sigma(L) minus sigma(L_hat) for an AEP, ascending.  L then leaves span(P)
+        invariant, so these are its eigenvalues on the orthogonal complement: those
+        of (I - proj) L (I - proj) after the k zeros that span(P) contributes."""
+        comp = np.eye(self.pi.n_nodes) - self.pi.projector
+        return np.linalg.eigvalsh(comp @ self.ns.laplacian.mat @ comp)[self.pi.n_cells :]
 
     @cached_property
     def aep_projection(self) -> tuple:
@@ -336,7 +314,8 @@ def hinf_bound_symmetric(an: Analysis):
     abs^2 = s_max^2 * max_i (1 - 1/|cell_i|) when the leaders occupy
     distinct cells and s_max^2 otherwise.  The relative bound divides by
     s_min^2 times the leader spread factor (the spread is 1 for two or more
-    leaders).
+    leaders); it is infinite when s_min = 0, i.e. when E has rank below
+    min(n, r).
     """
     an.require(
         "the a-priori H-infinity bound", "symmetric", "connected", "aep", "synchronized"
@@ -353,9 +332,8 @@ def hinf_bound_symmetric(an: Analysis):
     abs_bound = s_max * math.sqrt(factor)
     if abs_bound == 0.0:
         return 0.0, 0.0
-    spread = leader_spread(m, ns.n_agents)
-    rel_bound = abs_bound / (s_min * math.sqrt(spread))
-    return abs_bound, rel_bound
+    scale = s_min * math.sqrt(leader_spread(m, ns.n_agents))
+    return abs_bound, abs_bound / scale if scale > 0.0 else math.inf
 
 
 def triangle_bound_general(an: Analysis, norm: str):
@@ -449,7 +427,11 @@ def full_report(an: Analysis, norms=("h2", "hinf")) -> BoundReport:
         report.rel_hinf_bound = exact / math.sqrt(spread) if exact > 0.0 else 0.0
     elif "abs_hinf_bound" in admitted:
         report.s_max_hinf, report.s_min_hinf = an.hinf_constants
-        report.abs_hinf_bound, report.rel_hinf_bound = hinf_bound_symmetric(an)
+        report.abs_hinf_bound, rel = hinf_bound_symmetric(an)
+        if math.isfinite(rel):
+            report.rel_hinf_bound = rel
+        else:
+            report.unavailable["rel_hinf_bound"] = "RankDeficientInput"
     if "triangle_hinf_bound" in admitted:
         report.triangle_hinf_bound, report.triangle_hinf_terms = triangle_bound_general(an, "hinf")
     if "full_hinf_norm" in admitted:

@@ -21,6 +21,7 @@ from .errors import (
     NegativeWeight,
     UnknownExample,
 )
+from .generators import EXAMPLES
 from .netfile import (
     SCHEMA_VERSION,
     FileFormatError,
@@ -178,9 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.set_defaults(func=cmd_analyze)
 
     example = sub.add_parser("example", help="emit a ready-to-run input file")
-    example.add_argument(
-        "name", help="paper-section7 | k3-aep | random-aep | random-general"
-    )
+    example.add_argument("name", help=" | ".join(EXAMPLES))
     example.add_argument("--seed", type=int, default=0, help="seed for random examples")
     example.add_argument("--out", help="write the file here instead of stdout")
     example.set_defaults(func=cmd_example)

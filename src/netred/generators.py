@@ -15,18 +15,14 @@ from .graphcore import Partition, WeightedGraph, laplacian_from_graph
 from .netsys import AgentDynamics, NetworkSystem
 
 
-def path_graph(n_nodes: int, weights=None) -> WeightedGraph:
-    """Path 0-1-...-(n-1); unit weights unless given."""
-    if weights is None:
-        weights = [1.0] * (n_nodes - 1)
-    edges = tuple((i, i + 1, float(w)) for i, w in zip(range(n_nodes - 1), weights))
+def path_graph(n_nodes: int) -> WeightedGraph:
+    """Unit-weight path 0-1-...-(n-1)."""
+    edges = tuple((i, i + 1, 1.0) for i in range(n_nodes - 1))
     return WeightedGraph(n_nodes=n_nodes, edges=edges)
 
 
-def complete_graph(n_nodes: int, weight: float = 1.0) -> WeightedGraph:
-    edges = tuple(
-        (i, j, float(weight)) for i in range(n_nodes) for j in range(i + 1, n_nodes)
-    )
+def complete_graph(n_nodes: int) -> WeightedGraph:
+    edges = tuple((i, j, 1.0) for i in range(n_nodes) for j in range(i + 1, n_nodes))
     return WeightedGraph(n_nodes=n_nodes, edges=edges)
 
 
@@ -88,11 +84,11 @@ def random_dissipative_dynamics(rng, n: int, r: int = 1) -> AgentDynamics:
     return AgentDynamics(A=a, B=b, E=e)
 
 
-def lift_aep_graph(rng, cell_sizes, intra_edge_prob: float = 0.5):
+def lift_aep_graph(rng, cell_sizes):
     """Lift a random connected quotient into a graph with a guaranteed AEP.
 
     Returns ``(graph, partition)``; the partition's cells follow the given
-    sizes in order.
+    sizes in order, and each intra-cell node pair is an edge with probability 1/2.
     """
     k = len(cell_sizes)
     starts = np.concatenate([[0], np.cumsum(cell_sizes)])
@@ -109,7 +105,7 @@ def lift_aep_graph(rng, cell_sizes, intra_edge_prob: float = 0.5):
     for cell in cells:
         for a_idx, i in enumerate(cell):
             for j in cell[a_idx + 1 :]:
-                if rng.random() < intra_edge_prob:
+                if rng.random() < 0.5:
                     edges[(i, j)] = float(rng.uniform(0.5, 2.0))
     graph = WeightedGraph(
         n_nodes=n_nodes, edges=tuple((i, j, w) for (i, j), w in sorted(edges.items()))
@@ -135,7 +131,11 @@ def _pick_leaders(rng, pi: Partition, n_leaders: int, mode: str):
             v = pool.pop(int(rng.integers(0, len(pool))))
             leaders.add(v)
         return tuple(sorted(leaders))
-    chosen = rng.choice(n_nodes, size=min(n_leaders, n_nodes), replace=False)
+    return _random_leaders(rng, n_nodes, min(n_leaders, n_nodes))
+
+
+def _random_leaders(rng, n_nodes: int, n_leaders: int) -> tuple:
+    chosen = rng.choice(n_nodes, size=n_leaders, replace=False)
     return tuple(sorted(int(v) for v in np.atleast_1d(chosen)))
 
 
@@ -193,8 +193,7 @@ def random_general_instance(
     pi = random_partition(rng, n_nodes, n_cells)
     if n_leaders is None:
         n_leaders = int(rng.integers(1, min(4, n_nodes) + 1))
-    chosen = rng.choice(n_nodes, size=n_leaders, replace=False)
-    leaders = tuple(sorted(int(v) for v in np.atleast_1d(chosen)))
+    leaders = _random_leaders(rng, n_nodes, n_leaders)
     dyn = dynamics if dynamics is not None else single_integrator()
     ns = NetworkSystem(laplacian=laplacian_from_graph(graph), leaders=leaders, dyn=dyn)
     return ns, pi
@@ -218,3 +217,33 @@ def k3_aep_instance():
         laplacian=laplacian_from_graph(graph), leaders=(0,), dyn=single_integrator()
     )
     return ns, pi
+
+
+def _random_aep_example(rng):
+    """Single integrators on a lifted AEP graph: 2-5 cells of 1-4 nodes, 1-4 leaders."""
+    sizes = [int(rng.integers(1, 5)) for _ in range(int(rng.integers(2, 6)))]
+    if max(sizes) == 1:
+        sizes[0] = int(rng.integers(2, 5))
+    graph, pi = lift_aep_graph(rng, sizes)
+    n_leaders = int(rng.integers(1, min(4, graph.n_nodes) + 1))
+    leaders = _random_leaders(rng, graph.n_nodes, n_leaders)
+    return NetworkSystem(laplacian_from_graph(graph), leaders, single_integrator()), pi
+
+
+def _random_general_example(rng):
+    """Single integrators on a random connected graph of 5-12 nodes, any partition."""
+    n_nodes = int(rng.integers(5, 13))
+    graph = random_connected_graph(rng, n_nodes)
+    pi = random_partition(rng, n_nodes, int(rng.integers(2, n_nodes)))
+    leaders = _random_leaders(rng, n_nodes, int(rng.integers(1, 4)))
+    return NetworkSystem(laplacian_from_graph(graph), leaders, single_integrator()), pi
+
+
+# Example name -> builder rng -> (network, partition).  Only the random- ones draw
+# from the rng.
+EXAMPLES = {
+    "paper-section7": lambda rng: five_node_path_instance(),
+    "k3-aep": lambda rng: k3_aep_instance(),
+    "random-aep": _random_aep_example,
+    "random-general": _random_general_example,
+}

@@ -31,14 +31,11 @@ NEG_WEIGHT_TOL = 1e-12
 class WeightedGraph:
     """Undirected weighted graph on nodes 0..n_nodes-1.
 
-    Edges are (i, j, weight) triples; input graphs must have nonnegative
-    weights.  Pseudo-graphs coming out of the AEP projection may carry
-    negative weights and set ``allow_negative``.
+    Edges are (i, j, weight) triples with nonnegative weights.
     """
 
     n_nodes: int
     edges: tuple
-    allow_negative: bool = False
 
     def __post_init__(self):
         normalized = []
@@ -54,7 +51,7 @@ class WeightedGraph:
             if key in seen:
                 raise ValueError(f"edge {idx} duplicates the pair {key}")
             seen.add(key)
-            if w < 0 and not self.allow_negative:
+            if w < 0:
                 raise NegativeWeight(f"edge {idx} = ({i}, {j}) has negative weight {w}")
             normalized.append((i, j, w))
         object.__setattr__(self, "edges", tuple(normalized))
@@ -71,7 +68,6 @@ class Laplacian:
     """Symmetric PSD matrix with zero row sums, plus a cached spectrum."""
 
     mat: np.ndarray
-    has_negative_weights: bool = False
 
     def __post_init__(self):
         m = np.asarray(self.mat, dtype=float)
@@ -95,6 +91,11 @@ class Laplacian:
     @cached_property
     def spectral(self) -> SymmetricEig:
         return sym_eig(self.mat)
+
+    @property
+    def has_negative_weights(self) -> bool:
+        """True iff an off-diagonal entry is positive, i.e. some edge weight is negative."""
+        return bool((self.mat - np.diag(np.diag(self.mat)) > NEG_WEIGHT_TOL).any())
 
 
 @dataclass(frozen=True)
@@ -192,8 +193,7 @@ def leader_selector(n_nodes: int, leaders) -> np.ndarray:
 def laplacian_from_graph(graph: WeightedGraph) -> Laplacian:
     """Laplacian with L_ii = sum_j a_ij and L_ij = -a_ij."""
     a = graph.adjacency_matrix()
-    mat = np.diag(a.sum(axis=1)) - a
-    return Laplacian(mat, has_negative_weights=bool((a < -NEG_WEIGHT_TOL).any()))
+    return Laplacian(np.diag(a.sum(axis=1)) - a)
 
 
 def is_connected(lap: Laplacian, tol: float = ZERO_EIG_TOL) -> bool:
@@ -237,15 +237,13 @@ def project_to_aep_laplacian(lap: Laplacian, pi: Partition):
     Solves, in closed form, the Frobenius-norm projection of L onto the set
     of symmetric PSD matrices X with X 1 = 0 and (I - proj) X P = 0:
     the minimizer is proj L proj + (I - proj) L (I - proj).  The result may
-    carry positive off-diagonal entries (negative edge weights); these are
-    flagged, not rejected.  Returns ``(l_aep, delta_frobenius)`` with
-    ``delta_frobenius = ||L - l_aep||_F``.
+    carry positive off-diagonal entries (negative edge weights); its
+    ``has_negative_weights`` flags them, they are not rejected.  Returns
+    ``(l_aep, delta_frobenius)`` with ``delta_frobenius = ||L - l_aep||_F``.
     """
     proj = pi.projector
     comp = np.eye(lap.n_nodes) - proj
     mat = proj @ lap.mat @ proj + comp @ lap.mat @ comp
     mat = 0.5 * (mat + mat.T)
     delta = float(np.linalg.norm(lap.mat - mat, "fro"))
-    off = mat - np.diag(np.diag(mat))
-    has_neg = bool((off > NEG_WEIGHT_TOL).any())
-    return Laplacian(mat, has_negative_weights=has_neg), delta
+    return Laplacian(mat), delta

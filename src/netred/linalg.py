@@ -81,64 +81,64 @@ class StateSpace:
         return self.C @ np.linalg.solve(shifted, self.B.astype(complex))
 
 
-def sym_eig(mat, rtol: float = SYMMETRY_RTOL) -> SymmetricEig:
+def sym_eig(mat) -> SymmetricEig:
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
 
-    Raises NotSymmetric if the asymmetry exceeds ``rtol`` relative to the
-    largest entry.  The input is symmetrized before factorization so the
+    Raises NotSymmetric if the asymmetry exceeds SYMMETRY_RTOL relative to
+    the largest entry.  The input is symmetrized before factorization so the
     reconstruction U diag(w) U^T matches it to working precision.
     """
     m = _square(mat)
     scale = 1.0 + np.abs(m).max(initial=0.0)
     asym = np.abs(m - m.T).max(initial=0.0)
-    if asym > rtol * scale:
-        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {rtol:.1e} * {scale:.3e}")
+    if asym > SYMMETRY_RTOL * scale:
+        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.1e} * {scale:.3e}")
     w, u = np.linalg.eigh(0.5 * (m + m.T))
     return SymmetricEig(eigenvalues=w, eigenvectors=u)
 
 
-def pinv(mat, rank_tol: float = RANK_TOL) -> np.ndarray:
+def pinv(mat) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a symmetric matrix.
 
-    Built as U diag(w)^+ U^T: eigenvalues with |w| <= rank_tol * max|w| are
+    Built as U diag(w)^+ U^T: eigenvalues with |w| <= RANK_TOL * max|w| are
     treated as zero and left uninverted.  The zero matrix maps to itself.
     """
     eig = sym_eig(mat)
     w, u = eig.eigenvalues, eig.eigenvectors
-    cutoff = rank_tol * np.abs(w).max(initial=0.0)
+    cutoff = RANK_TOL * np.abs(w).max(initial=0.0)
     inv = np.zeros_like(w)
     keep = np.abs(w) > cutoff
     inv[keep] = 1.0 / w[keep]
     return (u * inv) @ u.T
 
 
-def is_hurwitz(mat, margin: float = STABILITY_MARGIN) -> bool:
-    """True iff every eigenvalue has real part < -margin."""
+def is_hurwitz(mat) -> bool:
+    """True iff every eigenvalue has real part < -STABILITY_MARGIN."""
     m = _square(mat)
     if m.shape[0] == 0:
         return True
-    return bool(np.linalg.eigvals(m).real.max() < -margin)
+    return bool(np.linalg.eigvals(m).real.max() < -STABILITY_MARGIN)
 
 
-def solve_lyapunov(a, q, margin: float = STABILITY_MARGIN) -> np.ndarray:
+def solve_lyapunov(a, q) -> np.ndarray:
     """Solve A^T X + X A + Q = 0 for Hurwitz A and symmetric PSD Q.
 
-    Raises NotHurwitz if A has an eigenvalue with real part >= -margin.
+    Raises NotHurwitz if A has an eigenvalue with real part >= -STABILITY_MARGIN.
     """
     a = _square(a, "A")
     q = _square(q, "Q")
-    if not is_hurwitz(a, margin):
+    if not is_hurwitz(a):
         raise NotHurwitz("A has an eigenvalue in the closed right half plane")
     x = sla.solve_continuous_lyapunov(a.T, -q)
     return 0.5 * (x + x.T)
 
 
-def stable_unstable_split(a, margin: float = STABILITY_MARGIN):
+def stable_unstable_split(a):
     """Split the state space into stable and closed-right-half-plane invariant subspaces.
 
     Returns ``(v_stable, a_stable, v_unstable)`` where the columns of
     ``v_stable`` / ``v_unstable`` are orthonormal bases of the invariant
-    subspaces for eigenvalues with Re < -margin / Re >= -margin, and
+    subspaces for eigenvalues with Re < -STABILITY_MARGIN / Re >= that, and
     ``a_stable`` is the (quasi-triangular) restriction of ``a`` to the
     stable subspace, i.e. a @ v_stable = v_stable @ a_stable.
 
@@ -147,13 +147,10 @@ def stable_unstable_split(a, margin: float = STABILITY_MARGIN):
     """
     a = _square(a)
     n = a.shape[0]
-    t_s, z_s, n_s = sla.schur(a, output="real", sort=lambda re, im: re < -margin)
+    t_s, z_s, n_s = sla.schur(a, output="real", sort=lambda re, im: re < -STABILITY_MARGIN)
     if n_s == n:
         return z_s, t_s, np.zeros((n, 0))
-    if n_s == 0:
-        t_u, z_u, n_u = sla.schur(a, output="real", sort=lambda re, im: re >= -margin)
-        return np.zeros((n, 0)), np.zeros((0, 0)), z_u[:, :n_u]
-    t_u, z_u, n_u = sla.schur(a, output="real", sort=lambda re, im: re >= -margin)
+    _, z_u, n_u = sla.schur(a, output="real", sort=lambda re, im: re >= -STABILITY_MARGIN)
     if n_s + n_u != n:
         raise ArithmeticError(
             f"inconsistent stable/unstable split ({n_s} + {n_u} != {n}); "
@@ -162,48 +159,40 @@ def stable_unstable_split(a, margin: float = STABILITY_MARGIN):
     return z_s[:, :n_s], t_s[:n_s, :n_s], z_u[:, :n_u]
 
 
-def _psd_quadratic_trace(x, b, rank_tol: float = RANK_TOL) -> float:
+def _psd_quadratic_trace(x, b) -> float:
     """tr(B^T X B) for symmetric PSD X, evaluated as sum_i lam_i ||v_i^T B||^2.
 
     Mathematically identical to the direct trace, but eigenvalues of X below
-    rank_tol * lam_max are treated as exact zeros (the same rank decision as
+    RANK_TOL * lam_max are treated as exact zeros (the same rank decision as
     in ``pinv``).  Solver noise in X then cannot leak into the trace through
     near-null modes, which matters when the exact value is zero.
     """
     w, u = np.linalg.eigh(x)
-    cutoff = rank_tol * w.max(initial=0.0)
+    cutoff = RANK_TOL * w.max(initial=0.0)
     keep = w > cutoff
     proj = u[:, keep].T @ b
     return float(w[keep] @ (proj**2).sum(axis=1))
 
 
-def kernel_checked_split(
-    a, c, margin=STABILITY_MARGIN, kernel_tol=KERNEL_TOL, error=KernelConditionViolated
-):
+def kernel_checked_split(a, c, error=KernelConditionViolated):
     """``stable_unstable_split(a)``, raising ``error`` when C observes the
-    closed-right-half-plane part: |C v| above kernel_tol * (1 + max|C|) on its basis v."""
-    v_s, a_s, v_u = stable_unstable_split(a, margin)
+    closed-right-half-plane part: |C v| above KERNEL_TOL * (1 + max|C|) on its basis v."""
+    v_s, a_s, v_u = stable_unstable_split(a)
     c_scale = 1.0 + np.abs(c).max(initial=0.0)
     violation = np.abs(c @ v_u).max(initial=0.0)
-    if violation > kernel_tol * c_scale:
+    if violation > KERNEL_TOL * c_scale:
         raise error(
             f"output observes a closed-right-half-plane mode "
-            f"(|C v| = {violation:.3e} > {kernel_tol:.1e} * {c_scale:.3e})"
+            f"(|C v| = {violation:.3e} > {KERNEL_TOL:.1e} * {c_scale:.3e})"
         )
     return v_s, a_s, v_u
 
 
-def solve_lyapunov_with_kernel(
-    a,
-    b,
-    c,
-    margin: float = STABILITY_MARGIN,
-    kernel_tol: float = KERNEL_TOL,
-):
+def solve_lyapunov_with_kernel(a, b, c):
     """Lyapunov solve A^T X + X A + C^T C = 0 allowing unobservable marginal modes.
 
     Requires that the invariant subspace for eigenvalues with
-    Re >= -margin lies in ker C (checked numerically on an orthonormal
+    Re >= -STABILITY_MARGIN lies in ker C (checked numerically on an orthonormal
     basis).  Returns ``(X, h2sq)`` where X is the unique PSD solution that
     vanishes on that subspace and ``h2sq = tr(B^T X B)`` is the squared H2
     norm of the realization (A, B, C).
@@ -216,7 +205,7 @@ def solve_lyapunov_with_kernel(
     a = _square(a, "A")
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    v_s, a_s, v_u = kernel_checked_split(a, c, margin, kernel_tol)
+    v_s, a_s, v_u = kernel_checked_split(a, c)
     n = a.shape[0]
     if v_u.shape[1] == 0:
         q = c.T @ c

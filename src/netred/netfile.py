@@ -8,15 +8,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 
 import numpy as np
 
 from .errors import NetredError, UnknownExample
-from .generators import (
-    lift_aep_graph,
-    random_connected_graph,
-    random_partition,
-)
+from .generators import EXAMPLES
 from .graphcore import (
     Laplacian,
     Partition,
@@ -26,6 +23,8 @@ from .graphcore import (
 from .netsys import AgentDynamics, NetworkSystem
 
 SCHEMA_VERSION = 1
+# Off-diagonal Laplacian entries at or below this in magnitude are not edges.
+EDGE_TOL = 1e-12
 
 _TOP_LEVEL_FIELDS = {
     "schema_version",
@@ -54,6 +53,15 @@ def _require(condition: bool, field: str, message: str) -> None:
         raise FileFormatError(field, message)
 
 
+def _finite(value) -> bool:
+    """True for a JSON number (not a bool) of finite magnitude: not NaN, not +-Infinity."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
 def _as_float_matrix(value, field: str) -> list:
     _require(isinstance(value, list) and value, field, "must be a nonempty nested list")
     width = None
@@ -64,11 +72,7 @@ def _as_float_matrix(value, field: str) -> list:
             width = len(row)
         _require(len(row) == width, f"{field}[{r_idx}]", f"expected {width} entries")
         for c_idx, entry in enumerate(row):
-            _require(
-                isinstance(entry, (int, float)) and not isinstance(entry, bool),
-                f"{field}[{r_idx}][{c_idx}]",
-                "must be a number",
-            )
+            _require(_finite(entry), f"{field}[{r_idx}][{c_idx}]", "must be a finite number")
         out.append([float(entry) for entry in row])
     return out
 
@@ -107,11 +111,7 @@ def validate_network_payload(payload: dict) -> dict:
             )
             _require(1 <= value <= n_nodes, f"{field}.{name}", f"must be in 1..{n_nodes}")
         _require(i != j, field, f"self-loop on node {i}")
-        _require(
-            isinstance(w, (int, float)) and not isinstance(w, bool),
-            f"{field}.weight",
-            "must be a number",
-        )
+        _require(_finite(w), f"{field}.weight", "must be a finite number")
         _require(w >= 0, f"{field}.weight", f"negative weight {w}")
 
     leaders = payload["leaders"]
@@ -172,9 +172,9 @@ def validate_network_payload(payload: dict) -> dict:
     )
     for name, value in tolerances.items():
         _require(
-            isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0,
+            _finite(value) and value > 0,
             f"options.tolerances.{name}",
-            "must be a positive number",
+            "must be a finite positive number",
         )
     return payload
 
@@ -205,7 +205,7 @@ def report_to_dict(report) -> dict:
     return dataclasses.asdict(report)
 
 
-def edges_from_laplacian(lap: Laplacian, tol: float = 1e-12) -> list:
+def edges_from_laplacian(lap: Laplacian) -> list:
     """Recover the (1-based) edge list of the graph underlying a Laplacian."""
     mat = lap.mat
     n = lap.n_nodes
@@ -213,7 +213,7 @@ def edges_from_laplacian(lap: Laplacian, tol: float = 1e-12) -> list:
     for i in range(n):
         for j in range(i + 1, n):
             w = -mat[i, j]
-            if abs(w) > tol:
+            if abs(w) > EDGE_TOL:
                 edges.append([i + 1, j + 1, float(w)])
     return edges
 
@@ -236,57 +236,15 @@ def _instance_payload(ns: NetworkSystem, pi: Partition, meta: dict) -> dict:
 
 
 def generate_example(name: str, seed: int = 0) -> dict:
-    """Ready-to-run input payloads for the known example names.
+    """Ready-to-run input payload for a name in ``generators.EXAMPLES``.
 
-    ``paper-section7``: the worked 5-node path; ``k3-aep``: triangle with
-    the partition {{1}, {2, 3}}; ``random-aep`` / ``random-general``:
-    seeded constructions (the AEP one is built by quotient lifting).
+    The random examples are drawn from ``seed``, which ``meta`` records.
     """
-    from . import generators
-
-    if name == "paper-section7":
-        ns, pi = generators.five_node_path_instance()
-        return _instance_payload(ns, pi, {"name": name})
-    if name == "k3-aep":
-        ns, pi = generators.k3_aep_instance()
-        return _instance_payload(ns, pi, {"name": name})
-    if name == "random-aep":
-        rng = np.random.default_rng(seed)
-        graph, pi = lift_aep_graph(rng, _random_cell_sizes(rng))
-        n_leaders = int(rng.integers(1, min(4, graph.n_nodes) + 1))
-        chosen = rng.choice(graph.n_nodes, size=n_leaders, replace=False)
-        leaders = tuple(sorted(int(v) for v in np.atleast_1d(chosen)))
-        ns = NetworkSystem(
-            laplacian=laplacian_from_graph(graph),
-            leaders=leaders,
-            dyn=generators.single_integrator(),
-        )
-        return _instance_payload(ns, pi, {"name": name, "seed": seed})
-    if name == "random-general":
-        rng = np.random.default_rng(seed)
-        n_nodes = int(rng.integers(5, 13))
-        graph = random_connected_graph(rng, n_nodes)
-        pi = random_partition(rng, n_nodes, int(rng.integers(2, n_nodes)))
-        n_leaders = int(rng.integers(1, 4))
-        chosen = rng.choice(n_nodes, size=n_leaders, replace=False)
-        leaders = tuple(sorted(int(v) for v in np.atleast_1d(chosen)))
-        ns = NetworkSystem(
-            laplacian=laplacian_from_graph(graph),
-            leaders=leaders,
-            dyn=generators.single_integrator(),
-        )
-        return _instance_payload(ns, pi, {"name": name, "seed": seed})
-    raise UnknownExample(
-        f"unknown example {name!r}; known: paper-section7, k3-aep, random-aep, random-general"
-    )
-
-
-def _random_cell_sizes(rng) -> list:
-    k = int(rng.integers(2, 6))
-    sizes = [int(rng.integers(1, 5)) for _ in range(k)]
-    if max(sizes) == 1:
-        sizes[0] = int(rng.integers(2, 5))
-    return sizes
+    if name not in EXAMPLES:
+        raise UnknownExample(f"unknown example {name!r}; known: {', '.join(EXAMPLES)}")
+    ns, pi = EXAMPLES[name](np.random.default_rng(seed))
+    meta = {"name": name, "seed": seed} if name.startswith("random-") else {"name": name}
+    return _instance_payload(ns, pi, meta)
 
 
 def dump_json(payload: dict) -> str:

@@ -29,7 +29,7 @@ from .graphcore import (
     leader_selector,
     reduce_graph,
 )
-from .linalg import STABILITY_MARGIN, StateSpace, is_hurwitz
+from .linalg import SYMMETRY_RTOL, StateSpace, is_hurwitz
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,11 @@ class AgentDynamics:
             and self.E[0, 0] == 1.0
         )
 
-    def is_symmetric(self, rtol: float = 1e-10) -> bool:
+    def is_symmetric(self) -> bool:
         scale = 1.0 + max(np.abs(self.A).max(initial=0.0), np.abs(self.B).max(initial=0.0))
         return (
-            np.abs(self.A - self.A.T).max(initial=0.0) <= rtol * scale
-            and np.abs(self.B - self.B.T).max(initial=0.0) <= rtol * scale
+            np.abs(self.A - self.A.T).max(initial=0.0) <= SYMMETRY_RTOL * scale
+            and np.abs(self.B - self.B.T).max(initial=0.0) <= SYMMETRY_RTOL * scale
         )
 
 
@@ -183,16 +183,14 @@ def aux_systems(ns: NetworkSystem) -> list:
     return out
 
 
-def _hurwitz_over(dyn: AgentDynamics, lams, margin: float, zero_eig_tol: float) -> bool:
+def _hurwitz_over(dyn: AgentDynamics, lams, zero_eig_tol: float) -> bool:
     """True iff A - lam B is Hurwitz for every lam in ``lams`` above zero_eig_tol."""
-    return all(is_hurwitz(dyn.A - lam * dyn.B, margin) for lam in lams if lam > zero_eig_tol)
+    return all(is_hurwitz(dyn.A - lam * dyn.B) for lam in lams if lam > zero_eig_tol)
 
 
-def is_synchronized(
-    ns: NetworkSystem, margin: float = STABILITY_MARGIN, zero_eig_tol: float = ZERO_EIG_TOL
-) -> bool:
+def is_synchronized(ns: NetworkSystem, zero_eig_tol: float = ZERO_EIG_TOL) -> bool:
     """True iff A - lam B is Hurwitz for every nonzero Laplacian eigenvalue."""
-    return _hurwitz_over(ns.dyn, ns.laplacian.spectral.eigenvalues, margin, zero_eig_tol)
+    return _hurwitz_over(ns.dyn, ns.laplacian.spectral.eigenvalues, zero_eig_tol)
 
 
 def reduced_laplacian_spectrum(lap: Laplacian, pi: Partition) -> np.ndarray:
@@ -200,9 +198,7 @@ def reduced_laplacian_spectrum(lap: Laplacian, pi: Partition) -> np.ndarray:
     return np.linalg.eigvalsh(symmetrized_reduced_coupling(lap, pi))
 
 
-def reduced_synchronization_preserved(
-    ns: NetworkSystem, pi: Partition, margin: float = STABILITY_MARGIN
-) -> bool:
+def reduced_synchronization_preserved(ns: NetworkSystem, pi: Partition) -> bool:
     """True iff A - lam B is Hurwitz for every nonzero quotient eigenvalue.
 
     Guaranteed whenever the partition is almost equitable and the original
@@ -210,4 +206,4 @@ def reduced_synchronization_preserved(
     can fail for general partitions.
     """
     lams_hat = reduced_laplacian_spectrum(ns.laplacian, pi)
-    return _hurwitz_over(ns.dyn, lams_hat, margin, ZERO_EIG_TOL)
+    return _hurwitz_over(ns.dyn, lams_hat, ZERO_EIG_TOL)

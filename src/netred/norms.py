@@ -58,6 +58,13 @@ METHOD_SPECTRAL = "spectral_formula"
 METHOD_DC = "dc_gain_closed_form"
 METHOD_SWEEP = "frequency_sweep"
 
+# Frequency grids (rad/s; PPD = points per decade) of the H-infinity sweep and
+# the H2 quadrature oracle.  Their certificates echo them.
+SWEEP_W_LO, SWEEP_W_HI, SWEEP_W_RTOL = 1e-6, 1e6, 1e-6
+SWEEP_COARSE_PPD, SWEEP_PEAK_PPD = 30, 400
+QUAD_W_LO, QUAD_W_HI, QUAD_PPD = 1e-4, 1e4, 60
+WITNESS_RTOL = 1e-9
+
 
 @dataclass
 class NormResult:
@@ -72,11 +79,7 @@ def _zero_result(method: str) -> NormResult:
     return NormResult(0.0, method, {"trivial": "system has no inputs or no outputs"})
 
 
-def h2_norm(
-    sys: StateSpace,
-    margin: float = STABILITY_MARGIN,
-    kernel_tol: float = KERNEL_TOL,
-) -> NormResult:
+def h2_norm(sys: StateSpace) -> NormResult:
     """H2 norm via the kernel-conditioned Lyapunov solve.
 
     value^2 = tr(B^T X B).  Raises KernelConditionViolated when the output
@@ -85,7 +88,7 @@ def h2_norm(
     """
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return _zero_result(METHOD_LYAPUNOV)
-    x, h2sq = solve_lyapunov_with_kernel(sys.A, sys.B, sys.C, margin, kernel_tol)
+    x, h2sq = solve_lyapunov_with_kernel(sys.A, sys.B, sys.C)
     residual = np.abs(sys.A.T @ x + x @ sys.A + sys.C.T @ sys.C).max(initial=0.0)
     return NormResult(
         math.sqrt(max(h2sq, 0.0)),
@@ -94,13 +97,13 @@ def h2_norm(
     )
 
 
-def _deflate_marginal(sys: StateSpace, margin: float, kernel_tol: float) -> StateSpace:
+def _deflate_marginal(sys: StateSpace) -> StateSpace:
     """Restrict the realization to its stable invariant subspace.
 
     Valid (transfer function unchanged) because the marginal modes must be
     unobservable; raises UnstablePoles otherwise.
     """
-    v_s, a_s, v_u = kernel_checked_split(sys.A, sys.C, margin, kernel_tol, UnstablePoles)
+    v_s, a_s, v_u = kernel_checked_split(sys.A, sys.C, UnstablePoles)
     if v_u.shape[1] == 0:
         return sys
     b_s = np.linalg.solve(np.hstack([v_s, v_u]), sys.B)[: v_s.shape[1]]
@@ -111,32 +114,24 @@ def _max_gain(sys: StateSpace, omega: float) -> float:
     return float(np.linalg.svd(sys.response(1j * omega), compute_uv=False).max(initial=0.0))
 
 
-def hinf_norm_sweep(
-    sys: StateSpace,
-    w_lo: float = 1e-6,
-    w_hi: float = 1e6,
-    coarse_ppd: int = 30,
-    peak_ppd: int = 400,
-    w_rtol: float = 1e-6,
-    margin: float = STABILITY_MARGIN,
-    kernel_tol: float = KERNEL_TOL,
-) -> NormResult:
+def hinf_norm_sweep(sys: StateSpace) -> NormResult:
     """H-infinity norm by adaptive frequency sweep.
 
-    Coarse log grid over [w_lo, w_hi], then a dense grid (``peak_ppd``
-    points per decade) around each detected local peak, then bounded scalar
-    minimization in log-frequency down to relative width ``w_rtol``.  The
+    Coarse log grid over [SWEEP_W_LO, SWEEP_W_HI], then a dense grid
+    (SWEEP_PEAK_PPD points per decade) around each detected local peak, then
+    bounded scalar minimization in log-frequency down to relative width
+    SWEEP_W_RTOL.  The
     exact DC value of the deflated realization anchors the w -> 0 end.
     """
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return _zero_result(METHOD_SWEEP)
-    stable = _deflate_marginal(sys, margin, kernel_tol)
+    stable = _deflate_marginal(sys)
     if stable.n_states == 0:
         return NormResult(0.0, METHOD_SWEEP, {"trivial": "transfer function is zero"})
     dc_gain = stable.C @ np.linalg.solve(stable.A, stable.B)
     dc = float(np.linalg.svd(dc_gain, compute_uv=False).max(initial=0.0))
-    t_lo, t_hi = math.log10(w_lo), math.log10(w_hi)
-    n_coarse = int(round((t_hi - t_lo) * coarse_ppd)) + 1
+    t_lo, t_hi = math.log10(SWEEP_W_LO), math.log10(SWEEP_W_HI)
+    n_coarse = int(round((t_hi - t_lo) * SWEEP_COARSE_PPD)) + 1
     ts = np.linspace(t_lo, t_hi, n_coarse)
     vals = np.array([_max_gain(stable, 10.0**t) for t in ts])
     evals = n_coarse
@@ -153,7 +148,7 @@ def hinf_norm_sweep(
     step = (t_hi - t_lo) / (n_coarse - 1)
     for i in interior[:3]:
         lo, hi = ts[i] - step, ts[i] + step
-        n_dense = max(int(round((hi - lo) * peak_ppd)) + 1, 16)
+        n_dense = max(int(round((hi - lo) * SWEEP_PEAK_PPD)) + 1, 16)
         dts = np.linspace(lo, hi, n_dense)
         dvals = np.array([_max_gain(stable, 10.0**t) for t in dts])
         evals += n_dense
@@ -165,7 +160,7 @@ def hinf_norm_sweep(
             lambda t: -_max_gain(stable, 10.0**t),
             bounds=(dts[j0], dts[j1]),
             method="bounded",
-            options={"xatol": w_rtol / math.log(10.0)},
+            options={"xatol": SWEEP_W_RTOL / math.log(10.0)},
         )
         evals += int(res.nfev)
         if -res.fun > best_val:
@@ -175,39 +170,32 @@ def hinf_norm_sweep(
         METHOD_SWEEP,
         {
             "peak_omega": best_omega,
-            "w_lo": w_lo,
-            "w_hi": w_hi,
-            "coarse_points_per_decade": coarse_ppd,
-            "peak_points_per_decade": peak_ppd,
-            "omega_rtol": w_rtol,
+            "w_lo": SWEEP_W_LO,
+            "w_hi": SWEEP_W_HI,
+            "coarse_points_per_decade": SWEEP_COARSE_PPD,
+            "peak_points_per_decade": SWEEP_PEAK_PPD,
+            "omega_rtol": SWEEP_W_RTOL,
             "gain_evaluations": int(evals),
         },
     )
 
 
-def h2_norm_quadrature(
-    sys: StateSpace,
-    points_per_decade: int = 60,
-    w_lo: float = 1e-4,
-    w_hi: float = 1e4,
-    margin: float = STABILITY_MARGIN,
-    kernel_tol: float = KERNEL_TOL,
-) -> NormResult:
+def h2_norm_quadrature(sys: StateSpace) -> NormResult:
     """Oracle H2 norm by trapezoid quadrature of the frequency integral.
 
     value^2 = (1/pi) * int_0^inf ||S(iw)||_F^2 dw, evaluated on a log grid
     anchored at w = 0, Richardson-extrapolated against the half-density
-    grid, plus the analytic O(1/w) tail ||C B||_F^2 / w_hi.
+    grid, plus the analytic O(1/w) tail ||C B||_F^2 / QUAD_W_HI.
     """
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return _zero_result(METHOD_SWEEP)
-    stable = _deflate_marginal(sys, margin, kernel_tol)
+    stable = _deflate_marginal(sys)
     if stable.n_states == 0:
         return NormResult(0.0, METHOD_SWEEP, {"trivial": "transfer function is zero"})
     f0 = float(np.linalg.norm(stable.C @ np.linalg.solve(stable.A, stable.B), "fro") ** 2)
-    decades = math.log10(w_hi) - math.log10(w_lo)
-    n_pts = int(round(decades * points_per_decade)) + 1
-    ws = np.logspace(math.log10(w_lo), math.log10(w_hi), n_pts)
+    decades = math.log10(QUAD_W_HI) - math.log10(QUAD_W_LO)
+    n_pts = int(round(decades * QUAD_PPD)) + 1
+    ws = np.logspace(math.log10(QUAD_W_LO), math.log10(QUAD_W_HI), n_pts)
     fs = np.array([np.linalg.norm(stable.response(1j * w), "fro") ** 2 for w in ws])
 
     def integral(grid, values):
@@ -216,16 +204,16 @@ def h2_norm_quadrature(
     i_fine = integral(ws, fs)
     i_coarse = integral(ws[::2], fs[::2])
     i_rich = i_fine + (i_fine - i_coarse) / 3.0
-    tail = float(np.linalg.norm(stable.C @ stable.B, "fro") ** 2) / w_hi
+    tail = float(np.linalg.norm(stable.C @ stable.B, "fro") ** 2) / QUAD_W_HI
     h2sq = (i_rich + tail) / math.pi
     return NormResult(
         math.sqrt(max(h2sq, 0.0)),
         METHOD_SWEEP,
         {
             "kind": "h2_quadrature",
-            "points_per_decade": points_per_decade,
-            "w_lo": w_lo,
-            "w_hi": w_hi,
+            "points_per_decade": QUAD_PPD,
+            "w_lo": QUAD_W_LO,
+            "w_hi": QUAD_W_HI,
             "integral_fine": i_fine,
             "integral_coarse": i_coarse,
             "integral_richardson": i_rich,
@@ -292,14 +280,7 @@ def h2_norm_reduced_spectral(ns: NetworkSystem, pi: Partition) -> NormResult:
     return _spectral_h2(ns.dyn, eig, eig.eigenvectors.T @ m_hat_scaled)
 
 
-def hinf_norm_dc(
-    sys: StateSpace,
-    x_witness,
-    witness_rtol: float = 1e-9,
-    rank_tol: float = RANK_TOL,
-    kernel_tol: float = KERNEL_TOL,
-    margin: float = STABILITY_MARGIN,
-) -> NormResult:
+def hinf_norm_dc(sys: StateSpace, x_witness) -> NormResult:
     """Exact H-infinity norm sigma_max(C A^+ B) under a DC-dominance witness.
 
     Preconditions: A symmetric; a symmetric witness X with C A = X C (so the
@@ -314,23 +295,23 @@ def hinf_norm_dc(
     x = np.asarray(x_witness, dtype=float)
     if x.shape != (sys.n_outputs, sys.n_outputs):
         raise WitnessInvalid(f"witness must be {sys.n_outputs} x {sys.n_outputs}, got {x.shape}")
-    if np.abs(x - x.T).max(initial=0.0) > witness_rtol * (1.0 + np.abs(x).max(initial=0.0)):
+    if np.abs(x - x.T).max(initial=0.0) > WITNESS_RTOL * (1.0 + np.abs(x).max(initial=0.0)):
         raise WitnessInvalid("witness matrix is not symmetric")
     ca = c @ a
     witness_residual = np.abs(ca - x @ c).max(initial=0.0)
-    if witness_residual > witness_rtol * (1.0 + np.abs(ca).max(initial=0.0)):
+    if witness_residual > WITNESS_RTOL * (1.0 + np.abs(ca).max(initial=0.0)):
         raise WitnessInvalid(f"CA != XC (residual {witness_residual:.3e})")
     w, u = eig.eigenvalues, eig.eigenvectors
     c_scale = 1.0 + np.abs(c).max(initial=0.0)
-    cutoff = rank_tol * np.abs(w).max(initial=0.0)
+    cutoff = RANK_TOL * np.abs(w).max(initial=0.0)
     kernel_cols = u[:, np.abs(w) <= cutoff]
     kernel_residual = np.abs(c @ kernel_cols).max(initial=0.0)
-    if kernel_residual > kernel_tol * c_scale:
+    if kernel_residual > KERNEL_TOL * c_scale:
         raise KernelViolated(f"ker A not contained in ker C (residual {kernel_residual:.3e})")
-    positive_cols = u[:, w > margin]
-    if positive_cols.shape[1] and np.abs(c @ positive_cols).max(initial=0.0) > kernel_tol * c_scale:
+    positive_cols = u[:, w > STABILITY_MARGIN]
+    if positive_cols.shape[1] and np.abs(c @ positive_cols).max(initial=0.0) > KERNEL_TOL * c_scale:
         raise UnstablePoles("observable positive eigenvalue of A")
-    gain = c @ pinv(a, rank_tol) @ b
+    gain = c @ pinv(a) @ b
     value = float(np.linalg.svd(gain, compute_uv=False).max(initial=0.0))
     return NormResult(
         value,

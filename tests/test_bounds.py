@@ -12,7 +12,6 @@ from netred.bounds import (
     hinf_error_single_integrator,
     leader_spread,
     leaders_share_cell,
-    spectrum_difference,
     triangle_bound_general,
 )
 from netred.errors import (
@@ -51,18 +50,19 @@ def _path5(leaders=(0,)):
     )
 
 
-class TestSpectrumDifference:
-    def test_exact_multiset(self):
-        diff = spectrum_difference([0.0, 1.0, 3.0, 3.0], [0.0, 3.0])
-        np.testing.assert_allclose(diff, [1.0, 3.0])
+class TestLostEigenvalues:
+    def test_spectrum_splits_into_reduced_and_lost(self, aep_h2_corpus):
+        # sigma(L) = sigma(L_hat) + lost, as multisets, on every AEP instance
+        for rec in aep_h2_corpus:
+            an = Analysis(rec["ns"], rec["pi"])
+            lams = rec["ns"].laplacian.spectral.eigenvalues
+            joined = np.sort(np.concatenate([an.reduced_eigenvalues, an.lost_eigenvalues]))
+            assert np.abs(joined - lams).max() <= 1e-9 * (1.0 + lams.max()), rec["seed"]
 
-    def test_tolerance_matching(self):
-        diff = spectrum_difference([0.0, 1.0, 2.0], [0.0, 1.0 + 1e-9])
-        np.testing.assert_allclose(diff, [2.0])
-
-    def test_unmatched_raises(self):
-        with pytest.raises(ValueError):
-            spectrum_difference([0.0, 1.0], [0.5])
+    def test_k3_loses_one_of_its_double_eigenvalues(self):
+        # sigma(L) = {0, 3, 3}, sigma(L_hat) = {0, 3}
+        an = Analysis(*_k3())
+        np.testing.assert_allclose(an.lost_eigenvalues, [3.0], atol=1e-12)
 
 
 class TestCellmateBookkeeping:

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -85,6 +86,32 @@ class TestValidation:
 
     def test_missing_file_rejected(self, tmp_path):
         assert main(["analyze", str(tmp_path / "absent.json")]) == 2
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "field, path",
+        [
+            ("agent.A[0][0]", ("agent", "A", 0, 0)),
+            ("agent.B[0][0]", ("agent", "B", 0, 0)),
+            ("agent.E[0][0]", ("agent", "E", 0, 0)),
+            ("edges[0].weight", ("edges", 0, 2)),
+            ("options.tolerances.aep_rtol", ("options", "tolerances", "aep_rtol")),
+        ],
+    )
+    def test_non_finite_number_exits_2_with_its_field(self, tmp_path, capsys, field, path, value):
+        # json reads NaN, Infinity and -Infinity; validation must refuse them by field path
+        payload = generate_example("k3-aep")
+        payload["options"]["tolerances"] = {}
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(payload))
+        assert main(["analyze", str(net)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["field"] == field
+        assert "finite" in err["message"]
 
     def test_validators_name_field(self):
         payload = generate_example("k3-aep")
@@ -176,6 +203,26 @@ class TestAnalyze:
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "NotSingleIntegrator"
+
+
+class TestRankDeficientInput:
+    def test_relative_hinf_bound_is_null_with_a_reason(self, tmp_path):
+        # E has rank 1 < min(n, r) = 2, so s_min_hinf = 0 and no relative bound is finite
+        payload = {
+            "n_nodes": 4,
+            "edges": [[1, 2, 1.0], [2, 3, 1.0], [3, 4, 1.0], [4, 1, 1.0]],
+            "leaders": [2],
+            "agent": {"A": [[-1, 0], [0, -2]], "B": [[1, 0], [0, 1]], "E": [[1, 1], [0, 0]]},
+            "partition": [[1], [2, 4], [3]],
+        }
+        code, report = _run(tmp_path, payload)
+        assert code == 0
+        bounds = report["bounds"]
+        assert bounds["aep"] is True
+        assert bounds["s_min_hinf"] == 0.0
+        assert bounds["rel_hinf_bound"] is None
+        assert bounds["unavailable"]["rel_hinf_bound"] == "RankDeficientInput"
+        assert bounds["abs_hinf_bound"] >= bounds["true_hinf_error"]["value"] > 0.0
 
 
 def _near_aep_triangle():

@@ -48,10 +48,6 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             WeightedGraph(n_nodes=2, edges=((0, 1, 1.0), (1, 0, 2.0)))
 
-    def test_allow_negative_flag(self):
-        g = WeightedGraph(n_nodes=2, edges=((0, 1, -0.5),), allow_negative=True)
-        assert g.adjacency_matrix()[0, 1] == -0.5
-
 
 class TestLaplacianFromGraph:
     def test_k2(self):
