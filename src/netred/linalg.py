@@ -22,6 +22,8 @@ STABILITY_MARGIN = 1e-9
 RANK_TOL = 1e-10
 SYMMETRY_RTOL = 1e-10
 KERNEL_TOL = 1e-8
+RESPONSE_STACK = 16  # frequencies per np.linalg.solve call in StateSpace.response
+SCHUR_CHUNK = 64  # frequencies per vectorized back substitution in triangular_response
 
 
 def _square(mat, name="matrix") -> np.ndarray:
@@ -75,10 +77,14 @@ class StateSpace:
     def n_outputs(self) -> int:
         return self.C.shape[0]
 
-    def response(self, s: complex) -> np.ndarray:
-        """Transfer matrix C (sI - A)^{-1} B at a single complex frequency."""
-        shifted = s * np.eye(self.n_states) - self.A
-        return self.C @ np.linalg.solve(shifted, self.B.astype(complex))
+    def response(self, s) -> np.ndarray:
+        """Transfer matrix C (sI - A)^{-1} B at a complex frequency s, or stacked over the
+        axes of an array s: one dense LU per frequency, RESPONSE_STACK per solve call."""
+        s, eye, b = np.asarray(s, dtype=complex), np.eye(self.n_states), self.B.astype(complex)
+        flat = s.reshape(-1, 1, 1)
+        x = [np.linalg.solve(flat[k : k + RESPONSE_STACK] * eye - self.A, b)
+             for k in range(0, len(flat), RESPONSE_STACK)]
+        return (self.C @ np.concatenate(x)).reshape(s.shape + (self.n_outputs, self.n_inputs))
 
 
 def sym_eig(mat) -> SymmetricEig:
@@ -174,10 +180,9 @@ def _psd_quadratic_trace(x, b) -> float:
     return float(w[keep] @ (proj**2).sum(axis=1))
 
 
-def kernel_checked_split(a, c, error=KernelConditionViolated):
-    """``stable_unstable_split(a)``, raising ``error`` when C observes the
-    closed-right-half-plane part: |C v| above KERNEL_TOL * (1 + max|C|) on its basis v."""
-    v_s, a_s, v_u = stable_unstable_split(a)
+def require_unobserved(c, v_u, error=KernelConditionViolated) -> None:
+    """Raise ``error`` when C observes the closed-right-half-plane invariant subspace:
+    |C v| above KERNEL_TOL * (1 + max|C|) on its orthonormal basis v_u."""
     c_scale = 1.0 + np.abs(c).max(initial=0.0)
     violation = np.abs(c @ v_u).max(initial=0.0)
     if violation > KERNEL_TOL * c_scale:
@@ -185,7 +190,31 @@ def kernel_checked_split(a, c, error=KernelConditionViolated):
             f"output observes a closed-right-half-plane mode "
             f"(|C v| = {violation:.3e} > {KERNEL_TOL:.1e} * {c_scale:.3e})"
         )
-    return v_s, a_s, v_u
+
+
+def stable_schur_part(sys: StateSpace, error=KernelConditionViolated) -> tuple:
+    """``(T_s, Z_s^H B, C Z_s)`` with T_s upper triangular, from one complex Schur form
+    A = Z T Z^H sorted with the eigenvalues Re >= -STABILITY_MARGIN first.  Raises ``error``
+    unless C observes none of them (``require_unobserved`` on Z_u); then
+    C (sI - A)^{-1} B = C Z_s (sI - T_s)^{-1} Z_s^H B."""
+    t, z, n_u = sla.schur(sys.A, output="complex", sort=lambda ev: ev.real >= -STABILITY_MARGIN)
+    require_unobserved(sys.C, z[:, :n_u], error)
+    return t[n_u:, n_u:], z[:, n_u:].conj().T @ sys.B, sys.C @ z[:, n_u:]
+
+
+def triangular_response(t, b, c, s) -> np.ndarray:
+    """C (sI - T)^{-1} B, shape (len(s), p, m), for upper triangular T and a 1-D array s:
+    back substitution over the rows of T, vectorized across SCHUR_CHUNK frequencies at a
+    time, O(n^2 m) per frequency."""
+    s = np.asarray(s, dtype=complex)
+    out = np.empty((s.size, c.shape[0], b.shape[1]), dtype=complex)
+    for k in range(0, s.size, SCHUR_CHUNK):
+        shift = s[k : k + SCHUR_CHUNK, None]
+        x = np.empty((shift.shape[0],) + b.shape, dtype=complex)
+        for i in range(t.shape[0] - 1, -1, -1):
+            x[:, i] = (b[i] + t[i, i + 1 :] @ x[:, i + 1 :]) / (shift - t[i, i])
+        out[k : k + SCHUR_CHUNK] = c @ x
+    return out
 
 
 def solve_lyapunov_with_kernel(a, b, c):
@@ -205,7 +234,8 @@ def solve_lyapunov_with_kernel(a, b, c):
     a = _square(a, "A")
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    v_s, a_s, v_u = kernel_checked_split(a, c)
+    v_s, a_s, v_u = stable_unstable_split(a)
+    require_unobserved(c, v_u)
     n = a.shape[0]
     if v_u.shape[1] == 0:
         q = c.T @ c

@@ -25,6 +25,10 @@ from .netsys import AgentDynamics, NetworkSystem
 SCHEMA_VERSION = 1
 # Off-diagonal Laplacian entries at or below this in magnitude are not edges.
 EDGE_TOL = 1e-12
+# Largest |value| of an agent entry or edge weight, about the cube root of the float
+# range: the products of up to three that the assembly and the norms form stay finite.
+MAX_MAGNITUDE = 1e100
+_BOUNDED = f"must be a finite number of magnitude at most {MAX_MAGNITUDE:g}"
 
 _TOP_LEVEL_FIELDS = {
     "schema_version",
@@ -53,13 +57,9 @@ def _require(condition: bool, field: str, message: str) -> None:
         raise FileFormatError(field, message)
 
 
-def _finite(value) -> bool:
-    """True for a JSON number (not a bool) of finite magnitude: not NaN, not +-Infinity."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max
-    )
+def _finite(value, bound=sys.float_info.max) -> bool:
+    """True for a JSON number (not a bool) of magnitude at most ``bound`` (so not NaN)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= bound
 
 
 def _as_float_matrix(value, field: str) -> list:
@@ -72,7 +72,7 @@ def _as_float_matrix(value, field: str) -> list:
             width = len(row)
         _require(len(row) == width, f"{field}[{r_idx}]", f"expected {width} entries")
         for c_idx, entry in enumerate(row):
-            _require(_finite(entry), f"{field}[{r_idx}][{c_idx}]", "must be a finite number")
+            _require(_finite(entry, MAX_MAGNITUDE), f"{field}[{r_idx}][{c_idx}]", _BOUNDED)
         out.append([float(entry) for entry in row])
     return out
 
@@ -111,7 +111,7 @@ def validate_network_payload(payload: dict) -> dict:
             )
             _require(1 <= value <= n_nodes, f"{field}.{name}", f"must be in 1..{n_nodes}")
         _require(i != j, field, f"self-loop on node {i}")
-        _require(_finite(w), f"{field}.weight", "must be a finite number")
+        _require(_finite(w, MAX_MAGNITUDE), f"{field}.weight", _BOUNDED)
         _require(w >= 0, f"{field}.weight", f"negative weight {w}")
 
     leaders = payload["leaders"]

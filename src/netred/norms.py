@@ -8,12 +8,15 @@ test suite:
   formulas over the Laplacian spectrum and per-eigenvalue observability
   Gramians of the auxiliary systems.
 * ``hinf_norm_sweep``: adaptive frequency sweep with local refinement, the
-  oracle for everything H-infinity.
+  oracle for everything H-infinity.  A is reduced to complex Schur form once;
+  each frequency is then an O(n^2 m) back substitution, each grid one call.
 * ``hinf_norm_dc``: exact DC-gain value sigma_max(C A^+ B), valid when a
   symmetric witness X with CA = XC exists and ker A lies in ker C.
 
 ``h2_norm_quadrature`` is the corresponding H2 oracle (trapezoid rule on a
-log grid with Richardson extrapolation and an analytic tail estimate).
+log grid with Richardson extrapolation and an analytic tail estimate).  It
+keeps one dense LU per frequency (stacked, not Schur-based): it must stay
+independent of ``h2_norm``, and its noise on an exactly-zero error stays small.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_continuous_lyapunov
 from scipy.optimize import minimize_scalar
 
 from .errors import (
@@ -39,11 +43,13 @@ from .linalg import (
     STABILITY_MARGIN,
     StateSpace,
     SymmetricEig,
-    kernel_checked_split,
     pinv,
-    solve_lyapunov,
+    require_unobserved,
     solve_lyapunov_with_kernel,
+    stable_schur_part,
+    stable_unstable_split,
     sym_eig,
+    triangular_response,
 )
 from .netsys import (
     AgentDynamics,
@@ -97,43 +103,32 @@ def h2_norm(sys: StateSpace) -> NormResult:
     )
 
 
-def _deflate_marginal(sys: StateSpace) -> StateSpace:
-    """Restrict the realization to its stable invariant subspace.
-
-    Valid (transfer function unchanged) because the marginal modes must be
-    unobservable; raises UnstablePoles otherwise.
-    """
-    v_s, a_s, v_u = kernel_checked_split(sys.A, sys.C, UnstablePoles)
-    if v_u.shape[1] == 0:
-        return sys
-    b_s = np.linalg.solve(np.hstack([v_s, v_u]), sys.B)[: v_s.shape[1]]
-    return StateSpace(a_s, b_s, sys.C @ v_s)
-
-
-def _max_gain(sys: StateSpace, omega: float) -> float:
-    return float(np.linalg.svd(sys.response(1j * omega), compute_uv=False).max(initial=0.0))
-
-
 def hinf_norm_sweep(sys: StateSpace) -> NormResult:
     """H-infinity norm by adaptive frequency sweep.
 
     Coarse log grid over [SWEEP_W_LO, SWEEP_W_HI], then a dense grid
     (SWEEP_PEAK_PPD points per decade) around each detected local peak, then
     bounded scalar minimization in log-frequency down to relative width
-    SWEEP_W_RTOL.  The
-    exact DC value of the deflated realization anchors the w -> 0 end.
+    SWEEP_W_RTOL.  The response at s = 0 anchors the w -> 0 end.  A is factored
+    once (``stable_schur_part``, which also deflates the unobservable marginal
+    modes); each grid, the anchor and each Brent step is then one vectorized
+    ``triangular_response`` call, O(n^2 m) per frequency instead of a dense LU.
     """
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return _zero_result(METHOD_SWEEP)
-    stable = _deflate_marginal(sys)
-    if stable.n_states == 0:
+    stable = stable_schur_part(sys, UnstablePoles)
+    if stable[0].shape[0] == 0:
         return NormResult(0.0, METHOD_SWEEP, {"trivial": "transfer function is zero"})
-    dc_gain = stable.C @ np.linalg.solve(stable.A, stable.B)
-    dc = float(np.linalg.svd(dc_gain, compute_uv=False).max(initial=0.0))
+
+    def gains(omegas) -> np.ndarray:
+        response = triangular_response(*stable, 1j * np.asarray(omegas, dtype=float))
+        return np.linalg.svd(response, compute_uv=False).max(axis=-1, initial=0.0)
+
+    dc = float(gains([0.0])[0])
     t_lo, t_hi = math.log10(SWEEP_W_LO), math.log10(SWEEP_W_HI)
     n_coarse = int(round((t_hi - t_lo) * SWEEP_COARSE_PPD)) + 1
     ts = np.linspace(t_lo, t_hi, n_coarse)
-    vals = np.array([_max_gain(stable, 10.0**t) for t in ts])
+    vals = gains(10.0**ts)
     evals = n_coarse
 
     # interior local maxima of the coarse sweep, best first, at most three
@@ -150,14 +145,14 @@ def hinf_norm_sweep(sys: StateSpace) -> NormResult:
         lo, hi = ts[i] - step, ts[i] + step
         n_dense = max(int(round((hi - lo) * SWEEP_PEAK_PPD)) + 1, 16)
         dts = np.linspace(lo, hi, n_dense)
-        dvals = np.array([_max_gain(stable, 10.0**t) for t in dts])
+        dvals = gains(10.0**dts)
         evals += n_dense
         j = int(dvals.argmax())
         if dvals[j] > best_val:
             best_val, best_omega = float(dvals[j]), float(10.0 ** dts[j])
         j0, j1 = max(j - 1, 0), min(j + 1, n_dense - 1)
         res = minimize_scalar(
-            lambda t: -_max_gain(stable, 10.0**t),
+            lambda t: -float(gains([10.0**t])[0]),
             bounds=(dts[j0], dts[j1]),
             method="bounded",
             options={"xatol": SWEEP_W_RTOL / math.log(10.0)},
@@ -189,14 +184,20 @@ def h2_norm_quadrature(sys: StateSpace) -> NormResult:
     """
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return _zero_result(METHOD_SWEEP)
-    stable = _deflate_marginal(sys)
-    if stable.n_states == 0:
+    # restrict to the stable invariant subspace (the marginal modes must be unobservable)
+    v_s, a_s, v_u = stable_unstable_split(sys.A)
+    require_unobserved(sys.C, v_u, UnstablePoles)
+    if v_s.shape[1] == 0:
         return NormResult(0.0, METHOD_SWEEP, {"trivial": "transfer function is zero"})
+    stable = sys
+    if v_u.shape[1]:
+        b_s = np.linalg.solve(np.hstack([v_s, v_u]), sys.B)[: v_s.shape[1]]
+        stable = StateSpace(a_s, b_s, sys.C @ v_s)
     f0 = float(np.linalg.norm(stable.C @ np.linalg.solve(stable.A, stable.B), "fro") ** 2)
     decades = math.log10(QUAD_W_HI) - math.log10(QUAD_W_LO)
     n_pts = int(round(decades * QUAD_PPD)) + 1
     ws = np.logspace(math.log10(QUAD_W_LO), math.log10(QUAD_W_HI), n_pts)
-    fs = np.array([np.linalg.norm(stable.response(1j * w), "fro") ** 2 for w in ws])
+    fs = np.linalg.norm(stable.response(1j * ws), "fro", axis=(1, 2)) ** 2
 
     def integral(grid, values):
         return float(np.trapezoid(np.concatenate([[f0], values]), np.concatenate([[0.0], grid])))
@@ -223,10 +224,11 @@ def h2_norm_quadrature(sys: StateSpace) -> NormResult:
 
 
 def aux_gramian_h2_sq(dyn: AgentDynamics, lam: float) -> float:
-    """Squared H2 norm tr(E^T X E) of the auxiliary system (A - lam B, E, lam I)."""
-    drift = dyn.A - lam * dyn.B
-    x = solve_lyapunov(drift, lam * lam * np.eye(dyn.n))
-    return float(np.trace(dyn.E.T @ x @ dyn.E))
+    """Squared H2 norm tr(E^T X E) of the auxiliary system (A - lam B, E, lam I).
+    Requires, without testing it again, A - lam B Hurwitz: every caller's lam has
+    passed the synchronization test (``is_synchronized`` or ``Analysis.synchronized``)."""
+    x = solve_continuous_lyapunov((dyn.A - lam * dyn.B).T, -lam * lam * np.eye(dyn.n))
+    return float(np.trace(dyn.E.T @ (0.5 * (x + x.T)) @ dyn.E))
 
 
 def aux_dc_gain(dyn: AgentDynamics, lam: float) -> np.ndarray:

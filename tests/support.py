@@ -2,18 +2,31 @@
 
 The oracles here deliberately avoid the production code paths they check:
 the Lyapunov oracle solves the linear system by Kronecker vectorization,
-and the equitability oracles test degree constancy cell by cell.
+the frequency-response oracle does one dense LU per frequency (the sweep
+uses one Schur form for all of them), and the equitability oracles test
+degree constancy cell by cell.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from netred.generators import (
     random_dissipative_dynamics,
     random_singular_symmetric_dynamics,
     random_symmetric_dynamics,
     single_integrator,
+)
+from netred.linalg import StateSpace, stable_unstable_split
+from netred.norms import (
+    SWEEP_COARSE_PPD,
+    SWEEP_PEAK_PPD,
+    SWEEP_W_HI,
+    SWEEP_W_LO,
+    SWEEP_W_RTOL,
 )
 
 # Reference matrices for the worked 5-node unit path with clusters
@@ -51,6 +64,46 @@ def lyap_kron_oracle(a, q):
     lhs = np.kron(np.eye(n), a.T) + np.kron(a.T, np.eye(n))
     x = np.linalg.solve(lhs, -q.reshape(-1, order="F"))
     return x.reshape((n, n), order="F")
+
+
+def dense_response(sys, s: complex) -> np.ndarray:
+    """C (sI - A)^{-1} B at one complex frequency by one dense LU solve."""
+    shifted = s * np.eye(sys.n_states) - sys.A
+    return sys.C @ np.linalg.solve(shifted, sys.B.astype(complex))
+
+
+def reference_hinf_sweep(sys) -> float:
+    """The grids, peak choice and Brent refinement of ``norms.hinf_norm_sweep``, one
+    frequency at a time: a dense LU per frequency on the realization restricted to
+    its stable invariant subspace by the real Schur split."""
+    v_s, a_s, v_u = stable_unstable_split(sys.A)
+    if v_s.shape[1] == 0:
+        return 0.0
+    b_s = np.linalg.solve(np.hstack([v_s, v_u]), sys.B)[: v_s.shape[1]]
+    stable = StateSpace(a_s, b_s, sys.C @ v_s)
+
+    def gain(omega):
+        return float(np.linalg.svd(dense_response(stable, 1j * omega), compute_uv=False).max())
+
+    t_lo, t_hi = math.log10(SWEEP_W_LO), math.log10(SWEEP_W_HI)
+    ts = np.linspace(t_lo, t_hi, int(round((t_hi - t_lo) * SWEEP_COARSE_PPD)) + 1)
+    step = (t_hi - t_lo) / (len(ts) - 1)
+    vals = [gain(10.0**t) for t in ts]
+    best = max([gain(0.0)] + vals)
+    peaks = [i for i in range(1, len(ts) - 1) if vals[i - 1] <= vals[i] >= vals[i + 1]]
+    for i in sorted(peaks, key=lambda i: -vals[i])[:3]:
+        n_dense = max(int(round(2 * step * SWEEP_PEAK_PPD)) + 1, 16)
+        dts = np.linspace(ts[i] - step, ts[i] + step, n_dense)
+        dvals = [gain(10.0**t) for t in dts]
+        j = int(np.argmax(dvals))
+        res = minimize_scalar(
+            lambda t: -gain(10.0**t),
+            bounds=(dts[max(j - 1, 0)], dts[min(j + 1, n_dense - 1)]),
+            method="bounded",
+            options={"xatol": SWEEP_W_RTOL / math.log(10.0)},
+        )
+        best = max(best, dvals[j], -res.fun)
+    return best
 
 
 class NodeInCell(ValueError):

@@ -113,6 +113,25 @@ class TestValidation:
         assert err["field"] == field
         assert "finite" in err["message"]
 
+    @pytest.mark.parametrize("name, value", [("A", -1e308), ("B", 1e308), ("E", 1e308)])
+    def test_extreme_agent_entry_exits_2_with_its_field(self, tmp_path, capsys, name, value):
+        # finite, but the assembled products overflow: A and E reached the report as
+        # nan/inf, B broke the synchronization test
+        payload = generate_example("k3-aep")
+        payload["agent"][name] = [[value]]
+        code, _ = _run(tmp_path, payload)
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["field"] == f"agent.{name}[0][0]"
+        assert "magnitude" in err["message"]
+
+    def test_extreme_edge_weight_exits_2_with_its_field(self, tmp_path, capsys):
+        payload = generate_example("k3-aep")
+        payload["edges"][0][2] = 1e300
+        code, _ = _run(tmp_path, payload)
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"]["field"] == "edges[0].weight"
+
     def test_validators_name_field(self):
         payload = generate_example("k3-aep")
         payload["agent"]["B"] = [[1.0, 0.0]]

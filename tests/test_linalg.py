@@ -1,20 +1,31 @@
 import numpy as np
 import pytest
 
-from netred.errors import KernelConditionViolated, NotHurwitz, NotSymmetric
-from netred.generators import path_graph
-from netred.graphcore import laplacian_from_graph
+from netred.errors import KernelConditionViolated, NotHurwitz, NotSymmetric, UnstablePoles
+from netred.generators import complete_graph, path_graph, single_integrator
+from netred.graphcore import Partition, laplacian_from_graph
 from netred.linalg import (
+    RESPONSE_STACK,
+    SCHUR_CHUNK,
     StateSpace,
     is_hurwitz,
     pinv,
     solve_lyapunov,
     solve_lyapunov_with_kernel,
+    stable_schur_part,
     stable_unstable_split,
     sym_eig,
+    triangular_response,
 )
+from netred.netsys import NetworkSystem, assemble_error_system
 
-from .support import PATH5_LAPLACIAN, lyap_kron_oracle, random_hurwitz
+from .support import (
+    PATH5_CELLS,
+    PATH5_LAPLACIAN,
+    dense_response,
+    lyap_kron_oracle,
+    random_hurwitz,
+)
 
 
 class TestSymEig:
@@ -200,3 +211,74 @@ class TestStateSpace:
         sys = StateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]])
         val = sys.response(1j * 1.0)
         np.testing.assert_allclose(val, [[1.0 / (1j + 1.0)]])
+
+    def test_response_stacked_matches_dense_oracle(self):
+        rng = np.random.default_rng(12)
+        a, b, c = random_hurwitz(rng, 6), rng.normal(size=(6, 2)), rng.normal(size=(3, 6))
+        sys = StateSpace(A=a, B=b, C=c)
+        for count in (1, RESPONSE_STACK, RESPONSE_STACK + 5):
+            s = 1j * np.logspace(-2, 2, count)
+            got = sys.response(s)
+            assert got.shape == (count, 3, 2)
+            for k in range(count):
+                want = dense_response(sys, s[k])
+                assert np.abs(got[k] - want).max() <= 1e-12 * np.abs(want).max()
+        grid = 1j * np.arange(1.0, 7.0).reshape(2, 3)
+        assert sys.response(grid).shape == (2, 3, 3, 2)
+        np.testing.assert_array_equal(sys.response(grid)[1, 2], sys.response(grid[1, 2]))
+
+
+def _error_system(lap, leaders, cells):
+    ns = NetworkSystem(laplacian_from_graph(lap), leaders, single_integrator())
+    return assemble_error_system(ns, Partition(n_nodes=lap.n_nodes, cells=cells))
+
+
+def _schur_matches_dense(sys, omegas):
+    got = triangular_response(*stable_schur_part(sys), 1j * omegas)
+    assert got.shape == (len(omegas), sys.n_outputs, sys.n_inputs)
+    for k, omega in enumerate(omegas):
+        want = dense_response(sys, 1j * omega)
+        assert np.abs(got[k] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestSchurResponse:
+    """The sweep's primitive against one dense LU per frequency, to 1e-12 relative."""
+
+    OMEGAS = np.logspace(-2, 2, 2 * SCHUR_CHUNK + 5)  # not a multiple of the chunk
+
+    def test_non_normal(self):
+        rng = np.random.default_rng(13)
+        a = random_hurwitz(rng, 8) + np.triu(50.0 * rng.normal(size=(8, 8)), 1)
+        a -= (np.linalg.eigvals(a).real.max() + 0.5) * np.eye(8)
+        sys = StateSpace(A=a, B=rng.normal(size=(8, 2)), C=rng.normal(size=(3, 8)))
+        _schur_matches_dense(sys, self.OMEGAS)
+
+    def test_defective_jordan_block(self):
+        rng = np.random.default_rng(14)
+        a = -np.eye(5) + np.eye(5, k=1)  # one Jordan block at -1
+        sys = StateSpace(A=a, B=rng.normal(size=(5, 1)), C=rng.normal(size=(2, 5)))
+        _schur_matches_dense(sys, self.OMEGAS)
+
+    def test_unobservable_marginal_modes_are_deflated(self):
+        # error systems on path5 and K3: the consensus modes sit at 0, unobserved
+        path5 = _error_system(path_graph(5), (0,), PATH5_CELLS)
+        k3 = _error_system(complete_graph(3), (0, 1), ((0,), (1, 2)))
+        for sys in (path5, k3):
+            t, b, c = stable_schur_part(sys)
+            assert t.shape[0] < sys.n_states
+            assert np.abs(np.tril(t, -1)).max(initial=0.0) == 0.0
+            _schur_matches_dense(sys, self.OMEGAS)
+
+    def test_single_frequency(self):
+        rng = np.random.default_rng(15)
+        a, b, c = random_hurwitz(rng, 4), rng.normal(size=(4, 2)), rng.normal(size=(2, 4))
+        sys = StateSpace(A=a, B=b, C=c)
+        _schur_matches_dense(sys, np.array([0.7]))
+        _schur_matches_dense(sys, np.array([0.0]))
+
+    def test_observable_marginal_mode_raises(self):
+        sys = StateSpace(A=np.diag([-1.0, 0.0]), B=np.ones((2, 1)), C=[[0.0, 1.0]])
+        with pytest.raises(UnstablePoles):
+            stable_schur_part(sys, UnstablePoles)
+        with pytest.raises(KernelConditionViolated):
+            stable_schur_part(sys)

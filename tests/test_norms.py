@@ -10,13 +10,14 @@ from netred.errors import (
     WitnessInvalid,
 )
 from netred.generators import (
+    EXAMPLES,
     complete_graph,
     path_graph,
     random_aep_instance,
     single_integrator,
 )
 from netred.graphcore import Partition, laplacian_from_graph
-from netred.linalg import StateSpace
+from netred.linalg import StateSpace, solve_lyapunov
 from netred.netsys import (
     AgentDynamics,
     NetworkSystem,
@@ -34,7 +35,7 @@ from netred.norms import (
     hinf_norm_sweep,
 )
 
-from .support import make_dynamics
+from .support import make_dynamics, reference_hinf_sweep
 
 
 def _k2(leaders=(0,)):
@@ -51,6 +52,15 @@ class TestH2Norm:
         # scalar Lyapunov (-lam) X + X (-lam) + lam^2 = 0 gives X = lam / 2
         for lam in (0.5, 2.0, 7.5):
             assert aux_gramian_h2_sq(single_integrator(), lam) == pytest.approx(lam / 2.0)
+
+    def test_aux_gramian_equals_checked_lyapunov_route(self):
+        # skipping the Hurwitz re-test must not change a single bit
+        for seed in range(10):
+            rng = np.random.default_rng(500 + seed)
+            dyn = make_dynamics(rng, ("symmetric", "dissipative")[seed % 2], n=3, r=2)
+            lam = float(rng.uniform(0.1, 5.0))
+            x = solve_lyapunov(dyn.A - lam * dyn.B, lam * lam * np.eye(dyn.n))
+            assert aux_gramian_h2_sq(dyn, lam) == float(np.trace(dyn.E.T @ x @ dyn.E))
 
     def test_aux_value_confirmed_by_quadrature(self):
         # settles the lam/2 reading: the H2 integral of lam/(s+lam) equals lam/2
@@ -162,6 +172,20 @@ class TestHinfSweep:
         # K2 single-integrator network: pole at 0 is unobservable through L
         sys = assemble_full(_k2(leaders=(0, 1)))
         assert hinf_norm_sweep(sys).value == pytest.approx(1.0, abs=1e-9)
+
+    def test_observable_marginal_pole_raises(self):
+        sys = StateSpace(A=np.diag([-1.0, 0.0]), B=np.ones((2, 1)), C=[[0.0, 1.0]])
+        with pytest.raises(UnstablePoles):
+            hinf_norm_sweep(sys)
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLES))
+    def test_matches_loop_over_frequencies_reference(self, name):
+        # relative 1e-12; the absolute 1e-14 covers error systems that are exactly zero
+        for seed in range(3):
+            ns, pi = EXAMPLES[name](np.random.default_rng(seed))
+            for sys in (assemble_full(ns), assemble_error_system(ns, pi)):
+                got, want = hinf_norm_sweep(sys).value, reference_hinf_sweep(sys)
+                assert abs(got - want) <= 1e-12 * want + 1e-14
 
 
 class TestHinfDc:
