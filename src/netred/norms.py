@@ -116,12 +116,12 @@ def hinf_norm_sweep(sys: StateSpace) -> NormResult:
     """
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return _zero_result(METHOD_SWEEP)
-    stable = stable_schur_part(sys, UnstablePoles)
-    if stable[0].shape[0] == 0:
+    t_s, b_s, c_s = stable_schur_part(sys, UnstablePoles)
+    if t_s.shape[0] == 0:
         return NormResult(0.0, METHOD_SWEEP, {"trivial": "transfer function is zero"})
 
     def gains(omegas) -> np.ndarray:
-        response = triangular_response(*stable, 1j * np.asarray(omegas, dtype=float))
+        response = triangular_response(t_s, b_s, c_s, 1j * np.asarray(omegas, dtype=float))
         return np.linalg.svd(response, compute_uv=False).max(axis=-1, initial=0.0)
 
     dc = float(gains([0.0])[0])
