@@ -1,10 +1,11 @@
 """Dense linear-algebra kernels used throughout the package.
 
 Symmetric eigendecompositions, an eigenvalue-based pseudoinverse, Hurwitz
-tests, and Lyapunov solvers, including the variant that tolerates modes in
-the closed right half plane as long as the output matrix does not observe
-them.  Everything operates on small dense matrices (state dimension up to
-a couple of hundred) and is pure: no function mutates its arguments.
+tests, Lyapunov solvers and frequency responses (dense or from one Schur
+form), including variants that tolerate modes in the closed right half
+plane as long as the output matrix does not observe them.  Everything
+operates on small dense matrices (state dimension up to a couple of
+hundred) and is pure: no function mutates its arguments.
 """
 
 from __future__ import annotations
