@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import KernelConditionViolated, NotHurwitz, NotSymmetric
+from .errors import KernelConditionViolated, NotHurwitz, NotSymmetric, UnstablePoles
 
 # Eigenvalues with real part >= -STABILITY_MARGIN count as closed right half
 # plane; Laplacian zero modes arrive with O(1e-14) numerical noise.
@@ -193,13 +193,13 @@ def require_unobserved(c, v_u, error=KernelConditionViolated) -> None:
         )
 
 
-def stable_schur_part(sys: StateSpace, error=KernelConditionViolated) -> tuple:
+def stable_schur_part(sys: StateSpace) -> tuple:
     """``(T_s, Z_s^H B, C Z_s)`` with T_s upper triangular, from one complex Schur form
-    A = Z T Z^H sorted with the eigenvalues Re >= -STABILITY_MARGIN first.  Raises ``error``
-    unless C observes none of them (``require_unobserved`` on Z_u); then
+    A = Z T Z^H sorted with the eigenvalues Re >= -STABILITY_MARGIN first.  Raises
+    UnstablePoles unless C observes none of them (``require_unobserved`` on Z_u); then
     C (sI - A)^{-1} B = C Z_s (sI - T_s)^{-1} Z_s^H B."""
     t, z, n_u = sla.schur(sys.A, output="complex", sort=lambda ev: ev.real >= -STABILITY_MARGIN)
-    require_unobserved(sys.C, z[:, :n_u], error)
+    require_unobserved(sys.C, z[:, :n_u], UnstablePoles)
     return t[n_u:, n_u:], z[:, n_u:].conj().T @ sys.B, sys.C @ z[:, n_u:]
 
 

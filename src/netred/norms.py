@@ -15,8 +15,9 @@ test suite:
 
 ``h2_norm_quadrature`` is the corresponding H2 oracle (trapezoid rule on a
 log grid with Richardson extrapolation and an analytic tail estimate).  It
-keeps one dense LU per frequency (stacked, not Schur-based): it must stay
-independent of ``h2_norm``, and its noise on an exactly-zero error stays small.
+keeps one dense LU per frequency (stacked, not back substitution), independent
+of ``h2_norm``, on a real-Schur deflation: the sweep's complex Schur form would
+raise its noise on an exactly-zero error.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def hinf_norm_sweep(sys: StateSpace) -> NormResult:
     """
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return _zero_result(METHOD_SWEEP)
-    t_s, b_s, c_s = stable_schur_part(sys, UnstablePoles)
+    t_s, b_s, c_s = stable_schur_part(sys)
     if t_s.shape[0] == 0:
         return NormResult(0.0, METHOD_SWEEP, {"trivial": "transfer function is zero"})
 
@@ -184,7 +185,8 @@ def h2_norm_quadrature(sys: StateSpace) -> NormResult:
     """
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return _zero_result(METHOD_SWEEP)
-    # restrict to the stable invariant subspace (the marginal modes must be unobservable)
+    # restrict to the stable invariant subspace (the marginal modes must be unobservable);
+    # deflating with ``stable_schur_part`` instead raised the noise of a zero error 4x
     v_s, a_s, v_u = stable_unstable_split(sys.A)
     require_unobserved(sys.C, v_u, UnstablePoles)
     if v_s.shape[1] == 0:
@@ -225,8 +227,8 @@ def h2_norm_quadrature(sys: StateSpace) -> NormResult:
 
 def aux_gramian_h2_sq(dyn: AgentDynamics, lam: float) -> float:
     """Squared H2 norm tr(E^T X E) of the auxiliary system (A - lam B, E, lam I).
-    Requires, without testing it again, A - lam B Hurwitz: every caller's lam has
-    passed the synchronization test (``is_synchronized`` or ``Analysis.synchronized``)."""
+    Requires, without testing it, A - lam B Hurwitz: the callers' lam come from a
+    spectrum that ``is_synchronized`` or ``Analysis.h2_constants`` has tested."""
     x = solve_continuous_lyapunov((dyn.A - lam * dyn.B).T, -lam * lam * np.eye(dyn.n))
     return float(np.trace(dyn.E.T @ (0.5 * (x + x.T)) @ dyn.E))
 
