@@ -25,6 +25,7 @@ from .errors import (
     Disconnected,
     KernelConditionViolated,
     NotAEP,
+    NotHurwitz,
     NotSingleIntegrator,
     NotSymmetricDynamics,
     NotSynchronized,
@@ -45,6 +46,7 @@ from .netsys import (
     NetworkSystem,
     assemble_error_system,
     assemble_full,
+    hurwitz_over,
     is_synchronized,
     reduced_laplacian_spectrum,
 )
@@ -257,7 +259,10 @@ class Analysis:
 
     @cached_property
     def h2_constants(self) -> tuple:
-        """(s_max, s_min): extreme auxiliary H2 norms over the lost / nonzero spectrum."""
+        """(s_max, s_min): extreme auxiliary H2 norms over the lost / nonzero spectrum.
+        The lost spectrum, unlike sigma(L), drifts under a loose aep_rtol: test it."""
+        if not hurwitz_over(self.ns.dyn, self.lost_eigenvalues, self.tol.zero_eig_tol):
+            raise NotHurwitz("A - lam B is not Hurwitz at a lost eigenvalue lam")
         return self._extremes(lambda lam: math.sqrt(aux_gramian_h2_sq(self.ns.dyn, lam)))
 
     @cached_property

@@ -183,14 +183,14 @@ def aux_systems(ns: NetworkSystem) -> list:
     return out
 
 
-def _hurwitz_over(dyn: AgentDynamics, lams, zero_eig_tol: float) -> bool:
+def hurwitz_over(dyn: AgentDynamics, lams, zero_eig_tol: float) -> bool:
     """True iff A - lam B is Hurwitz for every lam in ``lams`` above zero_eig_tol."""
     return all(is_hurwitz(dyn.A - lam * dyn.B) for lam in lams if lam > zero_eig_tol)
 
 
 def is_synchronized(ns: NetworkSystem, zero_eig_tol: float = ZERO_EIG_TOL) -> bool:
     """True iff A - lam B is Hurwitz for every nonzero Laplacian eigenvalue."""
-    return _hurwitz_over(ns.dyn, ns.laplacian.spectral.eigenvalues, zero_eig_tol)
+    return hurwitz_over(ns.dyn, ns.laplacian.spectral.eigenvalues, zero_eig_tol)
 
 
 def reduced_laplacian_spectrum(lap: Laplacian, pi: Partition) -> np.ndarray:
@@ -206,4 +206,4 @@ def reduced_synchronization_preserved(ns: NetworkSystem, pi: Partition) -> bool:
     can fail for general partitions.
     """
     lams_hat = reduced_laplacian_spectrum(ns.laplacian, pi)
-    return _hurwitz_over(ns.dyn, lams_hat, ZERO_EIG_TOL)
+    return hurwitz_over(ns.dyn, lams_hat, ZERO_EIG_TOL)

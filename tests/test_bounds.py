@@ -17,6 +17,7 @@ from netred.bounds import (
 from netred.errors import (
     Disconnected,
     NotAEP,
+    NotHurwitz,
     NotSingleIntegrator,
     NotSymmetricDynamics,
     NotSynchronized,
@@ -352,6 +353,22 @@ class TestTolerances:
         assert rep.abs_h2_bound is not None and rep.abs_hinf_bound is not None
         assert rep.triangle_h2_bound is None and rep.triangle_hinf_bound is None
         assert "abs_h2_bound" not in rep.unavailable
+
+    def test_loose_aep_tests_the_lost_spectrum_for_hurwitz(self):
+        # sigma(L) = {0, 3, 3.6}; the partition passes at aep_rtol 0.2 with lost eigenvalue
+        # mu = 3.15.  A - lam B = [[-1, lam - mu], [mu - lam, 0.01]] is Hurwitz iff
+        # |lam - mu| > 0.1: the network synchronizes, the lost eigenvalue does not
+        graph = WeightedGraph(n_nodes=3, edges=((0, 1, 1.0), (0, 2, 1.3), (1, 2, 1.0)))
+        pi = Partition(n_nodes=3, cells=((0,), (1, 2)))
+        mu = 3.15
+        a, b = [[-1.0, -mu], [mu, 0.01]], [[0.0, -1.0], [1.0, 0.0]]
+        dyn = AgentDynamics(A=a, B=b, E=[[1.0], [0.0]])
+        ns = NetworkSystem(laplacian_from_graph(graph), (0,), dyn)
+        an = Analysis(ns, pi, Tolerances(aep_rtol=0.2))
+        assert an.synchronized and an.aep
+        assert an.lost_eigenvalues == pytest.approx([mu])
+        with pytest.raises(NotHurwitz, match="lost eigenvalue"):
+            h2_bound_aep(an)
 
     def test_zero_eig_tol_marks_every_norm_field_disconnected(self):
         # lambda_2 of the unit 4-cycle is 2, below the override
