@@ -25,8 +25,8 @@ from .netsys import AgentDynamics, NetworkSystem
 SCHEMA_VERSION = 1
 # Off-diagonal Laplacian entries at or below this in magnitude are not edges.
 EDGE_TOL = 1e-12
-# Largest |value| of an agent entry or edge weight, about the cube root of the float
-# range: the products of up to three that the assembly and the norms form stay finite.
+# Largest |value| of an agent entry or edge weight.  It stops the overflows of entries near
+# 1e308 (nan/inf reports, a failed synchronization test), not every overflow in the norms.
 MAX_MAGNITUDE = 1e100
 _BOUNDED = f"must be a finite number of magnitude at most {MAX_MAGNITUDE:g}"
 
