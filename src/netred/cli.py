@@ -42,6 +42,8 @@ REFUSAL_MESSAGES = {
     "NotAEP": "the partition is not almost equitable; rerun with --triangle to "
     "use the optimal AEP-compatible approximation route",
     "NotSingleIntegrator": "the triangle route applies to single-integrator agents only",
+    "NotHurwitz": "A - lam B is not Hurwitz at an eigenvalue lam lost by the reduction "
+    "(the partition is almost equitable only within a loose aep_rtol); the AEP bounds are refused",
 }
 
 

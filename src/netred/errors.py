@@ -13,16 +13,10 @@ class NotHurwitz(NetredError):
     """A matrix that must have all eigenvalues in the open left half plane does not."""
 
 
-class KernelConditionViolated(NetredError):
-    """The output matrix observes a mode in the closed right half plane.
-
-    For norm computations this signals that the H2 norm is infinite or
-    undefined for the given realization.
-    """
-
-
 class UnstablePoles(NetredError):
-    """The transfer function has poles outside the open left half plane."""
+    """The output matrix observes a mode in the closed right half plane, so the
+    transfer function has poles there and its H2 and H-infinity norms are
+    infinite or undefined."""
 
 
 class WitnessInvalid(NetredError):

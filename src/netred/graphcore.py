@@ -81,7 +81,7 @@ class Laplacian:
         if row_sums > ROW_SUM_TOL * scale:
             raise ValueError(f"Laplacian row sums reach {row_sums:.3e}, expected zero")
         object.__setattr__(self, "mat", 0.5 * (m + m.T))
-        if self.n_nodes and self.spectral.eigenvalues[0] < -ZERO_EIG_TOL:
+        if self.n_nodes and self.spectral.eigenvalues[0] < -ZERO_EIG_TOL * scale:
             raise ValueError("Laplacian is not positive semi-definite")
 
     @property

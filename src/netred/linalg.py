@@ -1,9 +1,12 @@
 """Dense linear-algebra kernels used throughout the package.
 
 Symmetric eigendecompositions, an eigenvalue-based pseudoinverse, Hurwitz
-tests, Lyapunov solvers and frequency responses (dense or from one Schur
-form), including variants that tolerate modes in the closed right half
-plane as long as the output matrix does not observe them.  Everything
+tests and Lyapunov solvers.  A realization is factored once: its sorted
+complex Schur form (``StateSpace.schur``) feeds the one stable/unstable
+deflation (``stable_unstable_split``), which both the kernel-conditioned
+Lyapunov solve and the one frequency-response primitive
+(``triangular_response``) use, so modes in the closed right half plane are
+tolerated as long as the output matrix does not observe them.  Everything
 operates on small dense matrices (state dimension up to a couple of
 hundred) and is pure: no function mutates its arguments.
 """
@@ -11,11 +14,13 @@ hundred) and is pure: no function mutates its arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
-from .errors import KernelConditionViolated, NotHurwitz, NotSymmetric, UnstablePoles
+from .errors import NotHurwitz, NotSymmetric, UnstablePoles
 
 # Eigenvalues with real part >= -STABILITY_MARGIN count as closed right half
 # plane; Laplacian zero modes arrive with O(1e-14) numerical noise.
@@ -23,7 +28,6 @@ STABILITY_MARGIN = 1e-9
 RANK_TOL = 1e-10
 SYMMETRY_RTOL = 1e-10
 KERNEL_TOL = 1e-8
-RESPONSE_STACK = 16  # frequencies per np.linalg.solve call in StateSpace.response
 SCHUR_CHUNK = 64  # frequencies per vectorized back substitution in triangular_response
 
 
@@ -78,14 +82,11 @@ class StateSpace:
     def n_outputs(self) -> int:
         return self.C.shape[0]
 
-    def response(self, s) -> np.ndarray:
-        """Transfer matrix C (sI - A)^{-1} B at a complex frequency s, or stacked over the
-        axes of an array s: one dense LU per frequency, RESPONSE_STACK per solve call."""
-        s, eye, b = np.asarray(s, dtype=complex), np.eye(self.n_states), self.B.astype(complex)
-        flat = s.reshape(-1, 1, 1)
-        x = [np.linalg.solve(flat[k : k + RESPONSE_STACK] * eye - self.A, b)
-             for k in range(0, len(flat), RESPONSE_STACK)]
-        return (self.C @ np.concatenate(x)).reshape(s.shape + (self.n_outputs, self.n_inputs))
+    @cached_property
+    def schur(self) -> tuple:
+        """``(T, Z, n_u)``: the complex Schur form A = Z T Z^H, computed on first use, with
+        the n_u eigenvalues Re >= -STABILITY_MARGIN first on the diagonal of T."""
+        return sla.schur(self.A, output="complex", sort=lambda ev: ev.real >= -STABILITY_MARGIN)
 
 
 def sym_eig(mat) -> SymmetricEig:
@@ -140,32 +141,6 @@ def solve_lyapunov(a, q) -> np.ndarray:
     return 0.5 * (x + x.T)
 
 
-def stable_unstable_split(a):
-    """Split the state space into stable and closed-right-half-plane invariant subspaces.
-
-    Returns ``(v_stable, a_stable, v_unstable)`` where the columns of
-    ``v_stable`` / ``v_unstable`` are orthonormal bases of the invariant
-    subspaces for eigenvalues with Re < -STABILITY_MARGIN / Re >= that, and
-    ``a_stable`` is the (quasi-triangular) restriction of ``a`` to the
-    stable subspace, i.e. a @ v_stable = v_stable @ a_stable.
-
-    Computed with two ordered real Schur decompositions, which handles
-    defective eigenvalues without forming generalized eigenvectors.
-    """
-    a = _square(a)
-    n = a.shape[0]
-    t_s, z_s, n_s = sla.schur(a, output="real", sort=lambda re, im: re < -STABILITY_MARGIN)
-    if n_s == n:
-        return z_s, t_s, np.zeros((n, 0))
-    _, z_u, n_u = sla.schur(a, output="real", sort=lambda re, im: re >= -STABILITY_MARGIN)
-    if n_s + n_u != n:
-        raise ArithmeticError(
-            f"inconsistent stable/unstable split ({n_s} + {n_u} != {n}); "
-            "an eigenvalue sits too close to the margin"
-        )
-    return z_s[:, :n_s], t_s[:n_s, :n_s], z_u[:, :n_u]
-
-
 def _psd_quadratic_trace(x, b) -> float:
     """tr(B^T X B) for symmetric PSD X, evaluated as sum_i lam_i ||v_i^T B||^2.
 
@@ -181,25 +156,26 @@ def _psd_quadratic_trace(x, b) -> float:
     return float(w[keep] @ (proj**2).sum(axis=1))
 
 
-def require_unobserved(c, v_u, error=KernelConditionViolated) -> None:
-    """Raise ``error`` when C observes the closed-right-half-plane invariant subspace:
+def require_unobserved(c, v_u) -> None:
+    """Raise UnstablePoles when C observes the closed-right-half-plane invariant subspace:
     |C v| above KERNEL_TOL * (1 + max|C|) on its orthonormal basis v_u."""
     c_scale = 1.0 + np.abs(c).max(initial=0.0)
     violation = np.abs(c @ v_u).max(initial=0.0)
     if violation > KERNEL_TOL * c_scale:
-        raise error(
+        raise UnstablePoles(
             f"output observes a closed-right-half-plane mode "
             f"(|C v| = {violation:.3e} > {KERNEL_TOL:.1e} * {c_scale:.3e})"
         )
 
 
-def stable_schur_part(sys: StateSpace) -> tuple:
-    """``(T_s, Z_s^H B, C Z_s)`` with T_s upper triangular, from one complex Schur form
-    A = Z T Z^H sorted with the eigenvalues Re >= -STABILITY_MARGIN first.  Raises
-    UnstablePoles unless C observes none of them (``require_unobserved`` on Z_u); then
+def stable_unstable_split(sys: StateSpace) -> tuple:
+    """``(T_s, Z_s^H B, C Z_s)`` with T_s upper triangular: the stable part of the Schur
+    form ``sys.schur``, whose trailing columns Z_s satisfy Z_s^H A = T_s Z_s^H.  Raises
+    UnstablePoles unless C observes none of the closed-right-half-plane modes
+    (``require_unobserved`` on the leading Schur vectors); then
     C (sI - A)^{-1} B = C Z_s (sI - T_s)^{-1} Z_s^H B."""
-    t, z, n_u = sla.schur(sys.A, output="complex", sort=lambda ev: ev.real >= -STABILITY_MARGIN)
-    require_unobserved(sys.C, z[:, :n_u], UnstablePoles)
+    t, z, n_u = sys.schur
+    require_unobserved(sys.C, z[:, :n_u])
     return t[n_u:, n_u:], z[:, n_u:].conj().T @ sys.B, sys.C @ z[:, n_u:]
 
 
@@ -218,38 +194,23 @@ def triangular_response(t, b, c, s) -> np.ndarray:
     return out
 
 
-def solve_lyapunov_with_kernel(a, b, c):
-    """Lyapunov solve A^T X + X A + C^T C = 0 allowing unobservable marginal modes.
+def solve_lyapunov_with_kernel(sys: StateSpace):
+    """Observability Gramian of (A, B, C) allowing unobservable marginal modes.
 
-    Requires that the invariant subspace for eigenvalues with
-    Re >= -STABILITY_MARGIN lies in ker C (checked numerically on an orthonormal
-    basis).  Returns ``(X, h2sq)`` where X is the unique PSD solution that
-    vanishes on that subspace and ``h2sq = tr(B^T X B)`` is the squared H2
-    norm of the realization (A, B, C).
-
-    Construction: split into stable/marginal blocks, solve the Lyapunov
-    equation on the stable block only, and embed with zero blocks.
-
-    Raises KernelConditionViolated when C observes a marginal mode.
+    Returns ``(X, h2sq)``: X is the PSD solution of A^T X + X A + C^T C = 0 that
+    vanishes on the closed-right-half-plane invariant subspace, and
+    ``h2sq = tr(B^T X B)`` the squared H2 norm.  On the deflated triple
+    (``stable_unstable_split``) one triangular Sylvester solve (``ztrsyl``) gives
+    T_s^H X_s + X_s T_s + C_s^H C_s = 0, and X = Z_s X_s Z_s^H.  Raises UnstablePoles
+    when C observes a marginal mode, LinAlgError when the solve reports a problem.
     """
-    a = _square(a, "A")
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    v_s, a_s, v_u = stable_unstable_split(a)
-    require_unobserved(c, v_u)
-    n = a.shape[0]
-    if v_u.shape[1] == 0:
-        q = c.T @ c
-        x = sla.solve_continuous_lyapunov(a.T, -q)
-        x = 0.5 * (x + x.T)
-        return x, _psd_quadratic_trace(x, b)
-    n_s = v_s.shape[1]
-    if n_s == 0:
-        return np.zeros((n, n)), 0.0
-    c_s = c @ v_s
-    x_s = sla.solve_continuous_lyapunov(a_s.T, -(c_s.T @ c_s))
-    x_s = 0.5 * (x_s + x_s.T)
-    t_inv = np.linalg.inv(np.hstack([v_s, v_u]))
-    x = t_inv[:n_s, :].T @ x_s @ t_inv[:n_s, :]
+    t_s, _, c_s = stable_unstable_split(sys)
+    if t_s.shape[0] == 0:
+        return np.zeros((sys.n_states, sys.n_states)), 0.0
+    x_s, scale, info = lapack.ztrsyl(t_s, t_s, -(c_s.conj().T @ c_s), trana="C")
+    if info:
+        raise np.linalg.LinAlgError(f"triangular Lyapunov solve failed (ztrsyl info={info})")
+    _, z, n_u = sys.schur
+    x = (z[:, n_u:] @ (x_s / scale) @ z[:, n_u:].conj().T).real
     x = 0.5 * (x + x.T)
-    return x, _psd_quadratic_trace(x, b)
+    return x, _psd_quadratic_trace(x, sys.B)

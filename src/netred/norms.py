@@ -8,16 +8,18 @@ test suite:
   formulas over the Laplacian spectrum and per-eigenvalue observability
   Gramians of the auxiliary systems.
 * ``hinf_norm_sweep``: adaptive frequency sweep with local refinement, the
-  oracle for everything H-infinity.  A is reduced to complex Schur form once;
-  each frequency is then an O(n^2 m) back substitution, each grid one call.
+  oracle for everything H-infinity.
 * ``hinf_norm_dc``: exact DC-gain value sigma_max(C A^+ B), valid when a
   symmetric witness X with CA = XC exists and ker A lies in ker C.
 
 ``h2_norm_quadrature`` is the corresponding H2 oracle (trapezoid rule on a
-log grid with Richardson extrapolation and an analytic tail estimate).  It
-keeps one dense LU per frequency (stacked, not back substitution), independent
-of ``h2_norm``, on a real-Schur deflation: the sweep's complex Schur form would
-raise its noise on an exactly-zero error.
+log grid with Richardson extrapolation and an analytic tail estimate); it
+integrates the frequency response, not a Gramian.  ``h2_norm``, the sweep and
+the quadrature share one deflation of A (``linalg.stable_unstable_split`` on
+the realization's cached complex Schur form), so a realization is factored
+once; the sweep and the quadrature then evaluate every frequency grid by
+vectorized back substitution (``linalg.triangular_response``), O(n^2 m) per
+frequency.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .errors import (
     KernelViolated,
     NotAEP,
     NotSynchronized,
-    UnstablePoles,
     WitnessInvalid,
 )
 from .graphcore import ZERO_EIG_TOL, Partition, is_almost_equitable, is_connected
@@ -47,7 +48,6 @@ from .linalg import (
     pinv,
     require_unobserved,
     solve_lyapunov_with_kernel,
-    stable_schur_part,
     stable_unstable_split,
     sym_eig,
     triangular_response,
@@ -89,13 +89,12 @@ def _zero_result(method: str) -> NormResult:
 def h2_norm(sys: StateSpace) -> NormResult:
     """H2 norm via the kernel-conditioned Lyapunov solve.
 
-    value^2 = tr(B^T X B).  Raises KernelConditionViolated when the output
-    observes a closed-right-half-plane mode (the norm is then infinite or
-    undefined).
+    value^2 = tr(B^T X B).  Raises UnstablePoles when the output observes a
+    closed-right-half-plane mode (the norm is then infinite or undefined).
     """
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return _zero_result(METHOD_LYAPUNOV)
-    x, h2sq = solve_lyapunov_with_kernel(sys.A, sys.B, sys.C)
+    x, h2sq = solve_lyapunov_with_kernel(sys)
     residual = np.abs(sys.A.T @ x + x @ sys.A + sys.C.T @ sys.C).max(initial=0.0)
     return NormResult(
         math.sqrt(max(h2sq, 0.0)),
@@ -110,14 +109,13 @@ def hinf_norm_sweep(sys: StateSpace) -> NormResult:
     Coarse log grid over [SWEEP_W_LO, SWEEP_W_HI], then a dense grid
     (SWEEP_PEAK_PPD points per decade) around each detected local peak, then
     bounded scalar minimization in log-frequency down to relative width
-    SWEEP_W_RTOL.  The response at s = 0 anchors the w -> 0 end.  A is factored
-    once (``stable_schur_part``, which also deflates the unobservable marginal
-    modes); each grid, the anchor and each Brent step is then one vectorized
-    ``triangular_response`` call, O(n^2 m) per frequency instead of a dense LU.
+    SWEEP_W_RTOL.  The response at s = 0 anchors the w -> 0 end.  The
+    unobservable marginal modes are deflated (``stable_unstable_split``); each
+    grid, the anchor and each Brent step is then one ``triangular_response`` call.
     """
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return _zero_result(METHOD_SWEEP)
-    t_s, b_s, c_s = stable_schur_part(sys)
+    t_s, b_s, c_s = stable_unstable_split(sys)
     if t_s.shape[0] == 0:
         return NormResult(0.0, METHOD_SWEEP, {"trivial": "transfer function is zero"})
 
@@ -185,29 +183,17 @@ def h2_norm_quadrature(sys: StateSpace) -> NormResult:
     """
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return _zero_result(METHOD_SWEEP)
-    # restrict to the stable invariant subspace (the marginal modes must be unobservable);
-    # deflating with ``stable_schur_part`` instead raised the noise of a zero error 4x
-    v_s, a_s, v_u = stable_unstable_split(sys.A)
-    require_unobserved(sys.C, v_u, UnstablePoles)
-    if v_s.shape[1] == 0:
+    t_s, b_s, c_s = stable_unstable_split(sys)
+    if t_s.shape[0] == 0:
         return NormResult(0.0, METHOD_SWEEP, {"trivial": "transfer function is zero"})
-    stable = sys
-    if v_u.shape[1]:
-        b_s = np.linalg.solve(np.hstack([v_s, v_u]), sys.B)[: v_s.shape[1]]
-        stable = StateSpace(a_s, b_s, sys.C @ v_s)
-    f0 = float(np.linalg.norm(stable.C @ np.linalg.solve(stable.A, stable.B), "fro") ** 2)
-    decades = math.log10(QUAD_W_HI) - math.log10(QUAD_W_LO)
-    n_pts = int(round(decades * QUAD_PPD)) + 1
-    ws = np.logspace(math.log10(QUAD_W_LO), math.log10(QUAD_W_HI), n_pts)
-    fs = np.linalg.norm(stable.response(1j * ws), "fro", axis=(1, 2)) ** 2
-
-    def integral(grid, values):
-        return float(np.trapezoid(np.concatenate([[f0], values]), np.concatenate([[0.0], grid])))
-
-    i_fine = integral(ws, fs)
-    i_coarse = integral(ws[::2], fs[::2])
+    t_lo, t_hi = math.log10(QUAD_W_LO), math.log10(QUAD_W_HI)
+    grid = np.concatenate([[0.0], np.logspace(t_lo, t_hi, round((t_hi - t_lo) * QUAD_PPD) + 1)])
+    fs = np.linalg.norm(triangular_response(t_s, b_s, c_s, 1j * grid), "fro", axis=(1, 2)) ** 2
+    coarse = np.r_[0, 1 : grid.size : 2]  # w = 0 and every other point of the log grid
+    i_fine = float(np.trapezoid(fs, grid))
+    i_coarse = float(np.trapezoid(fs[coarse], grid[coarse]))
     i_rich = i_fine + (i_fine - i_coarse) / 3.0
-    tail = float(np.linalg.norm(stable.C @ stable.B, "fro") ** 2) / QUAD_W_HI
+    tail = float(np.linalg.norm(c_s @ b_s, "fro") ** 2) / QUAD_W_HI
     h2sq = (i_rich + tail) / math.pi
     return NormResult(
         math.sqrt(max(h2sq, 0.0)),
@@ -312,9 +298,7 @@ def hinf_norm_dc(sys: StateSpace, x_witness) -> NormResult:
     kernel_residual = np.abs(c @ kernel_cols).max(initial=0.0)
     if kernel_residual > KERNEL_TOL * c_scale:
         raise KernelViolated(f"ker A not contained in ker C (residual {kernel_residual:.3e})")
-    positive_cols = u[:, w > STABILITY_MARGIN]
-    if positive_cols.shape[1] and np.abs(c @ positive_cols).max(initial=0.0) > KERNEL_TOL * c_scale:
-        raise UnstablePoles("observable positive eigenvalue of A")
+    require_unobserved(c, u[:, w > STABILITY_MARGIN])
     gain = c @ pinv(a) @ b
     value = float(np.linalg.svd(gain, compute_uv=False).max(initial=0.0))
     return NormResult(

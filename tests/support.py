@@ -2,9 +2,10 @@
 
 The oracles here deliberately avoid the production code paths they check:
 the Lyapunov oracle solves the linear system by Kronecker vectorization,
-the frequency-response oracle does one dense LU per frequency (the sweep
-uses one Schur form for all of them), and the equitability oracles test
-degree constancy cell by cell.
+the frequency-response oracle does one dense LU per frequency (the package
+uses one complex Schur form for all of them), the reference sweep deflates
+with two real Schur forms, and the equitability oracles test degree
+constancy cell by cell.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg as sla
 from scipy.optimize import minimize_scalar
 
 from netred.generators import (
@@ -20,7 +22,7 @@ from netred.generators import (
     random_symmetric_dynamics,
     single_integrator,
 )
-from netred.linalg import StateSpace, stable_unstable_split
+from netred.linalg import STABILITY_MARGIN, StateSpace
 from netred.norms import (
     SWEEP_COARSE_PPD,
     SWEEP_PEAK_PPD,
@@ -72,11 +74,22 @@ def dense_response(sys, s: complex) -> np.ndarray:
     return sys.C @ np.linalg.solve(shifted, sys.B.astype(complex))
 
 
+def real_schur_split(a) -> tuple:
+    """``(v_stable, a_stable, v_unstable)`` from two ordered real Schur forms, independent
+    of the package's one complex Schur form: orthonormal bases of the invariant subspaces
+    for the eigenvalues Re < -STABILITY_MARGIN and Re >= it, and the quasi-triangular
+    restriction a_stable of ``a`` to the first, a @ v_stable = v_stable @ a_stable."""
+    t_s, z_s, n_s = sla.schur(a, output="real", sort=lambda re, im: re < -STABILITY_MARGIN)
+    _, z_u, n_u = sla.schur(a, output="real", sort=lambda re, im: re >= -STABILITY_MARGIN)
+    assert n_s + n_u == a.shape[0], "an eigenvalue sits too close to the margin"
+    return z_s[:, :n_s], t_s[:n_s, :n_s], z_u[:, :n_u]
+
+
 def reference_hinf_sweep(sys) -> float:
     """The grids, peak choice and Brent refinement of ``norms.hinf_norm_sweep``, one
     frequency at a time: a dense LU per frequency on the realization restricted to
-    its stable invariant subspace by the real Schur split."""
-    v_s, a_s, v_u = stable_unstable_split(sys.A)
+    its stable invariant subspace by ``real_schur_split``."""
+    v_s, a_s, v_u = real_schur_split(sys.A)
     if v_s.shape[1] == 0:
         return 0.0
     b_s = np.linalg.solve(np.hstack([v_s, v_u]), sys.B)[: v_s.shape[1]]

@@ -369,6 +369,7 @@ class TestTolerances:
         assert an.lost_eigenvalues == pytest.approx([mu])
         with pytest.raises(NotHurwitz, match="lost eigenvalue"):
             h2_bound_aep(an)
+        assert an.refusal() == "NotHurwitz"
 
     def test_zero_eig_tol_marks_every_norm_field_disconnected(self):
         # lambda_2 of the unit 4-cycle is 2, below the override

@@ -132,6 +132,42 @@ class TestValidation:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"]["field"] == "edges[0].weight"
 
+    @pytest.mark.parametrize("weight", [1e7, 1e9, 1e12])
+    def test_large_edge_weights_pass_the_psd_test(self, tmp_path, weight):
+        # the eigenvalue noise of L grows with its entries; so does the PSD threshold
+        payload = {
+            "n_nodes": 3,
+            "edges": [[1, 2, weight], [1, 3, weight], [2, 3, weight]],
+            "leaders": [2],
+            "agent": {"A": [[-1, 0.2], [0.1, -2]], "B": [[1, 0], [0, 1]], "E": [[1], [0.5]]},
+            "partition": [[1], [2, 3]],
+        }
+        code, report = _run(tmp_path, payload)
+        assert code == 0
+        assert report["bounds"]["rel_h2_bound"] == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-12)
+
+    def test_ill_conditioned_agent_gives_finite_values(self, tmp_path):
+        # lam B spans 1e94 against A = -1; the oracle's DC solve used to meet a singular matrix
+        payload = generate_example("k3-aep")
+        payload["agent"] = {"A": [[-1.0]], "B": [[1e100]], "E": [[1.0]]}
+        for edge in payload["edges"]:
+            edge[2] = 1e-6
+        code, report = _run(tmp_path, payload, "--oracle-check")
+        assert code == 0
+        numbers = []
+
+        def collect(node):
+            if isinstance(node, dict):
+                node = list(node.values())
+            if isinstance(node, list):
+                for item in node:
+                    collect(item)
+            elif isinstance(node, float):
+                numbers.append(node)
+
+        collect([report["bounds"], report["oracle_checks"]])
+        assert numbers and all(math.isfinite(x) for x in numbers)
+
     def test_validators_name_field(self):
         payload = generate_example("k3-aep")
         payload["agent"]["B"] = [[1.0, 0.0]]
@@ -258,6 +294,21 @@ def _near_aep_triangle():
 
 
 class TestFileTolerances:
+    def test_loose_aep_with_unstable_lost_eigenvalue_is_refused(self, tmp_path, capsys):
+        # sigma(L) = {0, 3, 3.6} synchronizes, the lost eigenvalue 3.15 leaves A - lam B
+        # unstable: a named refusal, not a traceback
+        payload = {
+            "n_nodes": 3,
+            "edges": [[1, 2, 1.0], [1, 3, 1.3], [2, 3, 1.0]],
+            "leaders": [1],
+            "agent": {"A": [[-1, -3.15], [3.15, 0.01]], "B": [[0, -1], [1, 0]], "E": [[1], [0]]},
+            "partition": [[1], [2, 3]],
+            "options": {"tolerances": {"aep_rtol": 0.2}},
+        }
+        code, report = _run(tmp_path, payload)
+        assert code == 3 and report is None
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "NotHurwitz"
+
     def test_aep_rtol_decides_analysis_and_bounds_alike(self, tmp_path):
         code, report = _run(tmp_path, _near_aep_triangle())
         assert code == 0

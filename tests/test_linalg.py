@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
-from netred.errors import KernelConditionViolated, NotHurwitz, NotSymmetric, UnstablePoles
+from netred.errors import NotHurwitz, NotSymmetric, UnstablePoles
 from netred.generators import complete_graph, path_graph, single_integrator
 from netred.graphcore import Partition, laplacian_from_graph
 from netred.linalg import (
-    RESPONSE_STACK,
     SCHUR_CHUNK,
     StateSpace,
     is_hurwitz,
     pinv,
     solve_lyapunov,
     solve_lyapunov_with_kernel,
-    stable_schur_part,
     stable_unstable_split,
     sym_eig,
     triangular_response,
@@ -159,9 +157,15 @@ class TestStableUnstableSplit:
         a = np.block(
             [[random_hurwitz(rng, 3), rng.normal(size=(3, 2))], [np.zeros((2, 3)), np.eye(2)]]
         )
-        v_s, a_s, v_u = stable_unstable_split(a)
-        assert v_s.shape[1] == 3 and v_u.shape[1] == 2
-        assert np.abs(a @ v_s - v_s @ a_s).max() <= 1e-10
+        sys = StateSpace(A=a, B=rng.normal(size=(5, 2)), C=np.zeros((1, 5)))
+        t, z, n_u = sys.schur
+        t_s, b_s, c_s = stable_unstable_split(sys)
+        assert n_u == 2 and t_s.shape == (3, 3)
+        z_u, z_s = z[:, :n_u], z[:, n_u:]
+        assert np.abs(a @ z_u - z_u @ t[:n_u, :n_u]).max() <= 1e-10
+        assert np.abs(z_s.conj().T @ a - t_s @ z_s.conj().T).max() <= 1e-10
+        np.testing.assert_array_equal(b_s, z_s.conj().T @ sys.B)
+        assert c_s.shape == (1, 3)
 
 
 class TestSolveLyapunovWithKernel:
@@ -169,7 +173,7 @@ class TestSolveLyapunovWithKernel:
         a = np.diag([-1.0, 0.0])
         b = np.array([[1.0], [1.0]])
         c = np.array([[1.0, 0.0]])
-        x, h2sq = solve_lyapunov_with_kernel(a, b, c)
+        x, h2sq = solve_lyapunov_with_kernel(StateSpace(a, b, c))
         np.testing.assert_allclose(x, np.diag([0.5, 0.0]), atol=1e-12)
         assert abs(h2sq - 0.5) <= 1e-12
 
@@ -177,15 +181,15 @@ class TestSolveLyapunovWithKernel:
         a = np.diag([-1.0, 0.0])
         b = np.array([[1.0], [1.0]])
         c = np.array([[0.0, 1.0]])  # observes the zero mode
-        with pytest.raises(KernelConditionViolated):
-            solve_lyapunov_with_kernel(a, b, c)
+        with pytest.raises(UnstablePoles):
+            solve_lyapunov_with_kernel(StateSpace(a, b, c))
 
     def test_agrees_with_plain_solve_for_hurwitz(self):
         rng = np.random.default_rng(6)
         a = random_hurwitz(rng, 5)
         b = rng.normal(size=(5, 2))
         c = rng.normal(size=(3, 5))
-        x_kernel, h2sq = solve_lyapunov_with_kernel(a, b, c)
+        x_kernel, h2sq = solve_lyapunov_with_kernel(StateSpace(a, b, c))
         x_plain = solve_lyapunov(a, c.T @ c)
         assert np.abs(x_kernel - x_plain).max() <= 1e-9
         assert abs(h2sq - np.trace(b.T @ x_plain @ b)) <= 1e-9
@@ -193,7 +197,7 @@ class TestSolveLyapunovWithKernel:
     def test_psd_and_kernel_containment(self):
         # network-style marginal system: K2 single integrator, one leader
         lap = laplacian_from_graph(path_graph(2)).mat
-        x, h2sq = solve_lyapunov_with_kernel(-lap, np.array([[1.0], [0.0]]), lap)
+        x, h2sq = solve_lyapunov_with_kernel(StateSpace(-lap, np.array([[1.0], [0.0]]), lap))
         assert abs(h2sq - 0.5) <= 1e-12
         assert np.linalg.eigvalsh(x).min() >= -1e-12
         ones = np.ones(2) / np.sqrt(2)
@@ -209,23 +213,20 @@ class TestStateSpace:
 
     def test_response_scalar(self):
         sys = StateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]])
-        val = sys.response(1j * 1.0)
-        np.testing.assert_allclose(val, [[1.0 / (1j + 1.0)]])
+        val = triangular_response(*stable_unstable_split(sys), [1j * 1.0])
+        np.testing.assert_allclose(val, [[[1.0 / (1j + 1.0)]]])
 
     def test_response_stacked_matches_dense_oracle(self):
         rng = np.random.default_rng(12)
         a, b, c = random_hurwitz(rng, 6), rng.normal(size=(6, 2)), rng.normal(size=(3, 6))
         sys = StateSpace(A=a, B=b, C=c)
-        for count in (1, RESPONSE_STACK, RESPONSE_STACK + 5):
+        for count in (1, SCHUR_CHUNK, SCHUR_CHUNK + 5):
             s = 1j * np.logspace(-2, 2, count)
-            got = sys.response(s)
+            got = triangular_response(*stable_unstable_split(sys), s)
             assert got.shape == (count, 3, 2)
             for k in range(count):
                 want = dense_response(sys, s[k])
                 assert np.abs(got[k] - want).max() <= 1e-12 * np.abs(want).max()
-        grid = 1j * np.arange(1.0, 7.0).reshape(2, 3)
-        assert sys.response(grid).shape == (2, 3, 3, 2)
-        np.testing.assert_array_equal(sys.response(grid)[1, 2], sys.response(grid[1, 2]))
 
 
 def _error_system(lap, leaders, cells):
@@ -234,7 +235,7 @@ def _error_system(lap, leaders, cells):
 
 
 def _schur_matches_dense(sys, omegas):
-    got = triangular_response(*stable_schur_part(sys), 1j * omegas)
+    got = triangular_response(*stable_unstable_split(sys), 1j * omegas)
     assert got.shape == (len(omegas), sys.n_outputs, sys.n_inputs)
     for k, omega in enumerate(omegas):
         want = dense_response(sys, 1j * omega)
@@ -264,7 +265,7 @@ class TestSchurResponse:
         path5 = _error_system(path_graph(5), (0,), PATH5_CELLS)
         k3 = _error_system(complete_graph(3), (0, 1), ((0,), (1, 2)))
         for sys in (path5, k3):
-            t, b, c = stable_schur_part(sys)
+            t, b, c = stable_unstable_split(sys)
             assert t.shape[0] < sys.n_states
             assert np.abs(np.tril(t, -1)).max(initial=0.0) == 0.0
             _schur_matches_dense(sys, self.OMEGAS)
@@ -279,4 +280,4 @@ class TestSchurResponse:
     def test_observable_marginal_mode_raises(self):
         sys = StateSpace(A=np.diag([-1.0, 0.0]), B=np.ones((2, 1)), C=[[0.0, 1.0]])
         with pytest.raises(UnstablePoles):
-            stable_schur_part(sys)
+            stable_unstable_split(sys)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from netred.errors import (
-    KernelConditionViolated,
     KernelViolated,
     NotAEP,
     NotSynchronized,
@@ -78,7 +78,7 @@ class TestH2Norm:
 
     def test_kernel_violation_raises(self):
         sys = StateSpace(A=np.diag([-1.0, 0.0]), B=np.ones((2, 1)), C=[[0.0, 1.0]])
-        with pytest.raises(KernelConditionViolated):
+        with pytest.raises(UnstablePoles):
             h2_norm(sys)
 
     def test_no_inputs_gives_zero(self):
@@ -223,6 +223,29 @@ class TestHinfDc:
         sys = StateSpace(A=np.diag([0.0, -1.0]), B=np.eye(2), C=np.eye(2))
         with pytest.raises(KernelViolated):
             hinf_norm_dc(sys, np.diag([0.0, -1.0]))
+
+    def test_observable_positive_eigenvalue_raises(self):
+        sys = StateSpace(A=np.diag([1.0, -1.0]), B=np.eye(2), C=np.eye(2))
+        with pytest.raises(UnstablePoles, match="closed-right-half-plane"):
+            hinf_norm_dc(sys, np.diag([1.0, -1.0]))
+
+
+class TestOneFactorization:
+    def test_three_norm_routes_factor_a_realization_once(self, monkeypatch):
+        calls = []
+
+        def counting_schur(*args, **kwargs):
+            calls.append(args)
+            return schur(*args, **kwargs)
+
+        schur = scipy.linalg.schur
+        monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+        rng = np.random.default_rng(8)
+        ns, pi = random_aep_instance(rng, dynamics=make_dynamics(rng, "dissipative", n=2))
+        err = assemble_error_system(ns, pi)
+        values = [route(err).value for route in (h2_norm, hinf_norm_sweep, h2_norm_quadrature)]
+        assert len(calls) == 1
+        assert abs(values[0] - values[2]) <= 1e-2 * values[2]
 
 
 class TestNormProperties:
