@@ -257,6 +257,17 @@ class Analysis:
         ``synchronized`` tests, the lost spectrum drifts under a loose aep_rtol."""
         return hurwitz_over(self.ns.dyn, self.lost_eigenvalues, self.tol.zero_eig_tol)
 
+    @cached_property
+    def triangle_systems(self) -> tuple:
+        """The outer terms of the triangle route (see :func:`triangle_bound_general`),
+        kept so that its H2 and H-infinity passes share their Schur forms."""
+        ns, rg = self.ns, self.reduced
+        d_l = ns.laplacian.mat - self.surrogate.ns.laplacian.mat
+        return (
+            StateSpace(-ns.laplacian.mat, ns.m_matrix, d_l),
+            StateSpace(-rg.laplacian_hat, rg.m_hat, d_l @ self.pi.char_matrix),
+        )
+
     def _extremes(self, upper, lower=None) -> tuple:
         """(max of ``upper`` over the lost spectrum, min of ``lower`` over the nonzero one)."""
         s_max = max((upper(lam) for lam in self.lost_eigenvalues), default=0.0)
@@ -362,10 +373,8 @@ def triangle_bound_general(an: Analysis, norm: str):
     if norm not in ("h2", "hinf"):
         raise ValueError(f"norm must be 'h2' or 'hinf', got {norm!r}")
     an.require("the triangle route", "single_integrator", "connected")
-    ns, rg, surrogate = an.ns, an.reduced, an.surrogate
-    d_l = ns.laplacian.mat - surrogate.ns.laplacian.mat
-    term1_sys = StateSpace(-ns.laplacian.mat, ns.m_matrix, d_l)
-    term3_sys = StateSpace(-rg.laplacian_hat, rg.m_hat, d_l @ an.pi.char_matrix)
+    surrogate = an.surrogate
+    term1_sys, term3_sys = an.triangle_systems
     if norm == "h2":
         term1 = 2.0 * h2_norm(term1_sys).value
         term2 = h2_bound_aep(surrogate)[0]
