@@ -373,15 +373,14 @@ def triangle_bound_general(an: Analysis, norm: str):
     if norm not in ("h2", "hinf"):
         raise ValueError(f"norm must be 'h2' or 'hinf', got {norm!r}")
     an.require("the triangle route", "single_integrator", "connected")
-    surrogate = an.surrogate
     term1_sys, term3_sys = an.triangle_systems
     if norm == "h2":
         term1 = 2.0 * h2_norm(term1_sys).value
-        term2 = h2_bound_aep(surrogate)[0]
+        term2 = h2_bound_aep(an.surrogate)[0]
         term3 = h2_norm(term3_sys).value
     else:
         term1 = 2.0 * hinf_norm_sweep(term1_sys).value
-        term2 = hinf_error_single_integrator(surrogate)
+        term2 = hinf_error_single_integrator(an.surrogate)
         term3 = hinf_norm_sweep(term3_sys).value
     return term1 + term2 + term3, (term1, term2, term3)
 

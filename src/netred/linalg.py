@@ -18,7 +18,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import lapack
 
 from .errors import NotHurwitz, NotSymmetric, UnstablePoles
 
@@ -207,7 +206,7 @@ def solve_lyapunov_with_kernel(sys: StateSpace):
     t_s, _, c_s = stable_unstable_split(sys)
     if t_s.shape[0] == 0:
         return np.zeros((sys.n_states, sys.n_states)), 0.0
-    x_s, scale, info = lapack.ztrsyl(t_s, t_s, -(c_s.conj().T @ c_s), trana="C")
+    x_s, scale, info = sla.lapack.ztrsyl(t_s, t_s, -(c_s.conj().T @ c_s), trana="C")
     if info:
         raise np.linalg.LinAlgError(f"triangular Lyapunov solve failed (ztrsyl info={info})")
     _, z, n_u = sys.schur
