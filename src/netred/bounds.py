@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     Disconnected,
+    IllConditioned,
     NotAEP,
     NotHurwitz,
     NotSingleIntegrator,
@@ -47,7 +48,7 @@ from .netsys import (
     assemble_full,
     hurwitz_over,
     is_synchronized,
-    reduced_laplacian_spectrum,
+    network_realization,
 )
 from .norms import (
     METHOD_LYAPUNOV,
@@ -220,7 +221,7 @@ class Analysis:
 
     @cached_property
     def reduced_eigenvalues(self) -> np.ndarray:
-        return reduced_laplacian_spectrum(self.ns.laplacian, self.pi)
+        return self.reduced.spectral.eigenvalues
 
     @cached_property
     def lost_eigenvalues(self) -> np.ndarray:
@@ -249,7 +250,7 @@ class Analysis:
 
     @cached_property
     def error_system(self) -> StateSpace:
-        return assemble_error_system(self.ns, self.pi)
+        return assemble_error_system(self.ns, self.pi, self.reduced)
 
     @cached_property
     def lost_hurwitz(self) -> bool:
@@ -260,12 +261,25 @@ class Analysis:
     @cached_property
     def triangle_systems(self) -> tuple:
         """The outer terms of the triangle route (see :func:`triangle_bound_general`),
-        kept so that its H2 and H-infinity passes share their Schur forms."""
-        ns, rg = self.ns, self.reduced
+        kept so that its H2 and H-infinity passes share their Schur forms.  Term 3 is
+        (-L_hat, M_hat, dL P) in the symmetrized coordinates (P^T P)^{1/2} x, which
+        keep its transfer function: (-l_bar, (P^T P)^{1/2} M_hat, dL P (P^T P)^{-1/2})."""
+        ns, rg, dyn = self.ns, self.reduced, self.ns.dyn
+        eig, eig_bar = ns.laplacian.spectral, rg.spectral
         d_l = ns.laplacian.mat - self.surrogate.ns.laplacian.mat
+        root = np.sqrt(self.pi.sizes)
         return (
-            StateSpace(-ns.laplacian.mat, ns.m_matrix, d_l),
-            StateSpace(-rg.laplacian_hat, rg.m_hat, d_l @ self.pi.char_matrix),
+            network_realization(
+                dyn, ns.laplacian.mat, eig.eigenvalues, eig.eigenvectors, ns.m_matrix, d_l
+            ),
+            network_realization(
+                dyn,
+                rg.laplacian_bar,
+                eig_bar.eigenvalues,
+                eig_bar.eigenvectors,
+                root[:, None] * rg.m_hat,
+                (d_l @ self.pi.char_matrix) / root[None, :],
+            ),
         )
 
     def _extremes(self, upper, lower=None) -> tuple:
@@ -423,18 +437,35 @@ def full_report(an: Analysis, norms=("h2", "hinf")) -> BoundReport:
             report.unavailable[name] = REFUSALS[need][0].__name__
     admitted = {name for name, need in needs.items() if need is None}
 
-    if "abs_h2_bound" in admitted:
-        report.s_max_h2, report.s_min_h2 = an.h2_constants
-        report.abs_h2_bound, report.rel_h2_bound = h2_bound_aep(an)
-    if "triangle_h2_bound" in admitted:
-        report.triangle_h2_bound, report.triangle_h2_terms = triangle_bound_general(an, "h2")
-    if "full_h2_norm" in admitted:
-        report.full_h2_norm = h2_norm(an.full_system)
-    if "true_h2_error" in admitted:
+    def fill(names: tuple, compute) -> None:
+        """Set the report attributes ``names`` to the values ``compute()`` returns.  When
+        it raises, the report fields among ``names`` record why: IllConditioned for a
+        numerical kernel that failed on the data (any LinAlgError), NotSynchronized for
+        an output that observes an unstable mode (only an error system's reduced part,
+        under a non-AEP partition, can have one)."""
         try:
-            report.true_h2_error = h2_norm(an.error_system)
+            values = compute()
+        except np.linalg.LinAlgError:
+            kind = IllConditioned.__name__
         except UnstablePoles:
-            report.unavailable["true_h2_error"] = "NotSynchronized"
+            kind = NotSynchronized.__name__
+        else:
+            for name, value in zip(names, values):
+                setattr(report, name, value)
+            return
+        report.unavailable.update((name, kind) for name in names if name in PRECONDITIONS)
+
+    if "abs_h2_bound" in admitted:
+        fill(
+            ("s_max_h2", "s_min_h2", "abs_h2_bound", "rel_h2_bound"),
+            lambda: (*an.h2_constants, *h2_bound_aep(an)),
+        )
+    if "triangle_h2_bound" in admitted:
+        fill(("triangle_h2_bound", "triangle_h2_terms"), lambda: triangle_bound_general(an, "h2"))
+    if "full_h2_norm" in admitted:
+        fill(("full_h2_norm",), lambda: (h2_norm(an.full_system),))
+    if "true_h2_error" in admitted:
+        fill(("true_h2_error",), lambda: (h2_norm(an.error_system),))
 
     if "abs_hinf_bound" in admitted and an.single_integrator:
         exact = hinf_error_single_integrator(an)
@@ -443,21 +474,25 @@ def full_report(an: Analysis, norms=("h2", "hinf")) -> BoundReport:
         spread = leader_spread(ns.n_leaders, ns.n_agents)
         report.rel_hinf_bound = exact / math.sqrt(spread) if exact > 0.0 else 0.0
     elif "abs_hinf_bound" in admitted:
-        report.s_max_hinf, report.s_min_hinf = an.hinf_constants
-        report.abs_hinf_bound, rel = hinf_bound_symmetric(an)
-        if math.isfinite(rel):
-            report.rel_hinf_bound = rel
-        else:
+        fill(
+            ("s_max_hinf", "s_min_hinf", "abs_hinf_bound", "rel_hinf_bound"),
+            lambda: (*an.hinf_constants, *hinf_bound_symmetric(an)),
+        )
+        if report.rel_hinf_bound is not None and not math.isfinite(report.rel_hinf_bound):
+            report.rel_hinf_bound = None
             report.unavailable["rel_hinf_bound"] = "RankDeficientInput"
     if "triangle_hinf_bound" in admitted:
-        report.triangle_hinf_bound, report.triangle_hinf_terms = triangle_bound_general(an, "hinf")
+        fill(
+            ("triangle_hinf_bound", "triangle_hinf_terms"),
+            lambda: triangle_bound_general(an, "hinf"),
+        )
     if "full_hinf_norm" in admitted:
         # symmetric agents (single integrators included) peak at DC, with witness A
         sys = an.full_system
-        report.full_hinf_norm = hinf_norm_dc(sys, sys.A) if an.symmetric else hinf_norm_sweep(sys)
+        fill(
+            ("full_hinf_norm",),
+            lambda: (hinf_norm_dc(sys, sys.A) if an.symmetric else hinf_norm_sweep(sys),),
+        )
     if "true_hinf_error" in admitted:
-        try:
-            report.true_hinf_error = hinf_norm_sweep(an.error_system)
-        except UnstablePoles:
-            report.unavailable["true_hinf_error"] = "NotSynchronized"
+        fill(("true_hinf_error",), lambda: (hinf_norm_sweep(an.error_system),))
     return report

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all modules."""
 
+import numpy as np
+
 
 class NetredError(Exception):
     """Base class for every error raised by this package."""
@@ -17,6 +19,11 @@ class UnstablePoles(NetredError):
     """The output matrix observes a mode in the closed right half plane, so the
     transfer function has poles there and its H2 and H-infinity norms are
     infinite or undefined."""
+
+
+class IllConditioned(NetredError, np.linalg.LinAlgError):
+    """A numerical kernel failed on ill-conditioned data, so the quantity it computes
+    is not reported.  Any ``LinAlgError`` in a norm route counts as one."""
 
 
 class WitnessInvalid(NetredError):

@@ -170,11 +170,20 @@ class ReducedGraph:
     ``laplacian_hat`` is the (generally nonsymmetric) quotient Laplacian
     (P^T P)^{-1} P^T L P, ``adjacency_hat`` holds the directed quotient
     weights, and ``m_hat`` is the compressed leader selector.
+    ``laplacian_bar`` is the size-symmetrized quotient
+    (P^T P)^{-1/2} P^T L P (P^T P)^{-1/2}: similar to ``laplacian_hat``, hence
+    with the same (real) spectrum, but symmetric PSD; ``spectral`` caches its
+    eigendecomposition.
     """
 
     laplacian_hat: np.ndarray
     adjacency_hat: np.ndarray
     m_hat: np.ndarray
+    laplacian_bar: np.ndarray
+
+    @cached_property
+    def spectral(self) -> SymmetricEig:
+        return sym_eig(self.laplacian_bar)
 
 
 def leader_selector(n_nodes: int, leaders) -> np.ndarray:
@@ -219,16 +228,23 @@ def reduce_graph(lap: Laplacian, pi: Partition, leaders) -> ReducedGraph:
 
     L_hat = (P^T P)^{-1} P^T L P and M_hat = (P^T P)^{-1} P^T M.  The
     quotient adjacency a_hat[p, q] = -L_hat[p, q] (p != q) describes a
-    weighted directed graph; row sums of L_hat are always zero.
+    weighted directed graph; row sums of L_hat are always zero.  P^T P is
+    diagonal, so the square roots of the symmetrized quotient are exact.
     """
     p = pi.char_matrix
-    sizes = pi.sizes
-    l_hat = (p.T @ lap.mat @ p) / sizes[:, None]
+    sizes, root = pi.sizes, np.sqrt(pi.sizes)
+    compressed = p.T @ lap.mat @ p
+    l_hat = compressed / sizes[:, None]
     m = leader_selector(lap.n_nodes, leaders)
     m_hat = (p.T @ m) / sizes[:, None]
     a_hat = -l_hat.copy()
     np.fill_diagonal(a_hat, 0.0)
-    return ReducedGraph(laplacian_hat=l_hat, adjacency_hat=a_hat, m_hat=m_hat)
+    return ReducedGraph(
+        laplacian_hat=l_hat,
+        adjacency_hat=a_hat,
+        m_hat=m_hat,
+        laplacian_bar=compressed / root[:, None] / root[None, :],
+    )
 
 
 def project_to_aep_laplacian(lap: Laplacian, pi: Partition):

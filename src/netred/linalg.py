@@ -1,25 +1,30 @@
-"""Dense linear-algebra kernels used throughout the package.
+"""Linear-algebra kernels used throughout the package.
 
 Symmetric eigendecompositions, an eigenvalue-based pseudoinverse, Hurwitz
 tests and Lyapunov solvers.  A realization is factored once: its sorted
-complex Schur form (``StateSpace.schur``) feeds the one stable/unstable
-deflation (``stable_unstable_split``), which both the kernel-conditioned
-Lyapunov solve and the one frequency-response primitive
-(``triangular_response``) use, so modes in the closed right half plane are
-tolerated as long as the output matrix does not observe them.  Everything
-operates on small dense matrices (state dimension up to a couple of
-hundred) and is pure: no function mutates its arguments.
+Schur form (``StateSpace.schur``) feeds the one stable/unstable deflation
+(``stable_unstable_split``), which both the kernel-conditioned Lyapunov
+solve and the one frequency-response primitive (``triangular_response``)
+use, so modes in the closed right half plane are tolerated as long as the
+output matrix does not observe them.  A network realization brings its form
+with it, built from the Laplacian eigenbasis and one n x n factorization
+per eigenvalue (``netsys.kron_schur``); a bare ``StateSpace`` falls back to
+one dense complex Schur form.  When the form's T is exactly diagonal
+(symmetric agents, single integrators included) the Lyapunov solve and the
+response are closed forms; otherwise they are a triangular Sylvester solve
+and a back substitution.  Every function is pure: none mutates its
+arguments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import NotHurwitz, NotSymmetric, UnstablePoles
+from .errors import IllConditioned, NotHurwitz, NotSymmetric, UnstablePoles
 
 # Eigenvalues with real part >= -STABILITY_MARGIN count as closed right half
 # plane; Laplacian zero modes arrive with O(1e-14) numerical noise.
@@ -49,13 +54,23 @@ class SymmetricEig:
     eigenvectors: np.ndarray
 
 
+def sorted_schur(a) -> tuple:
+    """``(T, Z, n_u)``: the complex Schur form a = Z T Z^H with the n_u eigenvalues
+    Re >= -STABILITY_MARGIN first on the diagonal of T."""
+    return sla.schur(a, output="complex", sort=lambda ev: ev.real >= -STABILITY_MARGIN)
+
+
 @dataclass(frozen=True)
 class StateSpace:
-    """A strictly proper LTI realization (A, B, C) with y = C x, dx/dt = A x + B u."""
+    """A strictly proper LTI realization (A, B, C) with y = C x, dx/dt = A x + B u.
+
+    ``form``, when given, is the realization's sorted Schur form ``(T, Z, n_u)``
+    (see ``schur``), built by its assembler from the structure of A."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
+    form: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         a = _square(self.A, "A")
@@ -83,9 +98,10 @@ class StateSpace:
 
     @cached_property
     def schur(self) -> tuple:
-        """``(T, Z, n_u)``: the complex Schur form A = Z T Z^H, computed on first use, with
-        the n_u eigenvalues Re >= -STABILITY_MARGIN first on the diagonal of T."""
-        return sla.schur(self.A, output="complex", sort=lambda ev: ev.real >= -STABILITY_MARGIN)
+        """``(T, Z, n_u)``: A = Z T Z^H with Z unitary, T upper triangular and the n_u
+        eigenvalues Re >= -STABILITY_MARGIN first on the diagonal of T.  The ``form``
+        given at construction, else one dense ``sorted_schur`` of A on first use."""
+        return self.form if self.form is not None else sorted_schur(self.A)
 
 
 def sym_eig(mat) -> SymmetricEig:
@@ -178,16 +194,33 @@ def stable_unstable_split(sys: StateSpace) -> tuple:
     return t[n_u:, n_u:], z[:, n_u:].conj().T @ sys.B, sys.C @ z[:, n_u:]
 
 
+def diagonal_poles(t) -> np.ndarray | None:
+    """The diagonal of an upper triangular T when every entry off it is exactly zero,
+    else None."""
+    poles = np.diagonal(t)
+    return poles if np.count_nonzero(t) == np.count_nonzero(poles) else None
+
+
 def triangular_response(t, b, c, s) -> np.ndarray:
-    """C (sI - T)^{-1} B, shape (len(s), p, m), for upper triangular T and a 1-D array s:
-    back substitution over the rows of T, vectorized across SCHUR_CHUNK frequencies at a
-    time, O(n^2 m) per frequency."""
+    """C (sI - T)^{-1} B, shape (len(s), p, m), for upper triangular T and a 1-D array s,
+    vectorized across SCHUR_CHUNK frequencies at a time.  A diagonal T (poles p) takes
+    the closed form C (B / (s - p)), O(n m p) per frequency and one matrix product per
+    chunk; otherwise back substitution over the rows of T, O(n^2 m)."""
     s = np.asarray(s, dtype=complex)
-    out = np.empty((s.size, c.shape[0], b.shape[1]), dtype=complex)
+    (n, m), p = b.shape, c.shape[0]
+    poles = diagonal_poles(t)
+    out = np.empty((s.size, p, m), dtype=complex)
     for k in range(0, s.size, SCHUR_CHUNK):
         shift = s[k : k + SCHUR_CHUNK, None]
-        x = np.empty((shift.shape[0],) + b.shape, dtype=complex)
-        for i in range(t.shape[0] - 1, -1, -1):
+        if poles is not None:
+            # (n, chunk, m): one column block per frequency, so C multiplies all at once;
+            # a real C acts alike on the interleaved real and imaginary parts
+            x = (b[:, None, :] / (shift.T - poles[:, None])[:, :, None]).reshape(n, -1)
+            y = (c @ x.view(float)).view(complex) if np.isrealobj(c) else c @ x
+            out[k : k + SCHUR_CHUNK] = y.reshape(p, -1, m).transpose(1, 0, 2)
+            continue
+        x = np.empty((shift.shape[0], n, m), dtype=complex)
+        for i in range(n - 1, -1, -1):
             x[:, i] = (b[i] + t[i, i + 1 :] @ x[:, i + 1 :]) / (shift - t[i, i])
         out[k : k + SCHUR_CHUNK] = c @ x
     return out
@@ -199,17 +232,25 @@ def solve_lyapunov_with_kernel(sys: StateSpace):
     Returns ``(X, h2sq)``: X is the PSD solution of A^T X + X A + C^T C = 0 that
     vanishes on the closed-right-half-plane invariant subspace, and
     ``h2sq = tr(B^T X B)`` the squared H2 norm.  On the deflated triple
-    (``stable_unstable_split``) one triangular Sylvester solve (``ztrsyl``) gives
-    T_s^H X_s + X_s T_s + C_s^H C_s = 0, and X = Z_s X_s Z_s^H.  Raises UnstablePoles
-    when C observes a marginal mode, LinAlgError when the solve reports a problem.
+    (``stable_unstable_split``) it solves T_s^H X_s + X_s T_s + C_s^H C_s = 0, and
+    X = Z_s X_s Z_s^H.  A diagonal T_s (poles p) gives
+    X_s = -C_s^H C_s / (conj(p_k) + p_l) entrywise; otherwise one triangular Sylvester
+    solve (``ztrsyl``).  Raises UnstablePoles when C observes a marginal mode,
+    IllConditioned when the Sylvester solve reports a problem.
     """
     t_s, _, c_s = stable_unstable_split(sys)
     if t_s.shape[0] == 0:
         return np.zeros((sys.n_states, sys.n_states)), 0.0
-    x_s, scale, info = sla.lapack.ztrsyl(t_s, t_s, -(c_s.conj().T @ c_s), trana="C")
-    if info:
-        raise np.linalg.LinAlgError(f"triangular Lyapunov solve failed (ztrsyl info={info})")
+    gram = c_s.conj().T @ c_s
+    poles = diagonal_poles(t_s)
+    if poles is not None:
+        x_s = -gram / (poles.conj()[:, None] + poles)
+    else:
+        x_s, scale, info = sla.lapack.ztrsyl(t_s, t_s, -gram, trana="C")
+        if info:
+            raise IllConditioned(f"triangular Lyapunov solve failed (ztrsyl info={info})")
+        x_s = x_s / scale
     _, z, n_u = sys.schur
-    x = (z[:, n_u:] @ (x_s / scale) @ z[:, n_u:].conj().T).real
+    x = (z[:, n_u:] @ x_s @ z[:, n_u:].conj().T).real
     x = 0.5 * (x + x.T)
     return x, _psd_quadratic_trace(x, sys.B)

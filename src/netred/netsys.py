@@ -10,6 +10,10 @@ with V = P (x) I and W = P (P^T P)^{-1} (x) I for a partition's
 characteristic matrix P.  The error realization stacks the full system with
 a symmetrized similarity transform of the reduced one, so its transfer
 function equals the difference of theirs for any partition.
+
+The full and error realizations carry their Schur forms, built from the
+eigenbasis of the symmetric coupling (``kron_schur``): N factorizations of
+size n x n in place of one of size N n.
 """
 
 from __future__ import annotations
@@ -25,11 +29,12 @@ from .graphcore import (
     ZERO_EIG_TOL,
     Laplacian,
     Partition,
+    ReducedGraph,
     is_connected,
     leader_selector,
     reduce_graph,
 )
-from .linalg import SYMMETRY_RTOL, StateSpace, is_hurwitz
+from .linalg import STABILITY_MARGIN, SYMMETRY_RTOL, StateSpace, is_hurwitz, sorted_schur
 
 
 @dataclass(frozen=True)
@@ -119,11 +124,49 @@ def _drift(dyn: AgentDynamics, coupling: np.ndarray) -> np.ndarray:
     return np.kron(np.eye(coupling.shape[0]), dyn.A) - np.kron(coupling, dyn.B)
 
 
+def kron_schur(dyn: AgentDynamics, lams: np.ndarray, u: np.ndarray) -> tuple:
+    """``(T, Z, n_u)`` (see ``StateSpace.schur``) of the drift I (x) A - Lc (x) B for a
+    symmetric coupling Lc = U diag(lams) U^T with U orthogonal.
+
+    (U (x) I)^T (I (x) A - Lc (x) B) (U (x) I) is block diagonal with blocks
+    A - lam_i B = Z_i T_i Z_i^H, so Z = (U (x) I) blockdiag(Z_i) and T = blockdiag(T_i).
+    Each block holds its closed-right-half-plane part first, and the columns are then
+    reordered so that every block's such part precedes every stable part: T stays upper
+    triangular.  When A and B are exactly symmetric every block is one real ``eigh``
+    and T is real diagonal; otherwise every block is an n x n ``sorted_schur``.
+    """
+    n, size = dyn.n, lams.size * dyn.n
+    blocks = dyn.A - lams[:, None, None] * dyn.B
+    if np.array_equal(dyn.A, dyn.A.T) and np.array_equal(dyn.B, dyn.B.T):
+        w, v = np.linalg.eigh(blocks)
+        t_blocks, z_blocks = w[:, ::-1], v[:, :, ::-1]  # descending: the unstable part first
+        unstable = t_blocks >= -STABILITY_MARGIN
+    else:
+        forms = [sorted_schur(block) for block in blocks]
+        t_blocks = np.array([t for t, _, _ in forms])
+        z_blocks = np.array([z for _, z, _ in forms])
+        unstable = np.arange(n) < np.array([n_u for _, _, n_u in forms])[:, None]
+    order = np.argsort(~unstable.ravel(), kind="stable")
+    z = (u[:, :, None, None] * z_blocks[None]).transpose(0, 2, 1, 3).reshape(size, size)
+    if t_blocks.ndim == 2:
+        t = np.diag(t_blocks.ravel()[order])
+    else:
+        t = sla.block_diag(*t_blocks)[np.ix_(order, order)]
+    return t, z[:, order], int(unstable.sum())
+
+
+def network_realization(dyn, coupling, lams, u, b, c) -> StateSpace:
+    """(I (x) A - coupling (x) B, b, c) with the Schur form ``kron_schur(dyn, lams, u)``,
+    where coupling = U diag(lams) U^T."""
+    return StateSpace(_drift(dyn, coupling), b, c, form=kron_schur(dyn, lams, u))
+
+
 def assemble_full(ns: NetworkSystem) -> StateSpace:
     """Full network realization (I (x) A - L (x) B, M (x) E, L (x) I)."""
+    eig = ns.laplacian.spectral
     b = np.kron(ns.m_matrix, ns.dyn.E)
     c = np.kron(ns.laplacian.mat, np.eye(ns.dyn.n))
-    return StateSpace(_drift(ns.dyn, ns.laplacian.mat), b, c)
+    return network_realization(ns.dyn, ns.laplacian.mat, eig.eigenvalues, eig.eigenvectors, b, c)
 
 
 def assemble_reduced(ns: NetworkSystem, pi: Partition) -> StateSpace:
@@ -139,32 +182,37 @@ def assemble_reduced(ns: NetworkSystem, pi: Partition) -> StateSpace:
 
 
 def symmetrized_reduced_coupling(lap: Laplacian, pi: Partition) -> np.ndarray:
-    """Size-symmetrized quotient coupling (P^T P)^{-1/2} P^T L P (P^T P)^{-1/2}.
-
-    Similar to the quotient Laplacian, hence shares its (real) spectrum,
-    but symmetric PSD.  P^T P is diagonal, so the square roots are exact.
-    """
-    p = pi.char_matrix
-    root = np.sqrt(pi.sizes)
-    return (p.T @ lap.mat @ p) / root[:, None] / root[None, :]
+    """Size-symmetrized quotient coupling (P^T P)^{-1/2} P^T L P (P^T P)^{-1/2}
+    (``ReducedGraph.laplacian_bar``)."""
+    return reduce_graph(lap, pi, ()).laplacian_bar
 
 
-def assemble_error_system(ns: NetworkSystem, pi: Partition) -> StateSpace:
+def assemble_error_system(
+    ns: NetworkSystem, pi: Partition, rg: ReducedGraph | None = None
+) -> StateSpace:
     """Joint realization whose transfer function is S - S_hat for any partition.
 
     Block-diagonal drift over the full states and the symmetrized reduced
     states; the output subtracts the (similarity-transformed) reduced output
-    from the full one.
+    from the full one.  ``rg`` is the partition's reduction, computed here when
+    not given.  The Schur form is the direct sum of the full system's, from the
+    eigenbasis of L, and the reduced part's, from that of ``rg.laplacian_bar``.
     """
-    rg = reduce_graph(ns.laplacian, pi, ns.leaders)
-    l_bar = symmetrized_reduced_coupling(ns.laplacian, pi)
+    rg = reduce_graph(ns.laplacian, pi, ns.leaders) if rg is None else rg
+    eig, eig_bar = ns.laplacian.spectral, rg.spectral
     eye = np.eye(ns.dyn.n)
     root = np.sqrt(pi.sizes)
-    a = sla.block_diag(_drift(ns.dyn, ns.laplacian.mat), _drift(ns.dyn, l_bar))
     b = np.vstack([np.kron(ns.m_matrix, ns.dyn.E), np.kron(root[:, None] * rg.m_hat, ns.dyn.E)])
     lp_scaled = (ns.laplacian.mat @ pi.char_matrix) / root[None, :]
     c = np.hstack([np.kron(ns.laplacian.mat, eye), -np.kron(lp_scaled, eye)])
-    return StateSpace(a, b, c)
+    return network_realization(
+        ns.dyn,
+        sla.block_diag(ns.laplacian.mat, rg.laplacian_bar),
+        np.concatenate([eig.eigenvalues, eig_bar.eigenvalues]),
+        sla.block_diag(eig.eigenvectors, eig_bar.eigenvectors),
+        b,
+        c,
+    )
 
 
 def aux_systems(ns: NetworkSystem) -> list:

@@ -16,10 +16,12 @@ test suite:
 log grid with Richardson extrapolation and an analytic tail estimate); it
 integrates the frequency response, not a Gramian.  ``h2_norm``, the sweep and
 the quadrature share one deflation of A (``linalg.stable_unstable_split`` on
-the realization's cached complex Schur form), so a realization is factored
-once; the sweep and the quadrature then evaluate every frequency grid by
-vectorized back substitution (``linalg.triangular_response``), O(n^2 m) per
-frequency.
+the realization's Schur form), so a realization is factored once; a network
+realization's form is assembled from the Laplacian eigenbasis
+(``netsys.kron_schur``).  The sweep and the quadrature then evaluate every
+frequency grid with ``linalg.triangular_response``: one matrix product per
+grid when the form is diagonal (symmetric agents), otherwise vectorized back
+substitution, O(n^2 m) per frequency.
 """
 
 from __future__ import annotations
@@ -69,6 +71,8 @@ METHOD_SWEEP = "frequency_sweep"
 # the H2 quadrature oracle.  Their certificates echo them.
 SWEEP_W_LO, SWEEP_W_HI, SWEEP_W_RTOL = 1e-6, 1e6, 1e-6
 SWEEP_COARSE_PPD, SWEEP_PEAK_PPD = 30, 400
+# Coarse-grid neighbours closer than this many ulps of the coarse maximum are level.
+SWEEP_LEVEL_ULPS = 8
 QUAD_W_LO, QUAD_W_HI, QUAD_PPD = 1e-4, 1e4, 60
 WITNESS_RTOL = 1e-9
 
@@ -107,7 +111,8 @@ def hinf_norm_sweep(sys: StateSpace) -> NormResult:
     """H-infinity norm by adaptive frequency sweep.
 
     Coarse log grid over [SWEEP_W_LO, SWEEP_W_HI], then a dense grid
-    (SWEEP_PEAK_PPD points per decade) around each detected local peak, then
+    (SWEEP_PEAK_PPD points per decade) around each interior peak of the coarse
+    grid that rises and falls by more than SWEEP_LEVEL_ULPS ulps, then
     bounded scalar minimization in log-frequency down to relative width
     SWEEP_W_RTOL.  The response at s = 0 anchors the w -> 0 end.  The
     unobservable marginal modes are deflated (``stable_unstable_split``); each
@@ -130,9 +135,16 @@ def hinf_norm_sweep(sys: StateSpace) -> NormResult:
     vals = gains(10.0**ts)
     evals = n_coarse
 
-    # interior local maxima of the coarse sweep, best first, at most three
+    # interior peaks of the coarse sweep, best first, at most three: a rise beyond
+    # rounding, then points level to rounding (possibly none), then a fall beyond it.
+    # Rounding noise on a flat stretch makes no peak.
+    steps = np.diff(vals)
+    level = SWEEP_LEVEL_ULPS * np.spacing(vals.max(initial=0.0))
+    turns = np.flatnonzero(np.abs(steps) > level)
     interior = [
-        i for i in range(1, n_coarse - 1) if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]
+        lo + 1 + int(np.argmax(vals[lo + 1 : hi + 1]))
+        for lo, hi in zip(turns[:-1], turns[1:])
+        if steps[lo] > 0 > steps[hi]
     ]
     interior.sort(key=lambda i: -vals[i])
     best_val, best_omega = dc, 0.0

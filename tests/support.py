@@ -3,9 +3,10 @@
 The oracles here deliberately avoid the production code paths they check:
 the Lyapunov oracle solves the linear system by Kronecker vectorization,
 the frequency-response oracle does one dense LU per frequency (the package
-uses one complex Schur form for all of them), the reference sweep deflates
-with two real Schur forms, and the equitability oracles test degree
-constancy cell by cell.
+uses one Schur form for all of them), the reference sweep deflates with two
+real Schur forms, the dense route factors a whole network realization in one
+complex Schur form (the package assembles it from the Laplacian eigenbasis),
+and the equitability oracles test degree constancy cell by cell.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from netred.generators import (
 from netred.linalg import STABILITY_MARGIN, StateSpace
 from netred.norms import (
     SWEEP_COARSE_PPD,
+    SWEEP_LEVEL_ULPS,
     SWEEP_PEAK_PPD,
     SWEEP_W_HI,
     SWEEP_W_LO,
@@ -74,6 +76,17 @@ def dense_response(sys, s: complex) -> np.ndarray:
     return sys.C @ np.linalg.solve(shifted, sys.B.astype(complex))
 
 
+def dense_schur(a) -> tuple:
+    """``(T, Z, n_u)``: one sorted complex Schur form of the whole matrix, the eigenvalues
+    Re >= -STABILITY_MARGIN first."""
+    return sla.schur(a, output="complex", sort=lambda ev: ev.real >= -STABILITY_MARGIN)
+
+
+def dense_route(sys) -> StateSpace:
+    """The realization with its Schur form replaced by ``dense_schur`` of its drift."""
+    return StateSpace(sys.A, sys.B, sys.C, form=dense_schur(sys.A))
+
+
 def real_schur_split(a) -> tuple:
     """``(v_stable, a_stable, v_unstable)`` from two ordered real Schur forms, independent
     of the package's one complex Schur form: orthonormal bases of the invariant subspaces
@@ -103,7 +116,15 @@ def reference_hinf_sweep(sys) -> float:
     step = (t_hi - t_lo) / (len(ts) - 1)
     vals = [gain(10.0**t) for t in ts]
     best = max([gain(0.0)] + vals)
-    peaks = [i for i in range(1, len(ts) - 1) if vals[i - 1] <= vals[i] >= vals[i + 1]]
+    level = SWEEP_LEVEL_ULPS * np.spacing(max(vals))
+    peaks, rise = [], None  # rise: the last point after a step up beyond rounding
+    for i in range(1, len(ts)):
+        if vals[i] - vals[i - 1] > level:
+            rise = i
+        elif vals[i - 1] - vals[i] > level:
+            if rise is not None:
+                peaks.append(max(range(rise, i), key=lambda j: vals[j]))
+            rise = None
     for i in sorted(peaks, key=lambda i: -vals[i])[:3]:
         n_dense = max(int(round(2 * step * SWEEP_PEAK_PPD)) + 1, 16)
         dts = np.linspace(ts[i] - step, ts[i] + step, n_dense)

@@ -168,6 +168,34 @@ class TestValidation:
         collect([report["bounds"], report["oracle_checks"]])
         assert numbers and all(math.isfinite(x) for x in numbers)
 
+    def test_ill_conditioned_agent_never_exits_1(self, tmp_path, capsys):
+        # once the dense Schur route's ztrsyl failed here (info=1) and the run died with a
+        # traceback; a numerical failure is now a named entry, not an exit 1
+        payload = generate_example("k3-aep")
+        payload["agent"] = {"A": [[-1.0]], "B": [[1e40]], "E": [[1.0]]}
+        for edge in payload["edges"]:
+            edge[2] = 1e-6
+        code, report = _run(tmp_path, payload, "--oracle-check")
+        assert code in (0, 3)
+        assert capsys.readouterr().out == ""
+        if code == 0:
+            bounds = report["bounds"]
+            for name in ("full_h2_norm", "true_h2_error", "full_hinf_norm", "true_hinf_error"):
+                assert bounds[name] is not None or name in bounds["unavailable"], name
+
+    def test_linalg_error_in_a_norm_route_is_ill_conditioned(self, tmp_path, monkeypatch):
+        def fail(sys):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr("netred.norms.solve_lyapunov_with_kernel", fail)
+        code, report = _run(tmp_path, generate_example("k3-aep"))
+        assert code == 0
+        bounds = report["bounds"]
+        for name in ("full_h2_norm", "true_h2_error"):
+            assert bounds[name] is None
+            assert bounds["unavailable"][name] == "IllConditioned"
+        assert bounds["abs_h2_bound"] is not None and bounds["true_hinf_error"] is not None
+
     def test_validators_name_field(self):
         payload = generate_example("k3-aep")
         payload["agent"]["B"] = [[1.0, 0.0]]

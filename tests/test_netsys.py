@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from netred.errors import Disconnected
+from netred.bounds import Analysis
+from netred.errors import Disconnected, UnstablePoles
 from netred.generators import (
     complete_graph,
     path_graph,
     random_aep_instance,
+    random_connected_graph,
+    random_general_instance,
+    random_partition,
     single_integrator,
 )
 from netred.graphcore import Partition, WeightedGraph, laplacian_from_graph
@@ -21,7 +25,10 @@ from netred.netsys import (
     symmetrized_reduced_coupling,
 )
 
-from .support import dense_response, make_dynamics
+from netred.linalg import STABILITY_MARGIN
+from netred.norms import h2_norm, hinf_norm_sweep
+
+from .support import PATH5_CELLS, dense_response, dense_route, dense_schur, make_dynamics
 
 
 def _k2_single_integrator():
@@ -232,3 +239,92 @@ class TestMarginalSubspaceDimension:
         red = assemble_reduced(ns, pi)
         _, _, n_u = red.schur
         assert n_u == 1
+
+
+def _structured_cases():
+    """``pytest.param(network, partition, id=label)`` covering every branch of ``kron_schur``."""
+    cases = []
+    for kind in ("symmetric", "dissipative", "single"):
+        rng = np.random.default_rng({"symmetric": 31, "dissipative": 32, "single": 33}[kind])
+        ns, pi = random_aep_instance(rng, dynamics=make_dynamics(rng, kind, n=3, r=2))
+        cases.append(pytest.param(ns, pi, id=f"{kind}-aep"))
+    rng = np.random.default_rng(34)
+    ns, pi = random_general_instance(rng, dynamics=single_integrator())
+    cases.append(pytest.param(ns, pi, id="single-general"))
+    # the quotient eigenvalue 1.35 leaves A - lam B unstable (see the test above); with a
+    # scalar A = 0.5 the blocks at the eigenvalues below 0.5 of a unit path are unstable
+    graph = WeightedGraph(n_nodes=3, edges=((0, 1, 0.9), (1, 2, 0.9)))
+    dyn = AgentDynamics(A=[[-1.0, 1.0], [-2.0, 0.0]], B=[[0.0, 1.0], [-1.0, 0.0]], E=[[1.0], [0.0]])
+    ns = NetworkSystem(laplacian=laplacian_from_graph(graph), leaders=(0,), dyn=dyn)
+    cases.append(pytest.param(ns, Partition(n_nodes=3, cells=((0, 1), (2,))), id="unstable-reduced"))
+    dyn = AgentDynamics(A=[[0.5]], B=[[1.0]], E=[[1.0]])
+    ns = NetworkSystem(laplacian=laplacian_from_graph(path_graph(5)), leaders=(0,), dyn=dyn)
+    cases.append(pytest.param(ns, Partition(n_nodes=5, cells=PATH5_CELLS), id="unstable-full"))
+    return cases
+
+
+def _realizations(ns, pi):
+    an = Analysis(ns, pi)
+    systems = {"full": an.full_system, "error": an.error_system}
+    if ns.dyn.is_single_integrator():
+        systems["term1"], systems["term3"] = an.triangle_systems
+    return systems
+
+
+def _norm_or_refusal(route, sys):
+    try:
+        return route(sys).value
+    except UnstablePoles:
+        return "UnstablePoles"
+
+
+def _assert_matches_dense_route(sys, rtol=1e-10):
+    oracle = dense_route(sys)
+    for route in (h2_norm, hinf_norm_sweep):
+        got, want = _norm_or_refusal(route, sys), _norm_or_refusal(route, oracle)
+        if isinstance(want, str):
+            assert got == want, route.__name__
+        else:
+            # the absolute floor only matters for exactly-zero error systems
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=1e-12, err_msg=route.__name__)
+
+
+class TestStructuredSchurForm:
+    """The Schur forms assembled from the Laplacian eigenbasis against one dense complex
+    Schur form of the whole drift (``support.dense_route``)."""
+
+    @pytest.mark.parametrize("ns,pi", _structured_cases())
+    def test_form_is_a_sorted_schur_form_of_the_drift(self, ns, pi):
+        for name, sys in _realizations(ns, pi).items():
+            t, z, n_u = sys.schur
+            size = sys.n_states
+            assert t.shape == z.shape == (size, size), name
+            assert np.abs(z @ t @ z.conj().T - sys.A).max() <= 1e-12 * (1 + np.abs(sys.A).max())
+            assert np.abs(z.conj().T @ z - np.eye(size)).max() <= 1e-12, name
+            assert not np.tril(t, -1).any(), name
+            assert n_u == dense_schur(sys.A)[2], name
+            assert (np.diagonal(t)[:n_u].real >= -STABILITY_MARGIN).all(), name
+            assert (np.diagonal(t)[n_u:].real < -STABILITY_MARGIN).all(), name
+
+    @pytest.mark.parametrize("ns,pi", _structured_cases())
+    def test_norms_match_dense_route(self, ns, pi):
+        for sys in _realizations(ns, pi).values():
+            _assert_matches_dense_route(sys)
+
+    def test_symmetric_agents_give_a_real_diagonal_form(self):
+        rng = np.random.default_rng(35)
+        ns, pi = random_aep_instance(rng, dynamics=make_dynamics(rng, "symmetric", n=3))
+        for sys in (assemble_full(ns), assemble_error_system(ns, pi)):
+            t, z, _ = sys.schur
+            assert np.isrealobj(t) and np.isrealobj(z)
+            assert not (t - np.diag(np.diagonal(t))).any()
+
+    def test_norms_match_dense_route_at_320_nodes(self):
+        rng = np.random.default_rng(36)
+        graph = random_connected_graph(rng, 320, extra_edge_prob=0.02)
+        pi = random_partition(rng, 320, 40)
+        ns = NetworkSystem(laplacian_from_graph(graph), (3, 150, 299), single_integrator())
+        an = Analysis(ns, pi)
+        assert an.not_aep
+        for sys in (an.error_system, *an.triangle_systems):
+            _assert_matches_dense_route(sys)

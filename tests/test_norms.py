@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
+
+from netred.cli import main
 
 from netred.errors import (
     KernelViolated,
@@ -18,6 +22,7 @@ from netred.generators import (
 )
 from netred.graphcore import Partition, laplacian_from_graph
 from netred.linalg import StateSpace, solve_lyapunov
+from netred.netfile import dump_json
 from netred.netsys import (
     AgentDynamics,
     NetworkSystem,
@@ -36,6 +41,7 @@ from netred.norms import (
 )
 
 from .support import make_dynamics, reference_hinf_sweep
+from .test_golden import GOLDEN
 
 
 def _k2(leaders=(0,)):
@@ -163,6 +169,19 @@ class TestHinfSweep:
             omega0 * np.sqrt(1.0 - 2.0 * zeta**2), rel=1e-3
         )
 
+    @pytest.mark.parametrize("n", [1, 12])
+    def test_flat_plateau_makes_no_peak(self, n):
+        # poles near 1e3: below 1e-5 rad/s the gain is flat to rounding, and its noise
+        # once counted as interior peaks, each refined by a dense grid and Brent steps
+        rng = np.random.default_rng(1)
+        g, b = rng.normal(size=(n, n)), rng.normal(size=(n, 2))
+        a = -1e3 * (g @ g.T + np.eye(n))
+        sys = StateSpace(A=a, B=b, C=b.T)
+        dc = np.linalg.svd(b.T @ np.linalg.solve(-a, b), compute_uv=False).max()
+        res = hinf_norm_sweep(sys)
+        assert res.certificate["gain_evaluations"] == 361
+        assert res.value == pytest.approx(dc, rel=1e-14)
+
     def test_observable_unstable_pole_raises(self):
         sys = StateSpace(A=[[1.0]], B=[[1.0]], C=[[1.0]])
         with pytest.raises(UnstablePoles):
@@ -232,20 +251,57 @@ class TestHinfDc:
 
 class TestOneFactorization:
     def test_three_norm_routes_factor_a_realization_once(self, monkeypatch):
+        # a network realization brings its Schur form from assembly, one n x n form per
+        # Laplacian eigenvalue, and the three routes factor nothing more; a bare
+        # StateSpace of the same drift is factored once, on first use
         calls = []
 
-        def counting_schur(*args, **kwargs):
-            calls.append(args)
-            return schur(*args, **kwargs)
+        def counting_schur(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return schur(a, *args, **kwargs)
 
         schur = scipy.linalg.schur
         monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
         rng = np.random.default_rng(8)
         ns, pi = random_aep_instance(rng, dynamics=make_dynamics(rng, "dissipative", n=2))
         err = assemble_error_system(ns, pi)
-        values = [route(err).value for route in (h2_norm, hinf_norm_sweep, h2_norm_quadrature)]
-        assert len(calls) == 1
+        assert calls == [(2, 2)] * (ns.n_agents + pi.n_cells)
+        del calls[:]
+        routes = (h2_norm, hinf_norm_sweep, h2_norm_quadrature)
+        values = [route(err).value for route in routes]
+        assert calls == []
+        bare = StateSpace(err.A, err.B, err.C)
+        dense = [route(bare).value for route in routes]
+        assert calls == [(err.n_states, err.n_states)]
         assert abs(values[0] - values[2]) <= 1e-2 * values[2]
+        np.testing.assert_allclose(values, dense, rtol=1e-10)
+
+    def test_analyze_factors_agent_sized_blocks_only(self, monkeypatch, tmp_path):
+        # every realization on the analyze path carries its structured form: a fallback
+        # to one dense Schur form of a whole network realization fails here
+        sizes = []
+
+        def spy_schur(a, *args, **kwargs):
+            sizes.append(np.shape(a))
+            return schur(a, *args, **kwargs)
+
+        schur = scipy.linalg.schur
+        monkeypatch.setattr(scipy.linalg, "schur", spy_schur)
+        payloads = {path.stem: json.loads(path.read_text())["input"] for path in GOLDEN.glob("*")}
+        rng = np.random.default_rng(9)
+        dyn = make_dynamics(rng, "dissipative", n=2)
+        agent = {"A": dyn.A.tolist(), "B": dyn.B.tolist(), "E": dyn.E.tolist()}
+        for name in ("k3-aep", "random-aep-0"):  # AEPs, which admit non-integrator agents
+            payloads[f"{name}-dissipative"] = {**payloads[name], "agent": agent}
+        for payload in payloads.values():
+            n = len(payload["agent"]["A"])
+            start = len(sizes)
+            path = tmp_path / "net.json"
+            path.write_text(dump_json(payload))
+            argv = ["analyze", str(path), "--triangle", "--oracle-check", "--out", str(tmp_path / "r")]
+            assert main(argv) == 0
+            assert set(sizes[start:]) <= {(n, n)}
+        assert sizes  # the nonsymmetric agents are factored block by block
 
 
 class TestNormProperties:
