@@ -478,7 +478,7 @@ def full_report(an: Analysis, norms=("h2", "hinf")) -> BoundReport:
             ("s_max_hinf", "s_min_hinf", "abs_hinf_bound", "rel_hinf_bound"),
             lambda: (*an.hinf_constants, *hinf_bound_symmetric(an)),
         )
-        if report.rel_hinf_bound is not None and not math.isfinite(report.rel_hinf_bound):
+        if report.rel_hinf_bound == math.inf:
             report.rel_hinf_bound = None
             report.unavailable["rel_hinf_bound"] = "RankDeficientInput"
     if "triangle_hinf_bound" in admitted:
@@ -488,11 +488,11 @@ def full_report(an: Analysis, norms=("h2", "hinf")) -> BoundReport:
         )
     if "full_hinf_norm" in admitted:
         # symmetric agents (single integrators included) peak at DC, with witness A
-        sys = an.full_system
-        fill(
-            ("full_hinf_norm",),
-            lambda: (hinf_norm_dc(sys, sys.A) if an.symmetric else hinf_norm_sweep(sys),),
-        )
+        def full_hinf():
+            sys = an.full_system
+            return (hinf_norm_dc(sys, sys.A) if an.symmetric else hinf_norm_sweep(sys),)
+
+        fill(("full_hinf_norm",), full_hinf)
     if "true_hinf_error" in admitted:
         fill(("true_hinf_error",), lambda: (hinf_norm_sweep(an.error_system),))
     return report

@@ -194,7 +194,7 @@ def stable_unstable_split(sys: StateSpace) -> tuple:
     return t[n_u:, n_u:], z[:, n_u:].conj().T @ sys.B, sys.C @ z[:, n_u:]
 
 
-def diagonal_poles(t) -> np.ndarray | None:
+def _diagonal_poles(t) -> np.ndarray | None:
     """The diagonal of an upper triangular T when every entry off it is exactly zero,
     else None."""
     poles = np.diagonal(t)
@@ -208,7 +208,7 @@ def triangular_response(t, b, c, s) -> np.ndarray:
     chunk; otherwise back substitution over the rows of T, O(n^2 m)."""
     s = np.asarray(s, dtype=complex)
     (n, m), p = b.shape, c.shape[0]
-    poles = diagonal_poles(t)
+    poles = _diagonal_poles(t)
     out = np.empty((s.size, p, m), dtype=complex)
     for k in range(0, s.size, SCHUR_CHUNK):
         shift = s[k : k + SCHUR_CHUNK, None]
@@ -242,7 +242,7 @@ def solve_lyapunov_with_kernel(sys: StateSpace):
     if t_s.shape[0] == 0:
         return np.zeros((sys.n_states, sys.n_states)), 0.0
     gram = c_s.conj().T @ c_s
-    poles = diagonal_poles(t_s)
+    poles = _diagonal_poles(t_s)
     if poles is not None:
         x_s = -gram / (poles.conj()[:, None] + poles)
     else:

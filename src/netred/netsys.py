@@ -137,7 +137,8 @@ def kron_schur(dyn: AgentDynamics, lams: np.ndarray, u: np.ndarray) -> tuple:
     """
     n, size = dyn.n, lams.size * dyn.n
     blocks = dyn.A - lams[:, None, None] * dyn.B
-    if np.array_equal(dyn.A, dyn.A.T) and np.array_equal(dyn.B, dyn.B.T):
+    symmetric = np.array_equal(dyn.A, dyn.A.T) and np.array_equal(dyn.B, dyn.B.T)
+    if symmetric:
         w, v = np.linalg.eigh(blocks)
         t_blocks, z_blocks = w[:, ::-1], v[:, :, ::-1]  # descending: the unstable part first
         unstable = t_blocks >= -STABILITY_MARGIN
@@ -148,7 +149,7 @@ def kron_schur(dyn: AgentDynamics, lams: np.ndarray, u: np.ndarray) -> tuple:
         unstable = np.arange(n) < np.array([n_u for _, _, n_u in forms])[:, None]
     order = np.argsort(~unstable.ravel(), kind="stable")
     z = (u[:, :, None, None] * z_blocks[None]).transpose(0, 2, 1, 3).reshape(size, size)
-    if t_blocks.ndim == 2:
+    if symmetric:
         t = np.diag(t_blocks.ravel()[order])
     else:
         t = sla.block_diag(*t_blocks)[np.ix_(order, order)]
