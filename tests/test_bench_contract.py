@@ -55,3 +55,13 @@ def test_always_expected_groups_record_calls_on_k3(tmp_path):
     with RUN.tracing.Tracer() as tracer:
         assert main(argv) == 0
     assert [group for group in RUN._ALWAYS if tracer.stats[group].calls == 0] == []
+
+
+def test_one_reduction_per_run(tmp_path):
+    # the error system takes the Analysis's reduction instead of reducing again
+    path = tmp_path / "general.json"
+    path.write_text(dump_json(generate_example("random-general", seed=1)), encoding="utf-8")
+    argv = ["analyze", str(path), "--triangle", "--oracle-check", "--out", str(tmp_path / "r.json")]
+    with RUN.tracing.Tracer() as tracer:
+        assert main(argv) == 0
+    assert tracer.stats["graphcore.reduce"].calls == 1

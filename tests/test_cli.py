@@ -169,8 +169,8 @@ class TestValidation:
         assert numbers and all(math.isfinite(x) for x in numbers)
 
     def test_ill_conditioned_agent_never_exits_1(self, tmp_path, capsys):
-        # once the dense Schur route's ztrsyl failed here (info=1) and the run died with a
-        # traceback; a numerical failure is now a named entry, not an exit 1
+        # lam B reaches 1e34 against A = -1, where a Sylvester solve over the whole error
+        # system meets eigenvalue sums lost in rounding: a failure must be a named entry
         payload = generate_example("k3-aep")
         payload["agent"] = {"A": [[-1.0]], "B": [[1e40]], "E": [[1.0]]}
         for edge in payload["edges"]:

@@ -13,6 +13,7 @@ from netred.generators import (
     single_integrator,
 )
 from netred.graphcore import Partition, WeightedGraph, laplacian_from_graph
+from netred.linalg import STABILITY_MARGIN
 from netred.netsys import (
     AgentDynamics,
     NetworkSystem,
@@ -24,8 +25,6 @@ from netred.netsys import (
     reduced_synchronization_preserved,
     symmetrized_reduced_coupling,
 )
-
-from netred.linalg import STABILITY_MARGIN
 from netred.norms import h2_norm, hinf_norm_sweep
 
 from .support import PATH5_CELLS, dense_response, dense_route, dense_schur, make_dynamics
@@ -251,8 +250,9 @@ def _structured_cases():
     rng = np.random.default_rng(34)
     ns, pi = random_general_instance(rng, dynamics=single_integrator())
     cases.append(pytest.param(ns, pi, id="single-general"))
-    # the quotient eigenvalue 1.35 leaves A - lam B unstable (see the test above); with a
-    # scalar A = 0.5 the blocks at the eigenvalues below 0.5 of a unit path are unstable
+    # the quotient eigenvalue 1.35 leaves A - lam B unstable (the counterexample of
+    # test_non_aep_counterexample_loses_synchronization); with a scalar A = 0.5 the
+    # blocks at the eigenvalues below 0.5 of a unit path are unstable
     graph = WeightedGraph(n_nodes=3, edges=((0, 1, 0.9), (1, 2, 0.9)))
     dyn = AgentDynamics(A=[[-1.0, 1.0], [-2.0, 0.0]], B=[[0.0, 1.0], [-1.0, 0.0]], E=[[1.0], [0.0]])
     ns = NetworkSystem(laplacian=laplacian_from_graph(graph), leaders=(0,), dyn=dyn)
@@ -278,7 +278,7 @@ def _norm_or_refusal(route, sys):
         return "UnstablePoles"
 
 
-def _assert_matches_dense_route(sys, rtol=1e-10):
+def _assert_matches_dense_route(sys):
     oracle = dense_route(sys)
     for route in (h2_norm, hinf_norm_sweep):
         got, want = _norm_or_refusal(route, sys), _norm_or_refusal(route, oracle)
@@ -286,7 +286,7 @@ def _assert_matches_dense_route(sys, rtol=1e-10):
             assert got == want, route.__name__
         else:
             # the absolute floor only matters for exactly-zero error systems
-            np.testing.assert_allclose(got, want, rtol=rtol, atol=1e-12, err_msg=route.__name__)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12, err_msg=route.__name__)
 
 
 class TestStructuredSchurForm:

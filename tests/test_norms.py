@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg
 
 from netred.cli import main
-
 from netred.errors import (
     KernelViolated,
     NotAEP,
