@@ -211,9 +211,9 @@ class Analysis:
         return need and REFUSALS[need][0].__name__
 
     @cached_property
-    def nonzero_eigenvalues(self) -> list:
+    def nonzero_eigenvalues(self) -> np.ndarray:
         lams = self.ns.laplacian.spectral.eigenvalues
-        return [float(v) for v in lams if v > self.tol.zero_eig_tol]
+        return lams[lams > self.tol.zero_eig_tol]
 
     @cached_property
     def reduced(self) -> ReducedGraph:
@@ -283,27 +283,29 @@ class Analysis:
         )
 
     def _extremes(self, upper, lower=None) -> tuple:
-        """(max of ``upper`` over the lost spectrum, min of ``lower`` over the nonzero one)."""
-        s_max = max((upper(lam) for lam in self.lost_eigenvalues), default=0.0)
-        lower = lower or upper
-        return s_max, min((lower(lam) for lam in self.nonzero_eigenvalues), default=0.0)
+        """(max of ``upper`` over the lost spectrum, min of ``lower`` over the nonzero one),
+        each 0.0 over an empty spectrum.  ``upper`` and ``lower`` map an array of
+        eigenvalues to an array of values, one call per spectrum."""
+        s_max = upper(self.lost_eigenvalues).max(initial=0.0)
+        s_min = (lower or upper)(self.nonzero_eigenvalues)
+        return float(s_max), float(s_min.min()) if s_min.size else 0.0
 
     @cached_property
     def h2_constants(self) -> tuple:
         """(s_max, s_min): extreme auxiliary H2 norms over the lost / nonzero spectrum."""
-        return self._extremes(lambda lam: math.sqrt(aux_gramian_h2_sq(self.ns.dyn, lam)))
+        return self._extremes(lambda lams: np.sqrt(aux_gramian_h2_sq(self.ns.dyn, lams)))
 
     @cached_property
     def hinf_constants(self) -> tuple:
         """(s_max, s_min) for symmetric dynamics: the auxiliary H-infinity norms are then
         sigma_max of the DC gains lam (lam B - A)^{-1} E; s_min takes their sigma_min."""
 
-        def sv(lam):
-            return np.linalg.svd(aux_dc_gain(self.ns.dyn, float(lam)), compute_uv=False)
+        def sv(lams):
+            return np.linalg.svd(aux_dc_gain(self.ns.dyn, lams), compute_uv=False)
 
         return self._extremes(
-            lambda lam: float(sv(lam).max(initial=0.0)),
-            lambda lam: float(sv(lam).min(initial=math.inf)),
+            lambda lams: sv(lams).max(axis=1, initial=0.0),
+            lambda lams: sv(lams).min(axis=1, initial=math.inf),
         )
 
 

@@ -1,8 +1,9 @@
 """Linear-algebra kernels used throughout the package.
 
 Symmetric eigendecompositions, an eigenvalue-based pseudoinverse, Hurwitz
-tests and Lyapunov solvers.  A realization is factored once: its sorted
-Schur form (``StateSpace.schur``) feeds the one stable/unstable deflation
+tests (of one matrix, or of a whole stack of blocks in one call) and
+Lyapunov solvers.  A realization is factored once: its sorted Schur form
+(``StateSpace.schur``) feeds the one stable/unstable deflation
 (``stable_unstable_split``), which both the kernel-conditioned Lyapunov
 solve and the one frequency-response primitive (``triangular_response``)
 use, so modes in the closed right half plane are tolerated as long as the
@@ -127,18 +128,27 @@ def pinv(mat) -> np.ndarray:
     treated as zero and left uninverted.  The zero matrix maps to itself.
     """
     eig = sym_eig(mat)
-    w, u = eig.eigenvalues, eig.eigenvectors
-    cutoff = RANK_TOL * np.abs(w).max(initial=0.0)
+    return (eig.eigenvectors * pinv_eigenvalues(eig.eigenvalues)) @ eig.eigenvectors.T
+
+
+def pinv_eigenvalues(w) -> np.ndarray:
+    """w^+: 1 / w where |w| > RANK_TOL * max|w|, exactly zero elsewhere (the rank cut
+    of ``pinv``)."""
+    keep = np.abs(w) > RANK_TOL * np.abs(w).max(initial=0.0)
     inv = np.zeros_like(w)
-    keep = np.abs(w) > cutoff
     inv[keep] = 1.0 / w[keep]
-    return (u * inv) @ u.T
+    return inv
 
 
 def is_hurwitz(mat) -> bool:
-    """True iff every eigenvalue has real part < -STABILITY_MARGIN."""
-    m = _square(mat)
-    if m.shape[0] == 0:
+    """True iff every eigenvalue has real part < -STABILITY_MARGIN.  ``mat`` is one
+    square matrix or a stack (k, n, n), decided by one batched ``eigvals``: LAPACK
+    factors each block alone, so every decision is that of the block by itself.  An
+    empty matrix or stack is Hurwitz."""
+    m = np.asarray(mat, dtype=float)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"matrix must be square or a stack of square matrices, got {m.shape}")
+    if m.size == 0:
         return True
     return bool(np.linalg.eigvals(m).real.max() < -STABILITY_MARGIN)
 

@@ -1,4 +1,4 @@
-"""Assembly of full, reduced, auxiliary, and error realizations.
+"""Assembly of full and error realizations, and the synchronization test.
 
 A network couples N identical agents (A, B, E) through a graph Laplacian L,
 with external input entering at leader nodes selected by M:
@@ -24,13 +24,11 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import Disconnected
 from .graphcore import (
     ZERO_EIG_TOL,
     Laplacian,
     Partition,
     ReducedGraph,
-    is_connected,
     leader_selector,
     reduce_graph,
 )
@@ -76,6 +74,12 @@ class AgentDynamics:
             and self.E[0, 0] == 1.0
         )
 
+    @property
+    def exactly_symmetric(self) -> bool:
+        """A and B equal their transposes bit for bit: every A - lam B then takes a real
+        ``eigh`` (``kron_schur``, ``norms.aux_gramian_h2_sq``)."""
+        return np.array_equal(self.A, self.A.T) and np.array_equal(self.B, self.B.T)
+
     def is_symmetric(self) -> bool:
         scale = 1.0 + max(np.abs(self.A).max(initial=0.0), np.abs(self.B).max(initial=0.0))
         return (
@@ -111,14 +115,6 @@ class NetworkSystem:
         return leader_selector(self.n_agents, self.leaders)
 
 
-@dataclass(frozen=True)
-class AuxSystem:
-    """Scalar-coupled companion system (A - lam B, E, lam I) for one nonzero eigenvalue."""
-
-    lam: float
-    realization: StateSpace
-
-
 def _drift(dyn: AgentDynamics, coupling: np.ndarray) -> np.ndarray:
     """Networked drift I (x) A - coupling (x) B for a square coupling matrix."""
     return np.kron(np.eye(coupling.shape[0]), dyn.A) - np.kron(coupling, dyn.B)
@@ -137,7 +133,7 @@ def kron_schur(dyn: AgentDynamics, lams: np.ndarray, u: np.ndarray) -> tuple:
     """
     n, size = dyn.n, lams.size * dyn.n
     blocks = dyn.A - lams[:, None, None] * dyn.B
-    symmetric = np.array_equal(dyn.A, dyn.A.T) and np.array_equal(dyn.B, dyn.B.T)
+    symmetric = dyn.exactly_symmetric
     if symmetric:
         w, v = np.linalg.eigh(blocks)
         t_blocks, z_blocks = w[:, ::-1], v[:, :, ::-1]  # descending: the unstable part first
@@ -170,24 +166,6 @@ def assemble_full(ns: NetworkSystem) -> StateSpace:
     return network_realization(ns.dyn, ns.laplacian.mat, eig.eigenvalues, eig.eigenvectors, b, c)
 
 
-def assemble_reduced(ns: NetworkSystem, pi: Partition) -> StateSpace:
-    """Reduced realization (I (x) A - L_hat (x) B, M_hat (x) E, LP (x) I).
-
-    Coincides with the Petrov-Galerkin projection (W^T A V, W^T B, C V)
-    for V = P (x) I and W = P (P^T P)^{-1} (x) I.
-    """
-    rg = reduce_graph(ns.laplacian, pi, ns.leaders)
-    b = np.kron(rg.m_hat, ns.dyn.E)
-    c = np.kron(ns.laplacian.mat @ pi.char_matrix, np.eye(ns.dyn.n))
-    return StateSpace(_drift(ns.dyn, rg.laplacian_hat), b, c)
-
-
-def symmetrized_reduced_coupling(lap: Laplacian, pi: Partition) -> np.ndarray:
-    """Size-symmetrized quotient coupling (P^T P)^{-1/2} P^T L P (P^T P)^{-1/2}
-    (``ReducedGraph.laplacian_bar``)."""
-    return reduce_graph(lap, pi, ()).laplacian_bar
-
-
 def assemble_error_system(
     ns: NetworkSystem, pi: Partition, rg: ReducedGraph | None = None
 ) -> StateSpace:
@@ -216,43 +194,14 @@ def assemble_error_system(
     )
 
 
-def aux_systems(ns: NetworkSystem) -> list:
-    """One AuxSystem per nonzero Laplacian eigenvalue, ascending, with multiplicity.
-
-    Raises Disconnected when zero is not a simple eigenvalue.
-    """
-    if not is_connected(ns.laplacian):
-        raise Disconnected("auxiliary systems require a connected graph")
-    n = ns.dyn.n
-    out = []
-    for lam in ns.laplacian.spectral.eigenvalues:
-        if lam > ZERO_EIG_TOL:
-            real = StateSpace(ns.dyn.A - lam * ns.dyn.B, ns.dyn.E, lam * np.eye(n))
-            out.append(AuxSystem(lam=float(lam), realization=real))
-    return out
-
-
 def hurwitz_over(dyn: AgentDynamics, lams, zero_eig_tol: float) -> bool:
-    """True iff A - lam B is Hurwitz for every lam in ``lams`` above zero_eig_tol."""
-    return all(is_hurwitz(dyn.A - lam * dyn.B) for lam in lams if lam > zero_eig_tol)
+    """True iff A - lam B is Hurwitz for every lam in ``lams`` above zero_eig_tol: one
+    ``is_hurwitz`` call on the stack of those blocks."""
+    lams = np.asarray(lams, dtype=float)
+    lams = lams[lams > zero_eig_tol]
+    return is_hurwitz(dyn.A - lams[:, None, None] * dyn.B)
 
 
 def is_synchronized(ns: NetworkSystem, zero_eig_tol: float = ZERO_EIG_TOL) -> bool:
     """True iff A - lam B is Hurwitz for every nonzero Laplacian eigenvalue."""
     return hurwitz_over(ns.dyn, ns.laplacian.spectral.eigenvalues, zero_eig_tol)
-
-
-def reduced_laplacian_spectrum(lap: Laplacian, pi: Partition) -> np.ndarray:
-    """Eigenvalues of the quotient Laplacian, ascending (real for any partition)."""
-    return np.linalg.eigvalsh(symmetrized_reduced_coupling(lap, pi))
-
-
-def reduced_synchronization_preserved(ns: NetworkSystem, pi: Partition) -> bool:
-    """True iff A - lam B is Hurwitz for every nonzero quotient eigenvalue.
-
-    Guaranteed whenever the partition is almost equitable and the original
-    network is synchronized (the quotient spectrum embeds in the original);
-    can fail for general partitions.
-    """
-    lams_hat = reduced_laplacian_spectrum(ns.laplacian, pi)
-    return hurwitz_over(ns.dyn, lams_hat, ZERO_EIG_TOL)

@@ -1,16 +1,14 @@
 """Exact and oracle computation of H2 and H-infinity norms.
 
-Four routes are implemented and cross-checked against each other in the
-test suite:
+Three routes are implemented and cross-checked against each other and
+against the test suite's oracles:
 
 * ``h2_norm``: Lyapunov solve that tolerates unobservable marginal modes.
-* ``h2_norm_network_spectral`` / ``h2_norm_reduced_spectral``: trace
-  formulas over the Laplacian spectrum and per-eigenvalue observability
-  Gramians of the auxiliary systems.
 * ``hinf_norm_sweep``: adaptive frequency sweep with local refinement, the
   oracle for everything H-infinity.
 * ``hinf_norm_dc``: exact DC-gain value sigma_max(C A^+ B), valid when a
-  symmetric witness X with CA = XC exists and ker A lies in ker C.
+  symmetric witness X with CA = XC exists and ker A lies in ker C; the
+  pseudoinverse comes from the eigendecomposition its precondition test takes.
 
 ``h2_norm_quadrature`` is the corresponding H2 oracle (trapezoid rule on a
 log grid with Richardson extrapolation and an analytic tail estimate); it
@@ -22,6 +20,13 @@ realization's form is assembled from the Laplacian eigenbasis
 frequency grid with ``linalg.triangular_response``: one matrix product per
 grid when the form is diagonal (symmetric agents), otherwise vectorized back
 substitution, O(n^2 m) per frequency.
+
+The a-priori bounds need two quantities of the auxiliary systems
+(A - lam B, E, lam I), one per eigenvalue lam of a spectrum: the squared H2
+norm (``aux_gramian_h2_sq``) and the DC gain (``aux_dc_gain``).  Each takes
+the whole spectrum as an array and makes one stacked call over its n x n
+blocks; only the Gramians of nonsymmetric agents keep one Lyapunov solve per
+eigenvalue.
 """
 
 from __future__ import annotations
@@ -33,37 +38,21 @@ import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 from scipy.optimize import minimize_scalar
 
-from .errors import (
-    Disconnected,
-    KernelViolated,
-    NotAEP,
-    NotSynchronized,
-    WitnessInvalid,
-)
-from .graphcore import ZERO_EIG_TOL, Partition, is_almost_equitable, is_connected
+from .errors import KernelViolated, WitnessInvalid
 from .linalg import (
     KERNEL_TOL,
-    RANK_TOL,
     STABILITY_MARGIN,
     StateSpace,
-    SymmetricEig,
-    pinv,
+    pinv_eigenvalues,
     require_unobserved,
     solve_lyapunov_with_kernel,
     stable_unstable_split,
     sym_eig,
     triangular_response,
 )
-from .netsys import (
-    AgentDynamics,
-    NetworkSystem,
-    is_synchronized,
-    reduced_synchronization_preserved,
-    symmetrized_reduced_coupling,
-)
+from .netsys import AgentDynamics
 
 METHOD_LYAPUNOV = "lyapunov_kernel"
-METHOD_SPECTRAL = "spectral_formula"
 METHOD_DC = "dc_gain_closed_form"
 METHOD_SWEEP = "frequency_sweep"
 
@@ -223,63 +212,36 @@ def h2_norm_quadrature(sys: StateSpace) -> NormResult:
     )
 
 
-def aux_gramian_h2_sq(dyn: AgentDynamics, lam: float) -> float:
-    """Squared H2 norm tr(E^T X E) of the auxiliary system (A - lam B, E, lam I).
-    Requires, without testing it, A - lam B Hurwitz: the callers' lam come from a
-    spectrum that ``is_synchronized`` or ``Analysis.h2_constants`` has tested."""
-    x = solve_continuous_lyapunov((dyn.A - lam * dyn.B).T, -lam * lam * np.eye(dyn.n))
-    return float(np.trace(dyn.E.T @ (0.5 * (x + x.T)) @ dyn.E))
+def aux_gramian_h2_sq(dyn: AgentDynamics, lams) -> np.ndarray:
+    """Squared H2 norms tr(E^T X_i E) of the auxiliary systems (A - lam_i B, E, lam_i I),
+    one per entry of the 1-D array ``lams``, as an array of the same length.
 
-
-def aux_dc_gain(dyn: AgentDynamics, lam: float) -> np.ndarray:
-    """DC gain lam (lam B - A)^{-1} E of the auxiliary system."""
-    return lam * np.linalg.solve(lam * dyn.B - dyn.A, dyn.E)
-
-
-def _spectral_h2(dyn: AgentDynamics, eig: SymmetricEig, g: np.ndarray) -> NormResult:
-    """sqrt of the sum over nonzero eigenvalues lam_i of ||g_i||^2 tr(E^T X_i E)."""
-    total = 0.0
-    used = []
-    for i, lam in enumerate(eig.eigenvalues):
-        if lam <= ZERO_EIG_TOL:
-            continue
-        weight = float((g[i] ** 2).sum())
-        total += weight * aux_gramian_h2_sq(dyn, float(lam))
-        used.append(float(lam))
-    return NormResult(math.sqrt(max(total, 0.0)), METHOD_SPECTRAL, {"eigenvalues": used})
-
-
-def h2_norm_network_spectral(ns: NetworkSystem) -> NormResult:
-    """H2 norm of the full network from the Laplacian eigenbasis.
-
-    value^2 = sum over nonzero eigenvalues lam_i of
-    (U^T M M^T U)_{ii} * tr(E^T X_i E) with X_i the auxiliary Gramians.
+    X_i solves (A - lam_i B)^T X_i + X_i (A - lam_i B) + lam_i^2 I = 0.  When A and B
+    are exactly symmetric (``AgentDynamics.exactly_symmetric``), one batched ``eigh``
+    gives A - lam_i B = V_i diag(w_i) V_i^T and the closed form
+    tr(E^T X_i E) = lam_i^2 sum_j ||v_ij^T E||^2 / (-2 w_ij); otherwise one
+    ``solve_continuous_lyapunov`` per lam_i.  Requires, without testing it, every
+    A - lam_i B Hurwitz: the callers' lams come from a spectrum that
+    ``is_synchronized`` or ``Analysis.lost_hurwitz`` has tested.
     """
-    if not is_connected(ns.laplacian):
-        raise Disconnected("spectral H2 formula requires a connected graph")
-    if not is_synchronized(ns):
-        raise NotSynchronized("spectral H2 formula requires a synchronized network")
-    eig = ns.laplacian.spectral
-    return _spectral_h2(ns.dyn, eig, eig.eigenvectors.T @ ns.m_matrix)
+    lams = np.asarray(lams, dtype=float)
+    if dyn.exactly_symmetric:
+        w, v = np.linalg.eigh(dyn.A - lams[:, None, None] * dyn.B)
+        weights = (np.swapaxes(v, 1, 2) @ dyn.E) ** 2
+        return lams**2 * (weights.sum(axis=2) / (-2.0 * w)).sum(axis=1)
+    out = np.empty(lams.size)
+    for i, lam in enumerate(lams):
+        x = solve_continuous_lyapunov((dyn.A - lam * dyn.B).T, -lam * lam * np.eye(dyn.n))
+        out[i] = np.trace(dyn.E.T @ (0.5 * (x + x.T)) @ dyn.E)
+    return out
 
 
-def h2_norm_reduced_spectral(ns: NetworkSystem, pi: Partition) -> NormResult:
-    """H2 norm of the reduced network from the quotient eigenbasis.
-
-    Requires an almost equitable partition (the compression of L^2 then
-    equals the square of the symmetrized quotient coupling) and a
-    synchronized network.
-    """
-    if not is_almost_equitable(ns.laplacian, pi):
-        raise NotAEP("reduced spectral formula requires an almost equitable partition")
-    if not is_synchronized(ns) or not reduced_synchronization_preserved(ns, pi):
-        raise NotSynchronized("reduced spectral formula requires synchronization")
-    l_bar = symmetrized_reduced_coupling(ns.laplacian, pi)
-    eig = sym_eig(l_bar)
-    root = np.sqrt(pi.sizes)
-    p = pi.char_matrix
-    m_hat_scaled = (p.T @ ns.m_matrix) / root[:, None]  # (P^T P)^{1/2} M_hat
-    return _spectral_h2(ns.dyn, eig, eig.eigenvectors.T @ m_hat_scaled)
+def aux_dc_gain(dyn: AgentDynamics, lams) -> np.ndarray:
+    """DC gains lam_i (lam_i B - A)^{-1} E of the auxiliary systems, shape (len(lams), n, r),
+    from one stacked solve."""
+    lams = np.asarray(lams, dtype=float)
+    blocks = lams[:, None, None] * dyn.B - dyn.A
+    return lams[:, None, None] * np.linalg.solve(blocks, dyn.E)
 
 
 def hinf_norm_dc(sys: StateSpace, x_witness) -> NormResult:
@@ -304,14 +266,13 @@ def hinf_norm_dc(sys: StateSpace, x_witness) -> NormResult:
     if witness_residual > WITNESS_RTOL * (1.0 + np.abs(ca).max(initial=0.0)):
         raise WitnessInvalid(f"CA != XC (residual {witness_residual:.3e})")
     w, u = eig.eigenvalues, eig.eigenvectors
+    w_plus = pinv_eigenvalues(w)  # zero exactly on the numerical kernel of A
     c_scale = 1.0 + np.abs(c).max(initial=0.0)
-    cutoff = RANK_TOL * np.abs(w).max(initial=0.0)
-    kernel_cols = u[:, np.abs(w) <= cutoff]
-    kernel_residual = np.abs(c @ kernel_cols).max(initial=0.0)
+    kernel_residual = np.abs(c @ u[:, w_plus == 0.0]).max(initial=0.0)
     if kernel_residual > KERNEL_TOL * c_scale:
         raise KernelViolated(f"ker A not contained in ker C (residual {kernel_residual:.3e})")
     require_unobserved(c, u[:, w > STABILITY_MARGIN])
-    gain = c @ pinv(a) @ b
+    gain = c @ ((u * w_plus) @ (u.T @ b))  # C A^+ B, A^+ = U diag(w^+) U^T
     value = float(np.linalg.svd(gain, compute_uv=False).max(initial=0.0))
     return NormResult(
         value,

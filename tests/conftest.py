@@ -19,10 +19,10 @@ from netred.generators import (
     single_integrator,
 )
 from netred.graphcore import is_almost_equitable
-from netred.netsys import assemble_error_system, assemble_full, assemble_reduced
+from netred.netsys import assemble_error_system, assemble_full
 from netred.norms import h2_norm
 
-from .support import make_dynamics
+from .support import assemble_reduced, make_dynamics
 
 AEP_CORPUS_SIZE = 200
 SINGLE_INT_CORPUS_SIZE = 50

@@ -6,12 +6,16 @@ the frequency-response oracle does one dense LU per frequency (the package
 uses one Schur form for all of them), the reference sweep deflates with two
 real Schur forms, the dense route factors a whole network realization in one
 complex Schur form (the package assembles it from the Laplacian eigenbasis),
-and the equitability oracles test degree constancy cell by cell.
+and the equitability oracles test degree constancy cell by cell.  The
+reduced realization, the auxiliary systems and the spectral H2 formulas
+re-derive what ``bounds.Analysis`` decides and assembles once, from the
+module-default tolerances.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -23,7 +27,10 @@ from netred.generators import (
     random_symmetric_dynamics,
     single_integrator,
 )
-from netred.linalg import STABILITY_MARGIN, StateSpace
+from netred.errors import Disconnected, NotAEP, NotSynchronized
+from netred.graphcore import ZERO_EIG_TOL, is_almost_equitable, is_connected, reduce_graph
+from netred.linalg import STABILITY_MARGIN, StateSpace, sym_eig
+from netred.netsys import hurwitz_over, is_synchronized
 from netred.norms import (
     SWEEP_COARSE_PPD,
     SWEEP_LEVEL_ULPS,
@@ -31,6 +38,8 @@ from netred.norms import (
     SWEEP_W_HI,
     SWEEP_W_LO,
     SWEEP_W_RTOL,
+    NormResult,
+    aux_gramian_h2_sq,
 )
 
 # Reference matrices for the worked 5-node unit path with clusters
@@ -194,3 +203,108 @@ def make_dynamics(rng, kind: str, n: int | None = None, r: int | None = None):
     if kind == "dissipative":
         return random_dissipative_dynamics(rng, n, r)
     raise ValueError(kind)
+
+
+def assemble_reduced(ns, pi) -> StateSpace:
+    """Reduced realization (I (x) A - L_hat (x) B, M_hat (x) E, LP (x) I).
+
+    Coincides with the Petrov-Galerkin projection (W^T A V, W^T B, C V)
+    for V = P (x) I and W = P (P^T P)^{-1} (x) I.
+    """
+    rg = reduce_graph(ns.laplacian, pi, ns.leaders)
+    drift = np.kron(np.eye(pi.n_cells), ns.dyn.A) - np.kron(rg.laplacian_hat, ns.dyn.B)
+    b = np.kron(rg.m_hat, ns.dyn.E)
+    c = np.kron(ns.laplacian.mat @ pi.char_matrix, np.eye(ns.dyn.n))
+    return StateSpace(drift, b, c)
+
+
+def symmetrized_reduced_coupling(lap, pi) -> np.ndarray:
+    """Size-symmetrized quotient coupling (P^T P)^{-1/2} P^T L P (P^T P)^{-1/2}
+    (``ReducedGraph.laplacian_bar``)."""
+    return reduce_graph(lap, pi, ()).laplacian_bar
+
+
+@dataclass(frozen=True)
+class AuxSystem:
+    """Scalar-coupled companion system (A - lam B, E, lam I) for one nonzero eigenvalue."""
+
+    lam: float
+    realization: StateSpace
+
+
+def aux_systems(ns) -> list:
+    """One AuxSystem per nonzero Laplacian eigenvalue, ascending, with multiplicity.
+
+    Raises Disconnected when zero is not a simple eigenvalue.
+    """
+    if not is_connected(ns.laplacian):
+        raise Disconnected("auxiliary systems require a connected graph")
+    n = ns.dyn.n
+    out = []
+    for lam in ns.laplacian.spectral.eigenvalues:
+        if lam > ZERO_EIG_TOL:
+            real = StateSpace(ns.dyn.A - lam * ns.dyn.B, ns.dyn.E, lam * np.eye(n))
+            out.append(AuxSystem(lam=float(lam), realization=real))
+    return out
+
+
+def reduced_laplacian_spectrum(lap, pi) -> np.ndarray:
+    """Eigenvalues of the quotient Laplacian, ascending (real for any partition)."""
+    return np.linalg.eigvalsh(symmetrized_reduced_coupling(lap, pi))
+
+
+def reduced_synchronization_preserved(ns, pi) -> bool:
+    """True iff A - lam B is Hurwitz for every nonzero quotient eigenvalue.
+
+    Guaranteed whenever the partition is almost equitable and the original
+    network is synchronized (the quotient spectrum embeds in the original);
+    can fail for general partitions.
+    """
+    lams_hat = reduced_laplacian_spectrum(ns.laplacian, pi)
+    return hurwitz_over(ns.dyn, lams_hat, ZERO_EIG_TOL)
+
+
+METHOD_SPECTRAL = "spectral_formula"
+
+
+def _spectral_h2(dyn, eig, g) -> NormResult:
+    """sqrt of the sum over nonzero eigenvalues lam_i of ||g_i||^2 tr(E^T X_i E)."""
+    lams = eig.eigenvalues
+    used = lams > ZERO_EIG_TOL
+    weights = (g[used] ** 2).sum(axis=1)
+    total = float(weights @ aux_gramian_h2_sq(dyn, lams[used]))
+    eigenvalues = [float(lam) for lam in lams[used]]
+    return NormResult(math.sqrt(max(total, 0.0)), METHOD_SPECTRAL, {"eigenvalues": eigenvalues})
+
+
+def h2_norm_network_spectral(ns) -> NormResult:
+    """H2 norm of the full network from the Laplacian eigenbasis.
+
+    value^2 = sum over nonzero eigenvalues lam_i of
+    (U^T M M^T U)_{ii} * tr(E^T X_i E) with X_i the auxiliary Gramians.
+    """
+    if not is_connected(ns.laplacian):
+        raise Disconnected("spectral H2 formula requires a connected graph")
+    if not is_synchronized(ns):
+        raise NotSynchronized("spectral H2 formula requires a synchronized network")
+    eig = ns.laplacian.spectral
+    return _spectral_h2(ns.dyn, eig, eig.eigenvectors.T @ ns.m_matrix)
+
+
+def h2_norm_reduced_spectral(ns, pi) -> NormResult:
+    """H2 norm of the reduced network from the quotient eigenbasis.
+
+    Requires an almost equitable partition (the compression of L^2 then
+    equals the square of the symmetrized quotient coupling) and a
+    synchronized network.
+    """
+    if not is_almost_equitable(ns.laplacian, pi):
+        raise NotAEP("reduced spectral formula requires an almost equitable partition")
+    if not is_synchronized(ns) or not reduced_synchronization_preserved(ns, pi):
+        raise NotSynchronized("reduced spectral formula requires synchronization")
+    l_bar = symmetrized_reduced_coupling(ns.laplacian, pi)
+    eig = sym_eig(l_bar)
+    root = np.sqrt(pi.sizes)
+    p = pi.char_matrix
+    m_hat_scaled = (p.T @ ns.m_matrix) / root[:, None]  # (P^T P)^{1/2} M_hat
+    return _spectral_h2(ns.dyn, eig, eig.eigenvectors.T @ m_hat_scaled)

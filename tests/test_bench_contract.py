@@ -9,14 +9,17 @@ these tests fail in about one.
 
 import importlib
 import importlib.util
+import json
 import os
 import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from netred.cli import main
+from netred.generators import random_connected_graph, random_partition
 from netred.netfile import dump_json, generate_example
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -65,3 +68,33 @@ def test_one_reduction_per_run(tmp_path):
     with RUN.tracing.Tracer() as tracer:
         assert main(argv) == 0
     assert tracer.stats["graphcore.reduce"].calls == 1
+
+
+def _non_aep_single_integrator_payload(n_nodes: int) -> dict:
+    rng = np.random.default_rng(n_nodes)
+    graph = random_connected_graph(rng, n_nodes, extra_edge_prob=4.0 / n_nodes)
+    pi = random_partition(rng, n_nodes, n_nodes // 8)
+    return {
+        "n_nodes": n_nodes,
+        "edges": [[int(i) + 1, int(j) + 1, float(w)] for i, j, w in graph.edges],
+        "leaders": [1, n_nodes // 2],
+        "agent": {"A": [[0.0]], "B": [[1.0]], "E": [[1.0]]},
+        "partition": [[int(v) + 1 for v in cell] for cell in pi.cells],
+    }
+
+
+def test_spectrum_work_does_not_grow_with_the_network(tmp_path):
+    # one stacked Hurwitz test and one auxiliary-Gramian call per spectrum, at any N:
+    # the network's and the surrogate's synchronization plus the surrogate's lost
+    # spectrum, and the surrogate's lost and nonzero Gramians
+    counts = []
+    for n_nodes in (20, 160):
+        path, out = tmp_path / f"net{n_nodes}.json", tmp_path / f"report{n_nodes}.json"
+        path.write_text(dump_json(_non_aep_single_integrator_payload(n_nodes)), encoding="utf-8")
+        with RUN.tracing.Tracer() as tracer:
+            assert main(["analyze", str(path), "--triangle", "--out", str(out)]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["analysis"]["aep"] is False
+        counts.append((tracer.stats["linalg.hurwitz"].calls, tracer.stats["norms.aux_gramian"].calls))
+    assert counts[0] == counts[1]
+    hurwitz_calls, gramian_calls = counts[0]
+    assert 1 <= hurwitz_calls <= 3 and 1 <= gramian_calls <= 2

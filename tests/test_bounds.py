@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from netred.generators import (
     single_integrator,
 )
 from netred.graphcore import Partition, WeightedGraph, laplacian_from_graph
+from netred.linalg import solve_lyapunov
 from netred.netsys import AgentDynamics, NetworkSystem, assemble_error_system, is_synchronized
 from netred.norms import h2_norm, hinf_norm_dc, hinf_norm_sweep
 
@@ -64,6 +67,53 @@ class TestLostEigenvalues:
         # sigma(L) = {0, 3, 3}, sigma(L_hat) = {0, 3}
         an = Analysis(*_k3())
         np.testing.assert_allclose(an.lost_eigenvalues, [3.0], atol=1e-12)
+
+
+def _reference_constants(an: Analysis) -> tuple:
+    """(h2_constants, hinf_constants) by one Lyapunov solve, one solve and one SVD per
+    eigenvalue, each 0.0 over an empty spectrum."""
+    dyn = an.ns.dyn
+
+    def h2(lam):
+        x = solve_lyapunov(dyn.A - lam * dyn.B, lam * lam * np.eye(dyn.n))
+        return math.sqrt(float(np.trace(dyn.E.T @ x @ dyn.E)))
+
+    def sv(lam):
+        return np.linalg.svd(lam * np.linalg.solve(lam * dyn.B - dyn.A, dyn.E), compute_uv=False)
+
+    lost, nonzero = list(an.lost_eigenvalues), list(an.nonzero_eigenvalues)
+    return (
+        (max(map(h2, lost), default=0.0), min(map(h2, nonzero), default=0.0)),
+        (
+            max((sv(lam).max() for lam in lost), default=0.0),
+            min((sv(lam).min() for lam in nonzero), default=0.0),
+        ),
+    )
+
+
+class TestSpectrumBatches:
+    @pytest.mark.parametrize("kind", ["single", "symmetric", "singular", "dissipative"])
+    def test_constants_equal_the_per_eigenvalue_loop(self, kind):
+        for seed in range(10):
+            rng = np.random.default_rng(4400 + seed)
+            ns, pi = random_aep_instance(rng, dynamics=make_dynamics(rng, kind))
+            an = Analysis(ns, pi)
+            assert an.lost_eigenvalues.size > 0
+            h2_want, hinf_want = _reference_constants(an)
+            assert an.h2_constants == pytest.approx(h2_want, rel=1e-12, abs=0.0)
+            # the stacked solve and SVD run LAPACK on each block alone: the same bits
+            assert an.hinf_constants == hinf_want
+
+    def test_empty_spectra_give_zero(self):
+        # singleton cells lose no eigenvalue; a lone node has no nonzero one
+        ns, _ = _k3()
+        an = Analysis(ns, Partition(n_nodes=3, cells=((0,), (1,), (2,))))
+        assert an.lost_eigenvalues.size == 0
+        assert an.h2_constants[0] == 0.0 and an.hinf_constants[0] == 0.0
+        assert an.h2_constants[1] > 0.0 and an.hinf_constants[1] > 0.0
+        lone = NetworkSystem(laplacian_from_graph(path_graph(1)), (0,), single_integrator())
+        an = Analysis(lone, Partition(n_nodes=1, cells=((0,),)))
+        assert an.h2_constants == (0.0, 0.0) and an.hinf_constants == (0.0, 0.0)
 
 
 class TestCellmateBookkeeping:

@@ -6,6 +6,7 @@ from netred.generators import complete_graph, path_graph, single_integrator
 from netred.graphcore import Partition, laplacian_from_graph
 from netred.linalg import (
     SCHUR_CHUNK,
+    STABILITY_MARGIN,
     StateSpace,
     is_hurwitz,
     pinv,
@@ -106,6 +107,36 @@ class TestIsHurwitz:
         assert not is_hurwitz([[0.0]])
         # single integrator coupled at lam = 2: A - lam B = -2
         assert is_hurwitz([[0.0 - 2.0 * 1.0]])
+
+    def test_stack_decides_like_the_per_block_loop(self):
+        rng = np.random.default_rng(40)
+        for n in (1, 2, 3, 5):
+            stack = rng.normal(size=(40, n, n)) - 1.2 * np.eye(n)
+            per_block = [is_hurwitz(block) for block in stack]
+            assert any(per_block) and not all(per_block)
+            for k in range(1, stack.shape[0] + 1):
+                assert is_hurwitz(stack[:k]) == all(per_block[:k])
+            hurwitz_blocks = stack[np.array(per_block)]
+            assert is_hurwitz(hurwitz_blocks)
+            for block in stack[~np.array(per_block)]:
+                assert not is_hurwitz(np.concatenate([hurwitz_blocks, block[None]]))
+
+    def test_empty_stack_is_hurwitz(self):
+        assert is_hurwitz(np.zeros((0, 3, 3)))
+        assert is_hurwitz(np.zeros((4, 0, 0)))
+
+    def test_one_block_at_the_margin_decides_the_stack(self):
+        rng = np.random.default_rng(41)
+        stack = np.array([random_hurwitz(rng, 2) for _ in range(5)])
+        at_margin = np.diag([-1.0, -STABILITY_MARGIN])
+        inside = np.diag([-1.0, -2.0 * STABILITY_MARGIN])
+        assert not is_hurwitz(at_margin)
+        assert not is_hurwitz(np.insert(stack, 2, at_margin, axis=0))
+        assert is_hurwitz(np.insert(stack, 2, inside, axis=0))
+
+    def test_non_square_input_raises(self):
+        with pytest.raises(ValueError):
+            is_hurwitz(np.zeros((2, 2, 3)))
 
 
 class TestSolveLyapunov:

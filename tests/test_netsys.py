@@ -19,15 +19,21 @@ from netred.netsys import (
     NetworkSystem,
     assemble_error_system,
     assemble_full,
-    assemble_reduced,
-    aux_systems,
     is_synchronized,
-    reduced_synchronization_preserved,
-    symmetrized_reduced_coupling,
 )
 from netred.norms import h2_norm, hinf_norm_sweep
 
-from .support import PATH5_CELLS, dense_response, dense_route, dense_schur, make_dynamics
+from .support import (
+    PATH5_CELLS,
+    assemble_reduced,
+    aux_systems,
+    dense_response,
+    dense_route,
+    dense_schur,
+    make_dynamics,
+    reduced_synchronization_preserved,
+    symmetrized_reduced_coupling,
+)
 
 
 def _k2_single_integrator():

@@ -20,26 +20,29 @@ from netred.generators import (
     single_integrator,
 )
 from netred.graphcore import Partition, laplacian_from_graph
-from netred.linalg import StateSpace, solve_lyapunov
+from netred.linalg import StateSpace, pinv, solve_lyapunov
 from netred.netfile import dump_json
 from netred.netsys import (
     AgentDynamics,
     NetworkSystem,
     assemble_error_system,
     assemble_full,
-    assemble_reduced,
 )
 from netred.norms import (
     aux_gramian_h2_sq,
     h2_norm,
-    h2_norm_network_spectral,
     h2_norm_quadrature,
-    h2_norm_reduced_spectral,
     hinf_norm_dc,
     hinf_norm_sweep,
 )
 
-from .support import make_dynamics, reference_hinf_sweep
+from .support import (
+    assemble_reduced,
+    h2_norm_network_spectral,
+    h2_norm_reduced_spectral,
+    make_dynamics,
+    reference_hinf_sweep,
+)
 from .test_golden import GOLDEN
 
 
@@ -55,17 +58,23 @@ class TestH2Norm:
 
     def test_aux_gramian_single_integrator(self):
         # scalar Lyapunov (-lam) X + X (-lam) + lam^2 = 0 gives X = lam / 2
-        for lam in (0.5, 2.0, 7.5):
-            assert aux_gramian_h2_sq(single_integrator(), lam) == pytest.approx(lam / 2.0)
+        lams = np.array([0.5, 2.0, 7.5])
+        assert aux_gramian_h2_sq(single_integrator(), lams) == pytest.approx(lams / 2.0)
 
     def test_aux_gramian_equals_checked_lyapunov_route(self):
-        # skipping the Hurwitz re-test must not change a single bit
+        # skipping the Hurwitz re-test must not change a single bit of the solver route;
+        # symmetric agents take the eigh closed form instead, equal to rounding
         for seed in range(10):
             rng = np.random.default_rng(500 + seed)
             dyn = make_dynamics(rng, ("symmetric", "dissipative")[seed % 2], n=3, r=2)
             lam = float(rng.uniform(0.1, 5.0))
             x = solve_lyapunov(dyn.A - lam * dyn.B, lam * lam * np.eye(dyn.n))
-            assert aux_gramian_h2_sq(dyn, lam) == float(np.trace(dyn.E.T @ x @ dyn.E))
+            want = float(np.trace(dyn.E.T @ x @ dyn.E))
+            (got,) = aux_gramian_h2_sq(dyn, np.array([lam]))
+            if dyn.exactly_symmetric:
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            else:
+                assert got == want
 
     def test_aux_value_confirmed_by_quadrature(self):
         # settles the lam/2 reading: the H2 integral of lam/(s+lam) equals lam/2
@@ -89,6 +98,60 @@ class TestH2Norm:
     def test_no_inputs_gives_zero(self):
         sys = StateSpace(A=[[-1.0]], B=np.zeros((1, 0)), C=[[1.0]])
         assert h2_norm(sys).value == 0.0
+
+
+class TestAuxiliaryBatches:
+    def _reference(self, dyn, lams):
+        """tr(E^T X E) per lam through the checked Lyapunov route."""
+        out = []
+        for lam in lams:
+            x = solve_lyapunov(dyn.A - lam * dyn.B, lam * lam * np.eye(dyn.n))
+            out.append(float(np.trace(dyn.E.T @ x @ dyn.E)))
+        return np.array(out)
+
+    @pytest.mark.parametrize("kind", ["symmetric", "singular"])
+    def test_symmetric_closed_form_matches_lyapunov(self, kind):
+        for seed in range(12):
+            rng = np.random.default_rng(4100 + seed)
+            dyn = make_dynamics(rng, kind, n=1 + seed % 3, r=1 + seed % 2)
+            assert dyn.exactly_symmetric
+            lams = np.sort(rng.uniform(0.05, 8.0, size=7))
+            got = aux_gramian_h2_sq(dyn, lams)
+            np.testing.assert_allclose(got, self._reference(dyn, lams), rtol=1e-12, atol=0.0)
+
+    def test_single_integrator_is_half_lambda(self):
+        lams = np.array([1e-3, 0.5, 2.0, 3.0, 7.5, 1e3])
+        np.testing.assert_allclose(
+            aux_gramian_h2_sq(single_integrator(), lams), lams / 2.0, rtol=1e-15, atol=0.0
+        )
+
+    def test_nonsymmetric_agents_keep_the_solver_bits(self):
+        for seed in range(8):
+            rng = np.random.default_rng(4200 + seed)
+            dyn = make_dynamics(rng, "dissipative", n=2 + seed % 2, r=2)
+            assert not dyn.exactly_symmetric
+            lams = rng.uniform(0.1, 5.0, size=5)
+            assert aux_gramian_h2_sq(dyn, lams).tolist() == self._reference(dyn, lams).tolist()
+
+    @pytest.mark.parametrize("kind", ["single", "symmetric", "dissipative"])
+    def test_empty_spectrum(self, kind):
+        dyn = make_dynamics(np.random.default_rng(42), kind, n=2, r=2)
+        assert aux_gramian_h2_sq(dyn, np.array([])).shape == (0,)
+
+    def test_dc_closed_form_matches_dense_pseudoinverse(self):
+        # full systems with witness A; single-integrator error systems with witness -L
+        for seed in range(12):
+            rng = np.random.default_rng(4300 + seed)
+            kind = ("single", "symmetric", "singular")[seed % 3]
+            ns, pi = random_aep_instance(rng, dynamics=make_dynamics(rng, kind))
+            full = assemble_full(ns)
+            cases = [(full, full.A)]
+            if kind == "single":
+                cases.append((assemble_error_system(ns, pi), -ns.laplacian.mat))
+            for sys, witness in cases:
+                gain = sys.C @ pinv(sys.A) @ sys.B
+                want = np.linalg.svd(gain, compute_uv=False).max(initial=0.0)
+                assert hinf_norm_dc(sys, witness).value == pytest.approx(want, rel=1e-12)
 
 
 class TestSpectralFormulas:
