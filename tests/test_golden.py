@@ -2,7 +2,10 @@
 
 Each file under ``tests/golden/`` holds one full report minus ``timings``.
 The report echoes its input, so the test rebuilds the input from the file
-itself and does not depend on the example generators.  Keys, key order,
+itself and does not depend on the example generators.  Besides the example
+ladder, which has single integrators only, two files put other agents on a
+random-aep graph: symmetric n=3 agents and dissipative (nonsymmetric) n=2
+agents.  Keys, key order,
 strings, booleans and nulls must match exactly, and numbers to a relative
 1e-9; the absolute 1e-12 absorbs quantities whose exact value is zero
 (residuals, zero eigenvalues).
@@ -19,23 +22,43 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from netred.cli import main
+from netred.generators import random_dissipative_dynamics, random_symmetric_dynamics
 from netred.netfile import dump_json, generate_example
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FLAGS = ("--triangle", "--oracle-check")
-EXAMPLES = [("paper-section7", 0), ("k3-aep", 0)] + [
-    (name, seed) for name in ("random-aep", "random-general") for seed in range(5)
-]
+# name -> (agent builder, n, r) for the agents put on the random-aep graph of a seed
+AGENTS = {
+    "symmetric-n3-aep": (random_symmetric_dynamics, 3, 2),
+    "dissipative-n2-aep": (random_dissipative_dynamics, 2, 1),
+}
+EXAMPLES = (
+    [("paper-section7", 0), ("k3-aep", 0)]
+    + [(name, seed) for name in ("random-aep", "random-general") for seed in range(5)]
+    + [("symmetric-n3-aep", 1), ("dissipative-n2-aep", 2)]
+)
 RTOL = 1e-9
 ATOL = 1e-12
 
 
 def golden_path(name: str, seed: int) -> Path:
-    random = name.startswith("random-")
-    return GOLDEN / (f"{name}-{seed}.json" if random else f"{name}.json")
+    seeded = name.startswith("random-") or name in AGENTS
+    return GOLDEN / (f"{name}-{seed}.json" if seeded else f"{name}.json")
+
+
+def example_payload(name: str, seed: int) -> dict:
+    if name not in AGENTS:
+        return generate_example(name, seed=seed)
+    build, n, r = AGENTS[name]
+    dyn = build(np.random.default_rng(seed), n, r)
+    payload = generate_example("random-aep", seed=seed)
+    payload["agent"] = {"A": dyn.A.tolist(), "B": dyn.B.tolist(), "E": dyn.E.tolist()}
+    payload["meta"] = {"name": name, "seed": seed}
+    return payload
 
 
 def analyze(payload: dict, tmp_dir: Path) -> dict:
@@ -76,7 +99,7 @@ def test_report_matches_golden(name, seed, tmp_path):
 def record(tmp_dir: Path) -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name, seed in EXAMPLES:
-        report = analyze(generate_example(name, seed=seed), tmp_dir)
+        report = analyze(example_payload(name, seed), tmp_dir)
         golden_path(name, seed).write_text(dump_json(report), encoding="utf-8")
 
 
