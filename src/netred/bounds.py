@@ -183,7 +183,7 @@ class Analysis:
         return is_almost_equitable(self.ns.laplacian, self.pi, self.tol.aep_rtol)
 
     not_aep = property(lambda self: not self.aep)
-    symmetric = property(lambda self: self.ns.dyn.is_symmetric())
+    symmetric = property(lambda self: self.ns.dyn.symmetric)
     single_integrator = property(lambda self: self.ns.dyn.is_single_integrator())
 
     def unmet(self, *needs: str) -> str | None:

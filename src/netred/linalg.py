@@ -7,14 +7,14 @@ Lyapunov solvers.  A realization is factored once: its sorted Schur form
 (``stable_unstable_split``), which both the kernel-conditioned Lyapunov
 solve and the one frequency-response primitive (``triangular_response``)
 use, so modes in the closed right half plane are tolerated as long as the
-output matrix does not observe them.  A network realization brings its form
-with it, built from the Laplacian eigenbasis and one n x n factorization
-per eigenvalue (``netsys.kron_schur``); a bare ``StateSpace`` falls back to
-one dense complex Schur form.  When the form's T is exactly diagonal
+output matrix does not observe them.  Only ``sorted_schur`` chooses between a
+real ``eigh`` (exactly symmetric input: T real diagonal) and a complex Schur
+form.  A network realization brings its form, from the Laplacian eigenbasis and
+one stacked ``sorted_schur`` of its n x n blocks (``netsys.kron_schur``); a bare
+``StateSpace`` takes one of its whole drift.  When T is exactly diagonal
 (symmetric agents, single integrators included) the Lyapunov solve and the
-response are closed forms; otherwise they are a triangular Sylvester solve
-and a back substitution.  Every function is pure: none mutates its
-arguments.
+response are closed forms; otherwise they are a triangular Sylvester solve and
+a back substitution.  Every function is pure: none mutates its arguments.
 """
 
 from __future__ import annotations
@@ -56,8 +56,18 @@ class SymmetricEig:
 
 
 def sorted_schur(a) -> tuple:
-    """``(T, Z, n_u)``: the complex Schur form a = Z T Z^H with the n_u eigenvalues
-    Re >= -STABILITY_MARGIN first on the diagonal of T."""
+    """``(T, Z, n_u)``: a = Z T Z^H with the n_u eigenvalues Re >= -STABILITY_MARGIN first
+    on the diagonal of T, for one matrix or, blockwise, a stack (k, n, n).  The one choice
+    of factorization: exactly symmetric input takes a real ``eigh`` in descending order (T
+    real diagonal, Z orthogonal), other input a complex Schur form of each block."""
+    a = np.asarray(a, dtype=float)
+    if np.array_equal(a, np.swapaxes(a, -1, -2)):
+        w, v = np.linalg.eigh(a)
+        w, z = w[..., ::-1], v[..., ::-1]
+        t = np.where(np.eye(a.shape[-1], dtype=bool), w[..., None], 0.0)
+        return t, z, (w >= -STABILITY_MARGIN).sum(axis=-1)
+    if a.ndim == 3:
+        return tuple(np.array(part) for part in zip(*map(sorted_schur, a)))
     return sla.schur(a, output="complex", sort=lambda ev: ev.real >= -STABILITY_MARGIN)
 
 
@@ -101,7 +111,7 @@ class StateSpace:
     def schur(self) -> tuple:
         """``(T, Z, n_u)``: A = Z T Z^H with Z unitary, T upper triangular and the n_u
         eigenvalues Re >= -STABILITY_MARGIN first on the diagonal of T.  The ``form``
-        given at construction, else one dense ``sorted_schur`` of A on first use."""
+        given at construction, else one ``sorted_schur`` of A on first use."""
         return self.form if self.form is not None else sorted_schur(self.A)
 
 
@@ -204,7 +214,7 @@ def stable_unstable_split(sys: StateSpace) -> tuple:
     return t[n_u:, n_u:], z[:, n_u:].conj().T @ sys.B, sys.C @ z[:, n_u:]
 
 
-def _diagonal_poles(t) -> np.ndarray | None:
+def diagonal_poles(t) -> np.ndarray | None:
     """The diagonal of an upper triangular T when every entry off it is exactly zero,
     else None."""
     poles = np.diagonal(t)
@@ -218,7 +228,7 @@ def triangular_response(t, b, c, s) -> np.ndarray:
     chunk; otherwise back substitution over the rows of T, O(n^2 m)."""
     s = np.asarray(s, dtype=complex)
     (n, m), p = b.shape, c.shape[0]
-    poles = _diagonal_poles(t)
+    poles = diagonal_poles(t)
     out = np.empty((s.size, p, m), dtype=complex)
     for k in range(0, s.size, SCHUR_CHUNK):
         shift = s[k : k + SCHUR_CHUNK, None]
@@ -252,7 +262,7 @@ def solve_lyapunov_with_kernel(sys: StateSpace):
     if t_s.shape[0] == 0:
         return np.zeros((sys.n_states, sys.n_states)), 0.0
     gram = c_s.conj().T @ c_s
-    poles = _diagonal_poles(t_s)
+    poles = diagonal_poles(t_s)
     if poles is not None:
         x_s = -gram / (poles.conj()[:, None] + poles)
     else:

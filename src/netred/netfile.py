@@ -99,6 +99,7 @@ def validate_network_payload(payload: dict) -> dict:
 
     edges = payload["edges"]
     _require(isinstance(edges, list), "edges", "must be a list")
+    first = {}  # (min, max) node pair -> index of the edge that lists it first
     for e_idx, edge in enumerate(edges):
         field = f"edges[{e_idx}]"
         _require(isinstance(edge, list) and len(edge) == 3, field, "must be [i, j, weight]")
@@ -111,6 +112,9 @@ def validate_network_payload(payload: dict) -> dict:
             )
             _require(1 <= value <= n_nodes, f"{field}.{name}", f"must be in 1..{n_nodes}")
         _require(i != j, field, f"self-loop on node {i}")
+        pair = (min(i, j), max(i, j))
+        at = first.setdefault(pair, e_idx)
+        _require(at == e_idx, field, f"duplicates the pair {pair} of edges[{at}]")
         _require(_finite(w, MAX_MAGNITUDE), f"{field}.weight", _BOUNDED)
         _require(w >= 0, f"{field}.weight", f"negative weight {w}")
 

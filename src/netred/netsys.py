@@ -18,7 +18,7 @@ size n x n in place of one of size N n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -32,16 +32,19 @@ from .graphcore import (
     leader_selector,
     reduce_graph,
 )
-from .linalg import STABILITY_MARGIN, SYMMETRY_RTOL, StateSpace, is_hurwitz, sorted_schur
+from .linalg import SYMMETRY_RTOL, StateSpace, is_hurwitz, sorted_schur
 
 
 @dataclass(frozen=True)
 class AgentDynamics:
-    """Identical linear agent (A, B, E): A, B square n x n, E is n x r."""
+    """Identical linear agent (A, B, E): A, B square n x n, E is n x r.  ``symmetric``,
+    the one decision on agent symmetry, holds when |A - A^T| and |B - B^T| are at most
+    SYMMETRY_RTOL (1 + max(|A|, |B|)); A and B are then kept as their symmetric parts."""
 
     A: np.ndarray
     B: np.ndarray
     E: np.ndarray
+    symmetric: bool = field(init=False)
 
     def __post_init__(self):
         a = np.asarray(self.A, dtype=float)
@@ -53,9 +56,15 @@ class AgentDynamics:
             raise ValueError(f"agent B must match A's shape {a.shape}, got {b.shape}")
         if e.ndim != 2 or e.shape[0] != a.shape[0]:
             raise ValueError(f"agent E must have {a.shape[0]} rows, got shape {e.shape}")
+        ab, ab_t = np.stack([a, b]), np.stack([a.T, b.T])
+        scale = 1.0 + np.abs(ab).max(initial=0.0)
+        symmetric = bool(np.abs(ab - ab_t).max(initial=0.0) <= SYMMETRY_RTOL * scale)
+        if symmetric:  # bit-identical for exactly symmetric input
+            a, b = 0.5 * (ab + ab_t)
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "B", b)
         object.__setattr__(self, "E", e)
+        object.__setattr__(self, "symmetric", symmetric)
 
     @property
     def n(self) -> int:
@@ -66,26 +75,7 @@ class AgentDynamics:
         return self.E.shape[1]
 
     def is_single_integrator(self) -> bool:
-        return (
-            self.n == 1
-            and self.r == 1
-            and self.A[0, 0] == 0.0
-            and self.B[0, 0] == 1.0
-            and self.E[0, 0] == 1.0
-        )
-
-    @property
-    def exactly_symmetric(self) -> bool:
-        """A and B equal their transposes bit for bit: every A - lam B then takes a real
-        ``eigh`` (``kron_schur``, ``norms.aux_gramian_h2_sq``)."""
-        return np.array_equal(self.A, self.A.T) and np.array_equal(self.B, self.B.T)
-
-    def is_symmetric(self) -> bool:
-        scale = 1.0 + max(np.abs(self.A).max(initial=0.0), np.abs(self.B).max(initial=0.0))
-        return (
-            np.abs(self.A - self.A.T).max(initial=0.0) <= SYMMETRY_RTOL * scale
-            and np.abs(self.B - self.B.T).max(initial=0.0) <= SYMMETRY_RTOL * scale
-        )
+        return np.array_equal(np.hstack([self.A, self.B, self.E]), [[0.0, 1.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -125,30 +115,19 @@ def kron_schur(dyn: AgentDynamics, lams: np.ndarray, u: np.ndarray) -> tuple:
     symmetric coupling Lc = U diag(lams) U^T with U orthogonal.
 
     (U (x) I)^T (I (x) A - Lc (x) B) (U (x) I) is block diagonal with blocks
-    A - lam_i B = Z_i T_i Z_i^H, so Z = (U (x) I) blockdiag(Z_i) and T = blockdiag(T_i).
-    Each block holds its closed-right-half-plane part first, and the columns are then
-    reordered so that every block's such part precedes every stable part: T stays upper
-    triangular.  When A and B are exactly symmetric every block is one real ``eigh``
-    and T is real diagonal; otherwise every block is an n x n ``sorted_schur``.
+    A - lam_i B = Z_i T_i Z_i^H from one stacked ``sorted_schur`` (real diagonal for
+    symmetric agents), so Z = (U (x) I) blockdiag(Z_i) and T = blockdiag(T_i).  Each
+    block holds its closed-right-half-plane part first, and the columns are reordered
+    so that every such part precedes every stable part: T stays upper triangular.
     """
     n, size = dyn.n, lams.size * dyn.n
-    blocks = dyn.A - lams[:, None, None] * dyn.B
-    symmetric = dyn.exactly_symmetric
-    if symmetric:
-        w, v = np.linalg.eigh(blocks)
-        t_blocks, z_blocks = w[:, ::-1], v[:, :, ::-1]  # descending: the unstable part first
-        unstable = t_blocks >= -STABILITY_MARGIN
-    else:
-        forms = [sorted_schur(block) for block in blocks]
-        t_blocks = np.array([t for t, _, _ in forms])
-        z_blocks = np.array([z for _, z, _ in forms])
-        unstable = np.arange(n) < np.array([n_u for _, _, n_u in forms])[:, None]
+    t_blocks, z_blocks, n_u = sorted_schur(dyn.A - lams[:, None, None] * dyn.B)
+    unstable = np.arange(n) < n_u[:, None]
     order = np.argsort(~unstable.ravel(), kind="stable")
     z = (u[:, :, None, None] * z_blocks[None]).transpose(0, 2, 1, 3).reshape(size, size)
-    if symmetric:
-        t = np.diag(t_blocks.ravel()[order])
-    else:
-        t = sla.block_diag(*t_blocks)[np.ix_(order, order)]
+    at = np.argsort(order).reshape(lams.size, n)  # where each block's rows land in T
+    t = np.zeros((size, size), dtype=t_blocks.dtype)
+    t[at[:, :, None], at[:, None, :]] = t_blocks
     return t, z[:, order], int(unstable.sum())
 
 

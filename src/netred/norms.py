@@ -8,7 +8,7 @@ against the test suite's oracles:
   oracle for everything H-infinity.
 * ``hinf_norm_dc``: exact DC-gain value sigma_max(C A^+ B), valid when a
   symmetric witness X with CA = XC exists and ker A lies in ker C; the
-  pseudoinverse comes from the eigendecomposition its precondition test takes.
+  pseudoinverse comes from the realization's real diagonal Schur form.
 
 ``h2_norm_quadrature`` is the corresponding H2 oracle (trapezoid rule on a
 log grid with Richardson extrapolation and an analytic tail estimate); it
@@ -38,16 +38,16 @@ import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 from scipy.optimize import minimize_scalar
 
-from .errors import KernelViolated, WitnessInvalid
+from .errors import KernelViolated, NotSymmetric, WitnessInvalid
 from .linalg import (
     KERNEL_TOL,
     STABILITY_MARGIN,
     StateSpace,
+    diagonal_poles,
     pinv_eigenvalues,
     require_unobserved,
     solve_lyapunov_with_kernel,
     stable_unstable_split,
-    sym_eig,
     triangular_response,
 )
 from .netsys import AgentDynamics
@@ -216,16 +216,16 @@ def aux_gramian_h2_sq(dyn: AgentDynamics, lams) -> np.ndarray:
     """Squared H2 norms tr(E^T X_i E) of the auxiliary systems (A - lam_i B, E, lam_i I),
     one per entry of the 1-D array ``lams``, as an array of the same length.
 
-    X_i solves (A - lam_i B)^T X_i + X_i (A - lam_i B) + lam_i^2 I = 0.  When A and B
-    are exactly symmetric (``AgentDynamics.exactly_symmetric``), one batched ``eigh``
-    gives A - lam_i B = V_i diag(w_i) V_i^T and the closed form
+    X_i solves (A - lam_i B)^T X_i + X_i (A - lam_i B) + lam_i^2 I = 0.  For symmetric
+    agents (``AgentDynamics.symmetric``, whose A and B are exactly symmetric), one
+    batched ``eigh`` gives A - lam_i B = V_i diag(w_i) V_i^T and the closed form
     tr(E^T X_i E) = lam_i^2 sum_j ||v_ij^T E||^2 / (-2 w_ij); otherwise one
     ``solve_continuous_lyapunov`` per lam_i.  Requires, without testing it, every
     A - lam_i B Hurwitz: the callers' lams come from a spectrum that
     ``is_synchronized`` or ``Analysis.lost_hurwitz`` has tested.
     """
     lams = np.asarray(lams, dtype=float)
-    if dyn.exactly_symmetric:
+    if dyn.symmetric:
         w, v = np.linalg.eigh(dyn.A - lams[:, None, None] * dyn.B)
         weights = (np.swapaxes(v, 1, 2) @ dyn.E) ** 2
         return lams**2 * (weights.sum(axis=2) / (-2.0 * w)).sum(axis=1)
@@ -247,15 +247,19 @@ def aux_dc_gain(dyn: AgentDynamics, lams) -> np.ndarray:
 def hinf_norm_dc(sys: StateSpace, x_witness) -> NormResult:
     """Exact H-infinity norm sigma_max(C A^+ B) under a DC-dominance witness.
 
-    Preconditions: A symmetric; a symmetric witness X with C A = X C (so the
-    gain is maximal at zero frequency); ker A contained in ker C (so the
-    transfer function extends continuously to s = 0); any positive
-    eigenvalues of A unobservable.
+    Preconditions: A symmetric, that is ``sys.schur`` real diagonal, A = U diag(w) U^T
+    (else NotSymmetric), and then A^+ = U diag(w^+) U^T; a symmetric witness X with
+    C A = X C (so the gain is maximal at zero frequency); ker A contained in ker C (so
+    the transfer function extends continuously to s = 0); any positive eigenvalues
+    of A unobservable.
     """
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return _zero_result(METHOD_DC)
     a, b, c = sys.A, sys.B, sys.C
-    eig = sym_eig(a)  # raises NotSymmetric for asymmetric drift
+    t, u, _ = sys.schur
+    w = diagonal_poles(t)
+    if w is None or not (np.isrealobj(t) and np.isrealobj(u)):
+        raise NotSymmetric("the DC-gain route needs a real diagonal Schur form (a symmetric A)")
     x = np.asarray(x_witness, dtype=float)
     if x.shape != (sys.n_outputs, sys.n_outputs):
         raise WitnessInvalid(f"witness must be {sys.n_outputs} x {sys.n_outputs}, got {x.shape}")
@@ -265,7 +269,6 @@ def hinf_norm_dc(sys: StateSpace, x_witness) -> NormResult:
     witness_residual = np.abs(ca - x @ c).max(initial=0.0)
     if witness_residual > WITNESS_RTOL * (1.0 + np.abs(ca).max(initial=0.0)):
         raise WitnessInvalid(f"CA != XC (residual {witness_residual:.3e})")
-    w, u = eig.eigenvalues, eig.eigenvectors
     w_plus = pinv_eigenvalues(w)  # zero exactly on the numerical kernel of A
     c_scale = 1.0 + np.abs(c).max(initial=0.0)
     kernel_residual = np.abs(c @ u[:, w_plus == 0.0]).max(initial=0.0)

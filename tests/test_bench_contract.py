@@ -19,7 +19,11 @@ import numpy as np
 import pytest
 
 from netred.cli import main
-from netred.generators import random_connected_graph, random_partition
+from netred.generators import (
+    random_connected_graph,
+    random_partition,
+    random_symmetric_dynamics,
+)
 from netred.netfile import dump_json, generate_example
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -98,3 +102,27 @@ def test_spectrum_work_does_not_grow_with_the_network(tmp_path):
     assert counts[0] == counts[1]
     hurwitz_calls, gramian_calls = counts[0]
     assert 1 <= hurwitz_calls <= 3 and 1 <= gramian_calls <= 2
+
+
+def test_symmetric_eigendecompositions_stay_network_sized(tmp_path):
+    # the only sym_eig calls on the analyze path are the Laplacian's and the reduced
+    # Laplacian's; the DC-gain norm reuses the realization's form instead of factoring
+    # an N n-state drift
+    rng = np.random.default_rng(45)
+    payload = generate_example("random-aep", seed=4)
+    dyn = random_symmetric_dynamics(rng, 3, 2)
+    payload["agent"] = {"A": dyn.A.tolist(), "B": dyn.B.tolist(), "E": dyn.E.tolist()}
+    path = tmp_path / "sym.json"
+    path.write_text(dump_json(payload), encoding="utf-8")
+    rows = []
+
+    class ShapeTracer(RUN.tracing.Tracer):
+        def _observe_sym_eig(self, args, result):
+            rows.append(np.shape(args[0])[0])
+
+    argv = ["analyze", str(path), "--oracle-check", "--out", str(tmp_path / "r.json")]
+    with ShapeTracer() as tracer:
+        assert main(argv) == 0
+    assert json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["analysis"]["aep"]
+    assert tracer.stats["linalg.sym_eig"].calls == len(rows) == 2
+    assert max(rows) <= payload["n_nodes"]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from netred.cli import main
+from netred.linalg import SYMMETRY_RTOL
 from netred.netfile import (
     FileFormatError,
     dump_json,
@@ -78,6 +79,18 @@ class TestValidation:
         payload["edges"][0][2] = -1.0
         code, _ = _run(tmp_path, payload)
         assert code == 2
+
+    @pytest.mark.parametrize("edge", [[2, 1, 1.0], [1, 2, 0.5]])
+    def test_duplicate_edge_exits_2_with_its_field(self, tmp_path, capsys, edge):
+        # the field path indexes the list from 0; the pair is named by 1-based nodes
+        payload = generate_example("k3-aep")
+        payload["edges"].append(edge)
+        code, _ = _run(tmp_path, payload)
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "schema"
+        assert err["field"] == "edges[3]"
+        assert err["message"] == "edges[3]: duplicates the pair (1, 2) of edges[0]"
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -286,6 +299,55 @@ class TestAnalyze:
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "NotSingleIntegrator"
+
+
+def _near_symmetric_k3(asym: float) -> dict:
+    """K3 with weak edges and n=2 agents whose A is off symmetric by ``asym`` in one
+    entry.  The symmetry threshold is SYMMETRY_RTOL * (1 + 100); relative to the
+    assembled drift, whose entries are near 1, ``asym`` = 5e-9 is far above it."""
+    payload = generate_example("k3-aep")
+    payload["agent"] = {
+        "A": [[-1.0, asym], [0.0, -1.0]],
+        "B": [[100.0, 0.0], [0.0, 100.0]],
+        "E": [[1.0], [0.5]],
+    }
+    for edge in payload["edges"]:
+        edge[2] = 1e-6
+    return payload
+
+
+class TestSymmetryDecision:
+    """Agent symmetry is decided once, relative to the agent matrices."""
+
+    THRESHOLD = SYMMETRY_RTOL * 101.0
+
+    def test_symmetric_within_tolerance_takes_the_dc_route(self, tmp_path):
+        code, report = _run(tmp_path, _near_symmetric_k3(5e-9))
+        assert code == 0
+        assert report["bounds"]["full_hinf_norm"]["method"] == "dc_gain_closed_form"
+        assert report["bounds"]["abs_hinf_bound"] is not None
+
+    def test_twice_the_threshold_takes_the_sweep(self, tmp_path):
+        code, report = _run(tmp_path, _near_symmetric_k3(2.0 * self.THRESHOLD))
+        assert code == 0
+        bounds = report["bounds"]
+        assert bounds["full_hinf_norm"]["method"] == "frequency_sweep"
+        for name in ("abs_hinf_bound", "rel_hinf_bound", "hinf_exact_error"):
+            assert bounds[name] is None
+            assert bounds["unavailable"][name] == "NotSymmetricDynamics"
+
+    def test_near_symmetric_agents_are_analysed_as_their_symmetric_parts(self, tmp_path):
+        near = _near_symmetric_k3(5e-9)
+        near["agent"]["B"][1][0] = 3e-9
+        exact = json.loads(json.dumps(near))
+        for name in ("A", "B"):
+            mat = np.array(near["agent"][name])
+            exact["agent"][name] = (0.5 * (mat + mat.T)).tolist()
+        assert exact["agent"] != near["agent"]
+        _, want = _run(tmp_path, exact, "--oracle-check", name="exact.json")
+        _, got = _run(tmp_path, near, "--oracle-check", name="near.json")
+        assert got["bounds"] == want["bounds"]
+        assert got["oracle_checks"] == want["oracle_checks"]
 
 
 class TestRankDeficientInput:

@@ -12,6 +12,7 @@ from netred.linalg import (
     pinv,
     solve_lyapunov,
     solve_lyapunov_with_kernel,
+    sorted_schur,
     stable_unstable_split,
     sym_eig,
     triangular_response,
@@ -180,6 +181,43 @@ class TestSolveLyapunov:
     def test_rejects_unstable(self):
         with pytest.raises(NotHurwitz):
             solve_lyapunov([[0.0]], [[1.0]])
+
+
+class TestSortedSchur:
+    @staticmethod
+    def _stack(rng, symmetric):
+        g = rng.normal(size=(6, 3, 3))
+        return g + np.swapaxes(g, 1, 2) if symmetric else g
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_stack_equals_the_per_block_calls_bit_for_bit(self, symmetric):
+        stack = self._stack(np.random.default_rng(40), symmetric)
+        t, z, n_u = sorted_schur(stack)
+        assert t.shape == z.shape == stack.shape and n_u.shape == (6,)
+        for k, block in enumerate(stack):
+            t_k, z_k, n_k = sorted_schur(block)
+            np.testing.assert_array_equal(t[k], t_k)
+            np.testing.assert_array_equal(z[k], z_k)
+            assert n_u[k] == n_k
+
+    def test_symmetric_input_gives_a_real_diagonal_descending_form(self):
+        a = self._stack(np.random.default_rng(41), True)[0]
+        t, z, n_u = sorted_schur(a)
+        assert np.isrealobj(t) and np.isrealobj(z)
+        w = np.diagonal(t)
+        assert not (t - np.diag(w)).any()
+        assert (np.diff(w) <= 0).all() and n_u == (w >= -STABILITY_MARGIN).sum()
+        assert np.abs(z @ t @ z.T - a).max() <= 1e-12 * np.abs(a).max()
+
+    def test_other_input_gives_a_complex_schur_form(self):
+        # symmetric only up to rounding: not exactly symmetric, so no eigh
+        a = self._stack(np.random.default_rng(42), True)[0]
+        a[0, 1] += 1e-15
+        t, z, n_u = sorted_schur(a)
+        assert np.iscomplexobj(t) and np.iscomplexobj(z)
+        assert not np.tril(t, -1).any()
+        assert (np.diagonal(t)[:n_u].real >= -STABILITY_MARGIN).all()
+        assert (np.diagonal(t)[n_u:].real < -STABILITY_MARGIN).all()
 
 
 class TestStableUnstableSplit:

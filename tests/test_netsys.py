@@ -13,7 +13,7 @@ from netred.generators import (
     single_integrator,
 )
 from netred.graphcore import Partition, WeightedGraph, laplacian_from_graph
-from netred.linalg import STABILITY_MARGIN
+from netred.linalg import STABILITY_MARGIN, SYMMETRY_RTOL
 from netred.netsys import (
     AgentDynamics,
     NetworkSystem,
@@ -53,9 +53,35 @@ class TestAgentDynamics:
         assert not AgentDynamics(A=[[0.0]], B=[[2.0]], E=[[1.0]]).is_single_integrator()
 
     def test_symmetry_detection(self):
-        assert AgentDynamics(A=-np.eye(2), B=np.eye(2), E=np.ones((2, 1))).is_symmetric()
+        assert AgentDynamics(A=-np.eye(2), B=np.eye(2), E=np.ones((2, 1))).symmetric
         skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        assert not AgentDynamics(A=skew, B=np.eye(2), E=np.ones((2, 1))).is_symmetric()
+        assert not AgentDynamics(A=skew, B=np.eye(2), E=np.ones((2, 1))).symmetric
+
+
+    def test_symmetric_within_tolerance_becomes_its_symmetric_part(self):
+        # the threshold is SYMMETRY_RTOL * (1 + max(|A|, |B|)) = SYMMETRY_RTOL * 3 here
+        a = np.array([[-2.0, 1.0], [1.0 + 2.0 * SYMMETRY_RTOL, -3.0]])
+        b = np.array([[1.0, -SYMMETRY_RTOL], [0.0, 1.0]])
+        dyn = AgentDynamics(A=a, B=b, E=np.ones((2, 1)))
+        assert dyn.symmetric
+        np.testing.assert_array_equal(dyn.A, 0.5 * (a + a.T))
+        np.testing.assert_array_equal(dyn.B, 0.5 * (b + b.T))
+        assert np.array_equal(dyn.A, dyn.A.T) and np.array_equal(dyn.B, dyn.B.T)
+
+    def test_exactly_symmetric_input_is_kept_bit_for_bit(self):
+        rng = np.random.default_rng(44)
+        g, h = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+        a, b = g + g.T, h + h.T
+        dyn = AgentDynamics(A=a, B=b, E=np.ones((3, 1)))
+        assert dyn.symmetric
+        np.testing.assert_array_equal(dyn.A, a)
+        np.testing.assert_array_equal(dyn.B, b)
+
+    def test_beyond_tolerance_is_kept_as_given(self):
+        a = np.array([[-2.0, 1.0], [1.0 + 8.0 * SYMMETRY_RTOL, -3.0]])
+        dyn = AgentDynamics(A=a, B=np.eye(2), E=np.ones((2, 1)))
+        assert not dyn.symmetric
+        np.testing.assert_array_equal(dyn.A, a)
 
 
 class TestAssembleFull:

@@ -8,6 +8,7 @@ from netred.cli import main
 from netred.errors import (
     KernelViolated,
     NotAEP,
+    NotSymmetric,
     NotSynchronized,
     UnstablePoles,
     WitnessInvalid,
@@ -71,7 +72,7 @@ class TestH2Norm:
             x = solve_lyapunov(dyn.A - lam * dyn.B, lam * lam * np.eye(dyn.n))
             want = float(np.trace(dyn.E.T @ x @ dyn.E))
             (got,) = aux_gramian_h2_sq(dyn, np.array([lam]))
-            if dyn.exactly_symmetric:
+            if dyn.symmetric:
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0)
             else:
                 assert got == want
@@ -114,7 +115,7 @@ class TestAuxiliaryBatches:
         for seed in range(12):
             rng = np.random.default_rng(4100 + seed)
             dyn = make_dynamics(rng, kind, n=1 + seed % 3, r=1 + seed % 2)
-            assert dyn.exactly_symmetric
+            assert dyn.symmetric
             lams = np.sort(rng.uniform(0.05, 8.0, size=7))
             got = aux_gramian_h2_sq(dyn, lams)
             np.testing.assert_allclose(got, self._reference(dyn, lams), rtol=1e-12, atol=0.0)
@@ -129,7 +130,7 @@ class TestAuxiliaryBatches:
         for seed in range(8):
             rng = np.random.default_rng(4200 + seed)
             dyn = make_dynamics(rng, "dissipative", n=2 + seed % 2, r=2)
-            assert not dyn.exactly_symmetric
+            assert not dyn.symmetric
             lams = rng.uniform(0.1, 5.0, size=5)
             assert aux_gramian_h2_sq(dyn, lams).tolist() == self._reference(dyn, lams).tolist()
 
@@ -293,6 +294,22 @@ class TestHinfDc:
         dc = hinf_norm_dc(sys, a)
         sweep = hinf_norm_sweep(sys)
         assert abs(dc.value - sweep.value) <= 1e-6 * dc.value
+
+    def test_nonsymmetric_bare_drift_raises(self):
+        a = np.array([[-1.0, 0.5], [0.0, -2.0]])
+        sys = StateSpace(A=a, B=np.eye(2), C=np.eye(2))
+        with pytest.raises(NotSymmetric):
+            hinf_norm_dc(sys, a)
+
+    def test_bare_drift_must_be_exactly_symmetric(self):
+        # a bare StateSpace takes the complex Schur form of a drift symmetric only up to
+        # rounding; agents symmetric within SYMMETRY_RTOL are symmetrized when built
+        a = np.array([[-1.0, 0.5], [0.5 + 1e-15, -2.0]])
+        sys = StateSpace(A=a, B=np.eye(2), C=np.eye(2))
+        with pytest.raises(NotSymmetric):
+            hinf_norm_dc(sys, np.eye(2))
+        sym = StateSpace(A=0.5 * (a + a.T), B=np.eye(2), C=np.eye(2))
+        assert hinf_norm_dc(sym, sym.A).method == "dc_gain_closed_form"
 
     def test_invalid_witness_raises(self):
         sys = StateSpace(A=np.diag([-1.0, -2.0]), B=np.eye(2), C=np.eye(2))
