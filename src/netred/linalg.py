@@ -14,7 +14,10 @@ one stacked ``sorted_schur`` of its n x n blocks (``netsys.kron_schur``); a bare
 ``StateSpace`` takes one of its whole drift.  When T is exactly diagonal
 (symmetric agents, single integrators included) the Lyapunov solve and the
 response are closed forms; otherwise they are a triangular Sylvester solve and
-a back substitution.  Every function is pure: none mutates its arguments.
+a back substitution.  The Gramian never leaves Schur coordinates: the squared H2
+norm is a trace over the deflated input matrix, whose numerical rank a pivoted
+Cholesky factorization cuts, so no N n-state Gramian is formed or factored.
+Every function is pure: none mutates its arguments.
 """
 
 from __future__ import annotations
@@ -177,18 +180,24 @@ def solve_lyapunov(a, q) -> np.ndarray:
 
 
 def _psd_quadratic_trace(x, b) -> float:
-    """tr(B^T X B) for symmetric PSD X, evaluated as sum_i lam_i ||v_i^T B||^2.
+    """tr(B^H X B) for Hermitian PSD X, evaluated as ||L^H P^T B||_F^2 from a pivoted
+    Cholesky factorization P^T X P = L L^H (LAPACK ``?pstrf`` on the lower triangle).
 
-    Mathematically identical to the direct trace, but eigenvalues of X below
-    RANK_TOL * lam_max are treated as exact zeros (the same rank decision as
-    in ``pinv``).  Solver noise in X then cannot leak into the trace through
-    near-null modes, which matters when the exact value is zero.
+    Mathematically identical to the direct trace, but the factorization stops at the
+    first pivot at or below RANK_TOL * max diag X and its trailing Schur complement
+    counts as exactly zero.  Solver noise in X then cannot leak into the trace through
+    near-null directions, which matters when the exact value is zero.  The zero and the
+    empty matrix give 0.0.
     """
-    w, u = np.linalg.eigh(x)
-    cutoff = RANK_TOL * w.max(initial=0.0)
-    keep = w > cutoff
-    proj = u[:, keep].T @ b
-    return float(w[keep] @ (proj**2).sum(axis=1))
+    top = np.diagonal(x).real.max(initial=0.0)
+    if top <= 0.0:
+        return 0.0
+    pstrf = sla.lapack.get_lapack_funcs("pstrf", (x,))
+    factor, piv, rank, info = pstrf(x, tol=RANK_TOL * top, lower=1)
+    if info < 0:
+        raise ValueError(f"illegal argument {-info} to the pivoted Cholesky factorization")
+    proj = np.tril(factor[:, :rank]).conj().T @ b[piv - 1]
+    return float(np.vdot(proj, proj).real)
 
 
 def require_unobserved(c, v_u) -> None:
@@ -247,30 +256,31 @@ def triangular_response(t, b, c, s) -> np.ndarray:
 
 
 def solve_lyapunov_with_kernel(sys: StateSpace):
-    """Observability Gramian of (A, B, C) allowing unobservable marginal modes.
+    """Observability Gramian of (A, B, C) allowing unobservable marginal modes, kept in
+    the deflated coordinates of ``stable_unstable_split``.
 
-    Returns ``(X, h2sq)``: X is the PSD solution of A^T X + X A + C^T C = 0 that
-    vanishes on the closed-right-half-plane invariant subspace, and
-    ``h2sq = tr(B^T X B)`` the squared H2 norm.  On the deflated triple
-    (``stable_unstable_split``) it solves T_s^H X_s + X_s T_s + C_s^H C_s = 0, and
-    X = Z_s X_s Z_s^H.  A diagonal T_s (poles p) gives
-    X_s = -C_s^H C_s / (conj(p_k) + p_l) entrywise; otherwise one triangular Sylvester
-    solve (``ztrsyl``).  Raises UnstablePoles when C observes a marginal mode,
-    IllConditioned when the Sylvester solve reports a problem.
+    Returns ``(X_s, h2sq, residual)``.  X_s solves T_s^H X_s + X_s T_s + C_s^H C_s = 0;
+    the PSD solution of A^T X + X A + C^T C = 0 that vanishes on the
+    closed-right-half-plane invariant subspace is X = Z_s X_s Z_s^H, which is never
+    formed.  ``h2sq = tr(B_s^H X_s B_s)`` with B_s = Z_s^H B is the squared H2 norm
+    (``_psd_quadratic_trace``, which cuts the numerical rank of X_s), and ``residual``
+    the largest entry of |T_s^H X_s + X_s T_s + C_s^H C_s|, the equation solved.  A
+    diagonal T_s (poles p) gives X_s = -C_s^H C_s / (conj(p_k) + p_l) entrywise and an
+    O(n^2) residual; otherwise one triangular Sylvester solve (``ztrsyl``).  Raises
+    UnstablePoles when C observes a marginal mode, IllConditioned when the Sylvester
+    solve reports a problem.
     """
-    t_s, _, c_s = stable_unstable_split(sys)
-    if t_s.shape[0] == 0:
-        return np.zeros((sys.n_states, sys.n_states)), 0.0
+    t_s, b_s, c_s = stable_unstable_split(sys)
     gram = c_s.conj().T @ c_s
     poles = diagonal_poles(t_s)
     if poles is not None:
-        x_s = -gram / (poles.conj()[:, None] + poles)
+        sums = poles.conj()[:, None] + poles
+        x_s = -gram / sums
+        residual = sums * x_s + gram
     else:
         x_s, scale, info = sla.lapack.ztrsyl(t_s, t_s, -gram, trana="C")
         if info:
             raise IllConditioned(f"triangular Lyapunov solve failed (ztrsyl info={info})")
         x_s = x_s / scale
-    _, z, n_u = sys.schur
-    x = (z[:, n_u:] @ x_s @ z[:, n_u:].conj().T).real
-    x = 0.5 * (x + x.T)
-    return x, _psd_quadratic_trace(x, sys.B)
+        residual = t_s.conj().T @ x_s + x_s @ t_s + gram
+    return x_s, _psd_quadratic_trace(x_s, b_s), float(np.abs(residual).max(initial=0.0))

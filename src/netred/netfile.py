@@ -252,5 +252,6 @@ def generate_example(name: str, seed: int = 0) -> dict:
 
 
 def dump_json(payload: dict) -> str:
-    """Canonical serialization: two-space indent, keys in construction order."""
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """Canonical serialization: compact (no indent, no spaces after separators, which keeps
+    CPython on its C encoder), one trailing newline, keys in construction order."""
+    return json.dumps(payload, allow_nan=False, separators=(",", ":")) + "\n"

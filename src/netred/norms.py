@@ -80,19 +80,20 @@ def _zero_result(method: str) -> NormResult:
 
 
 def h2_norm(sys: StateSpace) -> NormResult:
-    """H2 norm via the kernel-conditioned Lyapunov solve.
+    """H2 norm via the kernel-conditioned Lyapunov solve, in Schur coordinates.
 
-    value^2 = tr(B^T X B).  Raises UnstablePoles when the output observes a
+    value^2 = tr(B_s^H X_s B_s) on the deflated triple (``solve_lyapunov_with_kernel``);
+    the certificate's ``lyapunov_residual`` is max|T_s^H X_s + X_s T_s + C_s^H C_s|, the
+    residual of the equation solved.  Raises UnstablePoles when the output observes a
     closed-right-half-plane mode (the norm is then infinite or undefined).
     """
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return _zero_result(METHOD_LYAPUNOV)
-    x, h2sq = solve_lyapunov_with_kernel(sys)
-    residual = np.abs(sys.A.T @ x + x @ sys.A + sys.C.T @ sys.C).max(initial=0.0)
+    _, h2sq, residual = solve_lyapunov_with_kernel(sys)
     return NormResult(
         math.sqrt(max(h2sq, 0.0)),
         METHOD_LYAPUNOV,
-        {"lyapunov_residual": float(residual)},
+        {"lyapunov_residual": residual},
     )
 
 

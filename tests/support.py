@@ -29,7 +29,7 @@ from netred.generators import (
 )
 from netred.errors import Disconnected, NotAEP, NotSynchronized
 from netred.graphcore import ZERO_EIG_TOL, is_almost_equitable, is_connected, reduce_graph
-from netred.linalg import STABILITY_MARGIN, StateSpace, sym_eig
+from netred.linalg import RANK_TOL, STABILITY_MARGIN, StateSpace, sym_eig
 from netred.netsys import hurwitz_over, is_synchronized
 from netred.norms import (
     SWEEP_COARSE_PPD,
@@ -77,6 +77,23 @@ def lyap_kron_oracle(a, q):
     lhs = np.kron(np.eye(n), a.T) + np.kron(a.T, np.eye(n))
     x = np.linalg.solve(lhs, -q.reshape(-1, order="F"))
     return x.reshape((n, n), order="F")
+
+
+def dense_gramian(sys, x_s) -> np.ndarray:
+    """X = Z_s X_s Z_s^H: the Gramian of ``solve_lyapunov_with_kernel`` in the coordinates
+    of A, from its X_s in those of the stable block of ``sys.schur``."""
+    _, z, n_u = sys.schur
+    x = (z[:, n_u:] @ x_s @ z[:, n_u:].conj().T).real
+    return 0.5 * (x + x.T)
+
+
+def eigh_quadratic_trace(x, b) -> float:
+    """tr(B^H X B) for Hermitian PSD X as sum_i w_i ||v_i^H B||^2 over the eigenvalues
+    w_i > RANK_TOL * max w of one ``eigh``: the rank cut made on the spectrum."""
+    w, v = np.linalg.eigh(x)
+    keep = w > RANK_TOL * w.max(initial=0.0)
+    proj = v[:, keep].conj().T @ b
+    return float(w[keep] @ (np.abs(proj) ** 2).sum(axis=1))
 
 
 def dense_response(sys, s: complex) -> np.ndarray:

@@ -107,22 +107,30 @@ def test_spectrum_work_does_not_grow_with_the_network(tmp_path):
 def test_symmetric_eigendecompositions_stay_network_sized(tmp_path):
     # the only sym_eig calls on the analyze path are the Laplacian's and the reduced
     # Laplacian's; the DC-gain norm reuses the realization's form instead of factoring
-    # an N n-state drift
+    # an N n-state drift, and the H2 norms cut the rank of their Gramians in Schur
+    # coordinates instead of factoring an N n-state Gramian, so no eigh sees more than
+    # N rows
     rng = np.random.default_rng(45)
     payload = generate_example("random-aep", seed=4)
     dyn = random_symmetric_dynamics(rng, 3, 2)
     payload["agent"] = {"A": dyn.A.tolist(), "B": dyn.B.tolist(), "E": dyn.E.tolist()}
     path = tmp_path / "sym.json"
     path.write_text(dump_json(payload), encoding="utf-8")
-    rows = []
+    rows, eigh_rows = [], []
 
     class ShapeTracer(RUN.tracing.Tracer):
         def _observe_sym_eig(self, args, result):
             rows.append(np.shape(args[0])[0])
 
+    def spy_eigh(a, *args, **kwargs):
+        eigh_rows.append(np.shape(a)[-2])
+        return eigh(a, *args, **kwargs)
+
+    eigh = np.linalg.eigh
     argv = ["analyze", str(path), "--oracle-check", "--out", str(tmp_path / "r.json")]
-    with ShapeTracer() as tracer:
+    with ShapeTracer() as tracer, mock.patch.object(np.linalg, "eigh", spy_eigh):
         assert main(argv) == 0
     assert json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["analysis"]["aep"]
     assert tracer.stats["linalg.sym_eig"].calls == len(rows) == 2
     assert max(rows) <= payload["n_nodes"]
+    assert eigh_rows and max(eigh_rows) <= payload["n_nodes"]

@@ -10,15 +10,21 @@ strings, booleans and nulls must match exactly, and numbers to a relative
 1e-9; the absolute 1e-12 absorbs quantities whose exact value is zero
 (residuals, zero eigenvalues).
 
-Record the files again only when a report is meant to change:
+Record a file again only when its report is meant to change, by naming it
+(the file name without ``.json``); with no names the recorder writes only the
+files that do not exist yet, so a new example leaves the old files as they are:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py k3-aep random-aep-3
+
+The files are indented, unlike the compact reports ``netred analyze`` writes,
+so that a re-recording shows as a readable diff.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -96,13 +102,22 @@ def test_report_matches_golden(name, seed, tmp_path):
     assert differences(want, got) == []
 
 
-def record(tmp_dir: Path) -> None:
+def record(tmp_dir: Path, stems) -> None:
+    """Write the golden file of each example whose file name without ``.json`` is in
+    ``stems``; with no stems, of each example whose file is missing."""
+    examples = {golden_path(name, seed).stem: (name, seed) for name, seed in EXAMPLES}
+    unknown = sorted(set(stems) - set(examples))
+    if unknown:
+        raise SystemExit(f"unknown golden file(s) {unknown}; known: {sorted(examples)}")
+    chosen = stems or [stem for stem, key in examples.items() if not golden_path(*key).exists()]
     GOLDEN.mkdir(exist_ok=True)
-    for name, seed in EXAMPLES:
-        report = analyze(example_payload(name, seed), tmp_dir)
-        golden_path(name, seed).write_text(dump_json(report), encoding="utf-8")
+    for stem in chosen:
+        report = analyze(example_payload(*examples[stem]), tmp_dir)
+        path = golden_path(*examples[stem])
+        path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        print(f"wrote {path}")
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        record(Path(tmp))
+        record(Path(tmp), sys.argv[1:])

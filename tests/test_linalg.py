@@ -8,6 +8,7 @@ from netred.linalg import (
     SCHUR_CHUNK,
     STABILITY_MARGIN,
     StateSpace,
+    _psd_quadratic_trace,
     is_hurwitz,
     pinv,
     solve_lyapunov,
@@ -22,7 +23,9 @@ from netred.netsys import NetworkSystem, assemble_error_system
 from .support import (
     PATH5_CELLS,
     PATH5_LAPLACIAN,
+    dense_gramian,
     dense_response,
+    eigh_quadratic_trace,
     lyap_kron_oracle,
     random_hurwitz,
 )
@@ -242,7 +245,9 @@ class TestSolveLyapunovWithKernel:
         a = np.diag([-1.0, 0.0])
         b = np.array([[1.0], [1.0]])
         c = np.array([[1.0, 0.0]])
-        x, h2sq = solve_lyapunov_with_kernel(StateSpace(a, b, c))
+        sys = StateSpace(a, b, c)
+        x_s, h2sq, _ = solve_lyapunov_with_kernel(sys)
+        x = dense_gramian(sys, x_s)
         np.testing.assert_allclose(x, np.diag([0.5, 0.0]), atol=1e-12)
         assert abs(h2sq - 0.5) <= 1e-12
 
@@ -258,7 +263,9 @@ class TestSolveLyapunovWithKernel:
         a = random_hurwitz(rng, 5)
         b = rng.normal(size=(5, 2))
         c = rng.normal(size=(3, 5))
-        x_kernel, h2sq = solve_lyapunov_with_kernel(StateSpace(a, b, c))
+        sys = StateSpace(a, b, c)
+        x_s, h2sq, _ = solve_lyapunov_with_kernel(sys)
+        x_kernel = dense_gramian(sys, x_s)
         x_plain = solve_lyapunov(a, c.T @ c)
         assert np.abs(x_kernel - x_plain).max() <= 1e-9
         assert abs(h2sq - np.trace(b.T @ x_plain @ b)) <= 1e-9
@@ -266,11 +273,46 @@ class TestSolveLyapunovWithKernel:
     def test_psd_and_kernel_containment(self):
         # network-style marginal system: K2 single integrator, one leader
         lap = laplacian_from_graph(path_graph(2)).mat
-        x, h2sq = solve_lyapunov_with_kernel(StateSpace(-lap, np.array([[1.0], [0.0]]), lap))
+        sys = StateSpace(-lap, np.array([[1.0], [0.0]]), lap)
+        x_s, h2sq, _ = solve_lyapunov_with_kernel(sys)
+        x = dense_gramian(sys, x_s)
         assert abs(h2sq - 0.5) <= 1e-12
         assert np.linalg.eigvalsh(x).min() >= -1e-12
         ones = np.ones(2) / np.sqrt(2)
         assert np.abs(x @ ones).max() <= 1e-12
+
+    def test_residual_is_that_of_the_equation_solved(self):
+        # diagonal and triangular T_s: max|T_s^H X_s + X_s T_s + C_s^H C_s|, at rounding level
+        rng = np.random.default_rng(7)
+        for a in (-np.diag([1.0, 2.0, 3.0]), random_hurwitz(rng, 5)):
+            sys = StateSpace(a, rng.normal(size=(len(a), 2)), rng.normal(size=(3, len(a))))
+            t_s, _, c_s = stable_unstable_split(sys)
+            x_s, _, residual = solve_lyapunov_with_kernel(sys)
+            want = np.abs(t_s.conj().T @ x_s + x_s @ t_s + c_s.conj().T @ c_s).max()
+            scale = np.abs(c_s).max() ** 2
+            assert abs(residual - want) <= 1e-14 * scale
+            assert residual <= 1e-12 * scale
+
+
+class TestPsdQuadraticTrace:
+    """The pivoted-Cholesky rank cut against the eigenvalue cut, to 1e-12 relative."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("rank", [6, 3, 1])
+    def test_matches_eigh_cut(self, dtype, rank):
+        rng = np.random.default_rng(rank)
+        g = rng.normal(size=(6, rank)).astype(dtype)
+        b = rng.normal(size=(6, 2)).astype(dtype)
+        if dtype is complex:
+            g = g + 1j * rng.normal(size=(6, rank))
+            b = b + 1j * rng.normal(size=(6, 2))
+        x = g @ g.conj().T
+        got = _psd_quadratic_trace(x, b)
+        assert got == pytest.approx(eigh_quadratic_trace(x, b), rel=1e-12, abs=0.0)
+
+    def test_zero_and_empty(self):
+        assert _psd_quadratic_trace(np.zeros((4, 4)), np.ones((4, 2))) == 0.0
+        assert _psd_quadratic_trace(np.zeros((0, 0)), np.zeros((0, 2))) == 0.0
 
 
 class TestStateSpace:

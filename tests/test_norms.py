@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from netred.bounds import Analysis, full_report
 from netred.cli import main
 from netred.errors import (
     KernelViolated,
@@ -16,8 +17,10 @@ from netred.errors import (
 from netred.generators import (
     EXAMPLES,
     complete_graph,
+    lift_aep_graph,
     path_graph,
     random_aep_instance,
+    random_symmetric_dynamics,
     single_integrator,
 )
 from netred.graphcore import Partition, laplacian_from_graph
@@ -90,6 +93,19 @@ class TestH2Norm:
         quad = h2_norm_quadrature(sys)
         assert lyap.value == pytest.approx(np.sqrt(0.5), abs=1e-12)
         assert abs(lyap.value - quad.value) <= 1e-4 * quad.value
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_exact_reduction_reads_zero_at_size(self, seed):
+        # every leader alone in its cell of an AEP: the reduction is exact, and the
+        # 192-state error system's Gramian has a wide numerical null space whose noise
+        # the rank cut keeps out of the trace (without it these read about 1e-8)
+        rng = np.random.default_rng(seed)
+        graph, pi = lift_aep_graph(rng, [1, 1, 1, 8, 8, 8, 8, 8, 8, 7, 6])
+        dyn = random_symmetric_dynamics(rng, 3, 2)
+        ns = NetworkSystem(laplacian_from_graph(graph), (0, 1, 2), dyn)
+        report = full_report(Analysis(ns, pi), norms=("h2",))
+        assert graph.n_nodes == 64 and pi.n_cells == 11
+        assert report.true_h2_error.value <= 1e-10 * report.full_h2_norm.value
 
     def test_kernel_violation_raises(self):
         sys = StateSpace(A=np.diag([-1.0, 0.0]), B=np.ones((2, 1)), C=[[0.0, 1.0]])
