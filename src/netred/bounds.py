@@ -16,7 +16,7 @@ precondition once under one set of :class:`Tolerances`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -46,9 +46,9 @@ from .netsys import (
     NetworkSystem,
     assemble_error_system,
     assemble_full,
+    assemble_reduced_bar,
     hurwitz_over,
     is_synchronized,
-    network_realization,
 )
 from .norms import (
     METHOD_LYAPUNOV,
@@ -249,8 +249,12 @@ class Analysis:
         return assemble_full(self.ns)
 
     @cached_property
+    def reduced_system(self) -> StateSpace:
+        return assemble_reduced_bar(self.ns, self.pi, self.reduced)
+
+    @cached_property
     def error_system(self) -> StateSpace:
-        return assemble_error_system(self.ns, self.pi, self.reduced)
+        return assemble_error_system(self.full_system, self.reduced_system)
 
     @cached_property
     def lost_hurwitz(self) -> bool:
@@ -260,27 +264,13 @@ class Analysis:
 
     @cached_property
     def triangle_systems(self) -> tuple:
-        """The outer terms of the triangle route (see :func:`triangle_bound_general`),
-        kept so that its H2 and H-infinity passes share their Schur forms.  Term 3 is
-        (-L_hat, M_hat, dL P) in the symmetrized coordinates (P^T P)^{1/2} x, which
-        keep its transfer function: (-l_bar, (P^T P)^{1/2} M_hat, dL P (P^T P)^{-1/2})."""
-        ns, rg, dyn = self.ns, self.reduced, self.ns.dyn
-        eig, eig_bar = ns.laplacian.spectral, rg.spectral
-        d_l = ns.laplacian.mat - self.surrogate.ns.laplacian.mat
-        root = np.sqrt(self.pi.sizes)
-        return (
-            network_realization(
-                dyn, ns.laplacian.mat, eig.eigenvalues, eig.eigenvectors, ns.m_matrix, d_l
-            ),
-            network_realization(
-                dyn,
-                rg.laplacian_bar,
-                eig_bar.eigenvalues,
-                eig_bar.eigenvectors,
-                root[:, None] * rg.m_hat,
-                (d_l @ self.pi.char_matrix) / root[None, :],
-            ),
-        )
+        """The outer terms of the triangle route (see :func:`triangle_bound_general`): the
+        full and reduced realizations with the output dL and dL P (P^T P)^{-1/2} in place
+        of L and L P (P^T P)^{-1/2}, so they keep those realizations' Schur forms (for
+        single integrators M (x) E = M)."""
+        d_l = self.ns.laplacian.mat - self.surrogate.ns.laplacian.mat
+        d_lp = (d_l @ self.pi.char_matrix) / np.sqrt(self.pi.sizes)[None, :]
+        return replace(self.full_system, C=d_l), replace(self.reduced_system, C=d_lp)
 
     def _extremes(self, upper, lower=None) -> tuple:
         """(max of ``upper`` over the lost spectrum, min of ``lower`` over the nonzero one),

@@ -129,9 +129,10 @@ class Partition:
                     )
                 owner[v] = c_idx
             normalized.append(nodes)
-        missing = sorted(set(range(self.n_nodes)) - owner.keys())
-        if missing:
-            raise InvalidPartition(f"node {missing[0]} is not covered by any cell", node=missing[0])
+        # the first uncovered node is at most len(owner), so the scan stops there
+        missing = next((v for v in range(self.n_nodes) if v not in owner), None)
+        if missing is not None:
+            raise InvalidPartition(f"node {missing} is not covered by any cell", node=missing)
         object.__setattr__(self, "cells", tuple(normalized))
 
     @property

@@ -77,6 +77,30 @@ def _as_float_matrix(value, field: str) -> list:
     return out
 
 
+def _edge_error(edge, n_nodes: int, first: dict, e_idx: int):
+    """``(field suffix, message)`` of the first check edge ``e_idx`` fails, else None, with
+    ``first`` mapping each node pair seen to its first edge.  A passing edge formats nothing."""
+    if not (isinstance(edge, list) and len(edge) == 3):
+        return "", "must be [i, j, weight]"
+    i, j, w = edge
+    for name, value in (("i", i), ("j", j)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            return f".{name}", "must be an integer node index"
+        if not 1 <= value <= n_nodes:
+            return f".{name}", f"must be in 1..{n_nodes}"
+    if i == j:
+        return "", f"self-loop on node {i}"
+    pair = (min(i, j), max(i, j))
+    at = first.setdefault(pair, e_idx)
+    if at != e_idx:
+        return "", f"duplicates the pair {pair} of edges[{at}]"
+    if not _finite(w, MAX_MAGNITUDE):
+        return ".weight", _BOUNDED
+    if w < 0:
+        return ".weight", f"negative weight {w}"
+    return None
+
+
 def validate_network_payload(payload: dict) -> dict:
     """Check the raw JSON payload and return it normalized (still 1-based).
 
@@ -99,33 +123,22 @@ def validate_network_payload(payload: dict) -> dict:
 
     edges = payload["edges"]
     _require(isinstance(edges, list), "edges", "must be a list")
-    first = {}  # (min, max) node pair -> index of the edge that lists it first
+    first = {}
     for e_idx, edge in enumerate(edges):
-        field = f"edges[{e_idx}]"
-        _require(isinstance(edge, list) and len(edge) == 3, field, "must be [i, j, weight]")
-        i, j, w = edge
-        for name, value in (("i", i), ("j", j)):
-            _require(
-                isinstance(value, int) and not isinstance(value, bool),
-                f"{field}.{name}",
-                "must be an integer node index",
-            )
-            _require(1 <= value <= n_nodes, f"{field}.{name}", f"must be in 1..{n_nodes}")
-        _require(i != j, field, f"self-loop on node {i}")
-        pair = (min(i, j), max(i, j))
-        at = first.setdefault(pair, e_idx)
-        _require(at == e_idx, field, f"duplicates the pair {pair} of edges[{at}]")
-        _require(_finite(w, MAX_MAGNITUDE), f"{field}.weight", _BOUNDED)
-        _require(w >= 0, f"{field}.weight", f"negative weight {w}")
+        error = _edge_error(edge, n_nodes, first, e_idx)
+        if error is not None:
+            raise FileFormatError(f"edges[{e_idx}]{error[0]}", error[1])
 
     leaders = payload["leaders"]
     _require(isinstance(leaders, list), "leaders", "must be a list")
     seen = set()
     for l_idx, v in enumerate(leaders):
-        field = f"leaders[{l_idx}]"
-        _require(isinstance(v, int) and not isinstance(v, bool), field, "must be an integer")
-        _require(1 <= v <= n_nodes, field, f"node {v} out of range 1..{n_nodes}")
-        _require(v not in seen, field, f"leader {v} listed twice")
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise FileFormatError(f"leaders[{l_idx}]", "must be an integer")
+        if not 1 <= v <= n_nodes:
+            raise FileFormatError(f"leaders[{l_idx}]", f"node {v} out of range 1..{n_nodes}")
+        if v in seen:
+            raise FileFormatError(f"leaders[{l_idx}]", f"leader {v} listed twice")
         seen.add(v)
 
     agent = payload["agent"]
@@ -149,14 +162,17 @@ def validate_network_payload(payload: dict) -> dict:
         field = f"partition[{c_idx}]"
         _require(isinstance(cell, list) and cell, field, "cell must be a nonempty list")
         for v in cell:
-            _require(isinstance(v, int) and not isinstance(v, bool), field, "nodes are integers")
-            _require(1 <= v <= n_nodes, field, f"node {v} out of range 1..{n_nodes}")
-            _require(
-                v not in owner, field, f"node {v} already in partition[{owner.get(v)}]"
-            )
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise FileFormatError(field, "nodes are integers")
+            if not 1 <= v <= n_nodes:
+                raise FileFormatError(field, f"node {v} out of range 1..{n_nodes}")
+            if v in owner:
+                raise FileFormatError(field, f"node {v} already in partition[{owner[v]}]")
             owner[v] = c_idx
-    missing = sorted(set(range(1, n_nodes + 1)) - owner.keys())
-    _require(not missing, "partition", f"node {missing[0] if missing else 0} not covered")
+    # the first uncovered node is at most len(owner) + 1, so the scan stops there
+    missing = next((v for v in range(1, n_nodes + 1) if v not in owner), None)
+    if missing is not None:
+        raise FileFormatError("partition", f"node {missing} not covered")
 
     options = payload.get("options", {})
     _require(isinstance(options, dict), "options", "must be an object")

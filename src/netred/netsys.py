@@ -1,4 +1,4 @@
-"""Assembly of full and error realizations, and the synchronization test.
+"""Assembly of the full, reduced and error realizations, and the synchronization test.
 
 A network couples N identical agents (A, B, E) through a graph Laplacian L,
 with external input entering at leader nodes selected by M:
@@ -7,13 +7,15 @@ with external input entering at leader nodes selected by M:
 
 The reduced network is the Petrov-Galerkin projection of this realization
 with V = P (x) I and W = P (P^T P)^{-1} (x) I for a partition's
-characteristic matrix P.  The error realization stacks the full system with
-a symmetrized similarity transform of the reduced one, so its transfer
-function equals the difference of theirs for any partition.
+characteristic matrix P, taken in the coordinates (P^T P)^{1/2} x where its
+coupling is the symmetric quotient l_bar.  The error realization is the
+parallel difference of the two: its transfer function is S - S_hat.
 
-The full and error realizations carry their Schur forms, built from the
-eigenbasis of the symmetric coupling (``kron_schur``): N factorizations of
-size n x n in place of one of size N n.
+Each coupling, L and l_bar, is factored once, from its eigenbasis
+(``kron_schur``: N factorizations of size n x n in place of one of size N n).
+The error system's Schur form is the direct sum of the full and reduced
+forms, and the triangle route's outer terms, which differ from those two
+realizations only in their output, keep them.
 """
 
 from __future__ import annotations
@@ -24,14 +26,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .graphcore import (
-    ZERO_EIG_TOL,
-    Laplacian,
-    Partition,
-    ReducedGraph,
-    leader_selector,
-    reduce_graph,
-)
+from .graphcore import ZERO_EIG_TOL, Laplacian, Partition, ReducedGraph, leader_selector
 from .linalg import SYMMETRY_RTOL, StateSpace, is_hurwitz, sorted_schur
 
 
@@ -105,11 +100,6 @@ class NetworkSystem:
         return leader_selector(self.n_agents, self.leaders)
 
 
-def _drift(dyn: AgentDynamics, coupling: np.ndarray) -> np.ndarray:
-    """Networked drift I (x) A - coupling (x) B for a square coupling matrix."""
-    return np.kron(np.eye(coupling.shape[0]), dyn.A) - np.kron(coupling, dyn.B)
-
-
 def kron_schur(dyn: AgentDynamics, lams: np.ndarray, u: np.ndarray) -> tuple:
     """``(T, Z, n_u)`` (see ``StateSpace.schur``) of the drift I (x) A - Lc (x) B for a
     symmetric coupling Lc = U diag(lams) U^T with U orthogonal.
@@ -131,45 +121,46 @@ def kron_schur(dyn: AgentDynamics, lams: np.ndarray, u: np.ndarray) -> tuple:
     return t, z[:, order], int(unstable.sum())
 
 
-def network_realization(dyn, coupling, lams, u, b, c) -> StateSpace:
-    """(I (x) A - coupling (x) B, b, c) with the Schur form ``kron_schur(dyn, lams, u)``,
-    where coupling = U diag(lams) U^T."""
-    return StateSpace(_drift(dyn, coupling), b, c, form=kron_schur(dyn, lams, u))
+def network_realization(dyn, coupling, eig, b, c) -> StateSpace:
+    """(I (x) A - coupling (x) B, b, c) with the Schur form ``kron_schur`` from the
+    coupling's eigendecomposition ``eig``."""
+    drift = np.kron(np.eye(coupling.shape[0]), dyn.A) - np.kron(coupling, dyn.B)
+    return StateSpace(drift, b, c, form=kron_schur(dyn, eig.eigenvalues, eig.eigenvectors))
 
 
 def assemble_full(ns: NetworkSystem) -> StateSpace:
     """Full network realization (I (x) A - L (x) B, M (x) E, L (x) I)."""
-    eig = ns.laplacian.spectral
     b = np.kron(ns.m_matrix, ns.dyn.E)
     c = np.kron(ns.laplacian.mat, np.eye(ns.dyn.n))
-    return network_realization(ns.dyn, ns.laplacian.mat, eig.eigenvalues, eig.eigenvectors, b, c)
+    return network_realization(ns.dyn, ns.laplacian.mat, ns.laplacian.spectral, b, c)
 
 
-def assemble_error_system(
-    ns: NetworkSystem, pi: Partition, rg: ReducedGraph | None = None
-) -> StateSpace:
-    """Joint realization whose transfer function is S - S_hat for any partition.
-
-    Block-diagonal drift over the full states and the symmetrized reduced
-    states; the output subtracts the (similarity-transformed) reduced output
-    from the full one.  ``rg`` is the partition's reduction, computed here when
-    not given.  The Schur form is the direct sum of the full system's, from the
-    eigenbasis of L, and the reduced part's, from that of ``rg.laplacian_bar``.
-    """
-    rg = reduce_graph(ns.laplacian, pi, ns.leaders) if rg is None else rg
-    eig, eig_bar = ns.laplacian.spectral, rg.spectral
-    eye = np.eye(ns.dyn.n)
+def assemble_reduced_bar(ns: NetworkSystem, pi: Partition, rg: ReducedGraph) -> StateSpace:
+    """Reduced network realization in the symmetrized coordinates (P^T P)^{1/2} x,
+    (I (x) A - l_bar (x) B, (P^T P)^{1/2} M_hat (x) E, L P (P^T P)^{-1/2} (x) I) for the
+    partition's reduction ``rg``: similar to the Petrov-Galerkin projection, so with
+    the same transfer function, and with a symmetric coupling."""
     root = np.sqrt(pi.sizes)
-    b = np.vstack([np.kron(ns.m_matrix, ns.dyn.E), np.kron(root[:, None] * rg.m_hat, ns.dyn.E)])
+    b = np.kron(root[:, None] * rg.m_hat, ns.dyn.E)
     lp_scaled = (ns.laplacian.mat @ pi.char_matrix) / root[None, :]
-    c = np.hstack([np.kron(ns.laplacian.mat, eye), -np.kron(lp_scaled, eye)])
-    return network_realization(
-        ns.dyn,
-        sla.block_diag(ns.laplacian.mat, rg.laplacian_bar),
-        np.concatenate([eig.eigenvalues, eig_bar.eigenvalues]),
-        sla.block_diag(eig.eigenvectors, eig_bar.eigenvectors),
-        b,
-        c,
+    c = np.kron(lp_scaled, np.eye(ns.dyn.n))
+    return network_realization(ns.dyn, rg.laplacian_bar, rg.spectral, b, c)
+
+
+def assemble_error_system(full: StateSpace, reduced: StateSpace) -> StateSpace:
+    """Parallel difference of the full and reduced realizations, whose transfer function
+    is S - S_hat: block-diagonal drift, stacked input, output [C, -C_hat].  Its Schur
+    form is the direct sum of theirs with the order ``kron_schur`` gives one: the full
+    and then the reduced closed-right-half-plane parts, then their stable parts."""
+    (t, z, n_u), (t_hat, z_hat, n_u_hat) = full.schur, reduced.schur
+    n, n_hat = full.n_states, reduced.n_states
+    order = np.r_[:n_u, n : n + n_u_hat, n_u:n, n + n_u_hat : n + n_hat]
+    t_sum, z_sum = sla.block_diag(t, t_hat), sla.block_diag(z, z_hat)
+    return StateSpace(
+        sla.block_diag(full.A, reduced.A),
+        np.vstack([full.B, reduced.B]),
+        np.hstack([full.C, -reduced.C]),
+        form=(t_sum[np.ix_(order, order)], z_sum[:, order], n_u + n_u_hat),
     )
 
 

@@ -19,7 +19,7 @@ from netred.generators import (
     single_integrator,
 )
 from netred.graphcore import is_almost_equitable
-from netred.netsys import assemble_error_system, assemble_full
+from netred.netsys import assemble_full
 from netred.norms import h2_norm
 
 from .support import assemble_reduced, make_dynamics
@@ -54,7 +54,7 @@ def aep_h2_corpus():
         abs_bound, rel_bound = h2_bound_aep(Analysis(ns, pi))
         full = h2_norm(assemble_full(ns))
         reduced = h2_norm(assemble_reduced(ns, pi))
-        error = h2_norm(assemble_error_system(ns, pi))
+        error = h2_norm(Analysis(ns, pi).error_system)
         records.append(
             {
                 "seed": seed,

@@ -33,7 +33,6 @@ from netred.graphcore import (
 from netred.linalg import StateSpace, pinv
 from netred.netsys import (
     NetworkSystem,
-    assemble_error_system,
     assemble_full,
 )
 from netred.norms import (
@@ -79,7 +78,7 @@ def test_criterion_2_hinf_exactness_single_integrator(single_int_aep_corpus):
     worst = 0.0
     for rec in single_int_aep_corpus:
         exact = rec["exact"]
-        sweep = hinf_norm_sweep(assemble_error_system(rec["ns"], rec["pi"])).value
+        sweep = hinf_norm_sweep(Analysis(rec["ns"], rec["pi"]).error_system).value
         gap = abs(exact - sweep)
         assert gap <= 1e-5 * max(exact, sweep) + 1e-8, (rec["seed"], exact, sweep)
         worst = max(worst, gap)
@@ -140,7 +139,7 @@ def test_criterion_5_hinf_bound_symmetric(symmetric_hinf_corpus, single_int_aep_
     single-integrator specialization reproduces the exact error to 1e-9."""
     started = time.perf_counter()
     for rec in symmetric_hinf_corpus:
-        true_err = hinf_norm_sweep(assemble_error_system(rec["ns"], rec["pi"])).value
+        true_err = hinf_norm_sweep(Analysis(rec["ns"], rec["pi"]).error_system).value
         assert true_err <= rec["abs_bound"] * (1 + 1e-6) + 1e-10, rec["seed"]
     worst_gap = 0.0
     for rec in single_int_aep_corpus:
@@ -160,7 +159,7 @@ def test_criterion_6_triangle_bound(non_aep_corpus):
     started = time.perf_counter()
     for rec in non_aep_corpus:
         ns, pi = rec["ns"], rec["pi"]
-        err_sys = assemble_error_system(ns, pi)
+        err_sys = Analysis(ns, pi).error_system
         total_h2, _ = triangle_bound_general(Analysis(ns, pi), "h2")
         true_h2 = h2_norm(err_sys).value
         assert true_h2 <= total_h2, (rec["seed"], true_h2, total_h2)
@@ -215,7 +214,7 @@ def test_criterion_7_cross_method_agreement(symmetric_hinf_corpus):
             max_cells=3, max_cell_size=3,
         )
         h2_cases.append(assemble_full(ns))
-        h2_cases.append(assemble_error_system(ns, pi))
+        h2_cases.append(Analysis(ns, pi).error_system)
     worst_h2 = 0.0
     for sys in h2_cases:
         lyap = h2_norm(sys).value
@@ -232,7 +231,7 @@ def test_criterion_7_cross_method_agreement(symmetric_hinf_corpus):
     for rec in symmetric_hinf_corpus[:20]:
         ns, pi = rec["ns"], rec["pi"]
         full_sys = assemble_full(ns)
-        err_sys = assemble_error_system(ns, pi)
+        err_sys = Analysis(ns, pi).error_system
         for sys, witness in ((full_sys, full_sys.A), (err_sys, full_sys.A)):
             dc = hinf_norm_dc(sys, witness).value
             sweep = hinf_norm_sweep(sys).value

@@ -18,13 +18,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from netred.bounds import Analysis
 from netred.cli import main
 from netred.generators import (
     random_connected_graph,
     random_partition,
     random_symmetric_dynamics,
 )
-from netred.netfile import dump_json, generate_example
+from netred.netfile import dump_json, generate_example, network_from_payload
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -62,6 +63,18 @@ def test_always_expected_groups_record_calls_on_k3(tmp_path):
     with RUN.tracing.Tracer() as tracer:
         assert main(argv) == 0
     assert [group for group in RUN._ALWAYS if tracer.stats[group].calls == 0] == []
+
+
+def test_error_state_counter_reads_the_error_system(tmp_path):
+    # the tracer's netsys.error_states observes assemble_error_system's result on the
+    # analyze path
+    payload = generate_example("k3-aep")
+    path = tmp_path / "k3.json"
+    path.write_text(dump_json(payload), encoding="utf-8")
+    with RUN.tracing.Tracer() as tracer:
+        assert main(["analyze", str(path), "--out", str(tmp_path / "report.json")]) == 0
+    ns, pi, _ = network_from_payload(payload)
+    assert tracer.error_states == Analysis(ns, pi).error_system.n_states == 5
 
 
 def test_one_reduction_per_run(tmp_path):

@@ -32,7 +32,7 @@ from netred.generators import (
 )
 from netred.graphcore import Partition, WeightedGraph, laplacian_from_graph
 from netred.linalg import solve_lyapunov
-from netred.netsys import AgentDynamics, NetworkSystem, assemble_error_system, is_synchronized
+from netred.netsys import AgentDynamics, NetworkSystem, is_synchronized
 from netred.norms import h2_norm, hinf_norm_dc, hinf_norm_sweep
 
 from .support import PATH5_AEP_PROJECTION, PATH5_LAPLACIAN, make_dynamics
@@ -138,7 +138,7 @@ class TestH2BoundAep:
         ns, pi = _k3()
         abs_bound, rel_bound = h2_bound_aep(Analysis(ns, pi))
         assert abs_bound == 0.0 and rel_bound == 0.0
-        assert h2_norm(assemble_error_system(ns, pi)).value <= 1e-8
+        assert h2_norm(Analysis(ns, pi).error_system).value <= 1e-8
 
     def test_singleton_partition_bound_zero(self):
         ns, _ = _k3()
@@ -169,7 +169,7 @@ class TestH2BoundAep:
             kind = ("single", "symmetric", "dissipative")[seed % 3]
             ns, pi = random_aep_instance(rng, dynamics=make_dynamics(rng, kind))
             abs_bound, _ = h2_bound_aep(Analysis(ns, pi))
-            true_err = h2_norm(assemble_error_system(ns, pi)).value
+            true_err = h2_norm(Analysis(ns, pi).error_system).value
             assert true_err <= abs_bound * (1 + 1e-7) + 1e-10
 
 
@@ -188,7 +188,7 @@ class TestHinfSingleIntegrator:
         ns, pi = _k3()
         exact = hinf_error_single_integrator(Analysis(ns, pi))
         assert exact == 0.0
-        err = assemble_error_system(ns, pi)
+        err = Analysis(ns, pi).error_system
         assert hinf_norm_sweep(err).value <= 1e-5
         dc = hinf_norm_dc(err, -ns.laplacian.mat)
         assert abs(dc.value - exact) <= 1e-9
@@ -199,7 +199,7 @@ class TestHinfSingleIntegrator:
         pi = Partition(n_nodes=4, cells=((0,), (1,), (2, 3)))
         exact = hinf_error_single_integrator(Analysis(ns, pi))
         assert exact == pytest.approx(np.sqrt(0.5), abs=1e-12)
-        dc = hinf_norm_dc(assemble_error_system(ns, pi), -lap.mat)
+        dc = hinf_norm_dc(Analysis(ns, pi).error_system, -lap.mat)
         assert abs(dc.value - exact) <= 1e-9
 
     def test_requires_single_integrator(self):
@@ -215,7 +215,7 @@ class TestHinfSingleIntegrator:
     def test_matches_dc_closed_form_on_corpus(self, single_int_aep_corpus):
         for rec in single_int_aep_corpus:
             ns, pi = rec["ns"], rec["pi"]
-            dc = hinf_norm_dc(assemble_error_system(ns, pi), -ns.laplacian.mat)
+            dc = hinf_norm_dc(Analysis(ns, pi).error_system, -ns.laplacian.mat)
             assert abs(dc.value - rec["exact"]) <= 1e-9, rec["seed"]
 
 
@@ -247,7 +247,7 @@ class TestHinfBoundSymmetric:
 
     def test_soundness_on_sample(self, symmetric_hinf_corpus):
         for rec in symmetric_hinf_corpus[:15]:
-            true_err = hinf_norm_sweep(assemble_error_system(rec["ns"], rec["pi"])).value
+            true_err = hinf_norm_sweep(Analysis(rec["ns"], rec["pi"]).error_system).value
             assert true_err <= rec["abs_bound"] * (1 + 1e-6) + 1e-10
 
 
@@ -266,7 +266,7 @@ class TestTriangleBound:
 
     def test_path5_bounds_dominate_true_errors(self):
         ns, pi = _path5()
-        err = assemble_error_system(ns, pi)
+        err = Analysis(ns, pi).error_system
         total_h2, _ = triangle_bound_general(Analysis(ns, pi), "h2")
         total_hinf, _ = triangle_bound_general(Analysis(ns, pi), "hinf")
         assert h2_norm(err).value <= total_h2

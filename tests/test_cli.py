@@ -18,6 +18,8 @@ from netred.netfile import (
 
 from .support import PATH5_AEP_PROJECTION
 
+BOUNDED = "must be a finite number of magnitude at most 1e+100"
+
 
 def _run(tmp_path, payload, *flags, name="net.json"):
     path = tmp_path / name
@@ -91,6 +93,40 @@ class TestValidation:
         assert err["kind"] == "schema"
         assert err["field"] == "edges[3]"
         assert err["message"] == "edges[3]: duplicates the pair (1, 2) of edges[0]"
+
+    @pytest.mark.parametrize(
+        "edge_at, edge, field, message",
+        [
+            (3, [1, 2], "edges[3]", "must be [i, j, weight]"),
+            (3, [1.0, 2, 1.0], "edges[3].i", "must be an integer node index"),
+            (3, [1, True, 1.0], "edges[3].j", "must be an integer node index"),
+            (3, [0, 2, 1.0], "edges[3].i", "must be in 1..3"),
+            (3, [1, 4, 1.0], "edges[3].j", "must be in 1..3"),
+            (3, [2, 2, 1.0], "edges[3]", "self-loop on node 2"),
+            (3, [3, 1, 0.5], "edges[3]", "duplicates the pair (1, 3) of edges[1]"),
+            (2, [2, 3, math.inf], "edges[2].weight", BOUNDED),
+            (2, [2, 3, math.nan], "edges[2].weight", BOUNDED),
+            (0, [1, 2, -0.5], "edges[0].weight", "negative weight -0.5"),
+        ],
+    )
+    def test_edge_checks_name_field_and_message(self, edge_at, edge, field, message):
+        payload = generate_example("k3-aep")
+        payload["edges"][edge_at:] = [edge]
+        with pytest.raises(FileFormatError) as err:
+            validate_network_payload(payload)
+        assert err.value.field == field
+        assert str(err.value) == f"{field}: {message}"
+
+    def test_huge_n_nodes_with_a_one_node_partition_exits_2(self, tmp_path, capsys):
+        # the uncovered node is found without a set of every node (10**12 would need
+        # terabytes)
+        payload = generate_example("k3-aep")
+        payload.update(n_nodes=10**12, partition=[[1]])
+        code, _ = _run(tmp_path, payload)
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["field"] == "partition"
+        assert err["message"] == "partition: node 2 not covered"
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"

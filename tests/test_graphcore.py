@@ -120,6 +120,12 @@ class TestPartition:
             Partition(n_nodes=3, cells=((0, 1),))
         assert err.value.node == 2
 
+    def test_missing_node_search_does_not_grow_with_n_nodes(self):
+        # a set of every node would take terabytes here
+        with pytest.raises(InvalidPartition) as err:
+            Partition(n_nodes=10**12, cells=((0,),))
+        assert err.value.node == 1
+
     def test_rejects_empty_cell(self):
         with pytest.raises(InvalidPartition):
             Partition(n_nodes=2, cells=((0, 1), ()))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from netred.bounds import Analysis
 from netred.errors import NotHurwitz, NotSymmetric, UnstablePoles
 from netred.generators import complete_graph, path_graph, single_integrator
 from netred.graphcore import Partition, laplacian_from_graph
@@ -18,7 +19,7 @@ from netred.linalg import (
     sym_eig,
     triangular_response,
 )
-from netred.netsys import NetworkSystem, assemble_error_system
+from netred.netsys import NetworkSystem
 
 from .support import (
     PATH5_CELLS,
@@ -342,7 +343,7 @@ class TestStateSpace:
 
 def _error_system(lap, leaders, cells):
     ns = NetworkSystem(laplacian_from_graph(lap), leaders, single_integrator())
-    return assemble_error_system(ns, Partition(n_nodes=lap.n_nodes, cells=cells))
+    return Analysis(ns, Partition(n_nodes=lap.n_nodes, cells=cells)).error_system
 
 
 def _schur_matches_dense(sys, omegas):

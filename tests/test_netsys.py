@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
+from netred import netsys
 from netred.bounds import Analysis
+from netred.cli import main
 from netred.errors import Disconnected, UnstablePoles
 from netred.generators import (
     complete_graph,
@@ -14,10 +18,10 @@ from netred.generators import (
 )
 from netred.graphcore import Partition, WeightedGraph, laplacian_from_graph
 from netred.linalg import STABILITY_MARGIN, SYMMETRY_RTOL
+from netred.netfile import dump_json, generate_example
 from netred.netsys import (
     AgentDynamics,
     NetworkSystem,
-    assemble_error_system,
     assemble_full,
     is_synchronized,
 )
@@ -146,7 +150,7 @@ class TestErrorSystem:
     def test_singleton_partition_gives_zero_transfer(self):
         ns = _k2_single_integrator()
         pi = Partition(n_nodes=2, cells=((0,), (1,)))
-        err = assemble_error_system(ns, pi)
+        err = Analysis(ns, pi).error_system
         for omega in (0.3, 1.0, 4.0):
             assert np.abs(dense_response(err, 1j * omega)).max() <= 1e-9
 
@@ -154,7 +158,7 @@ class TestErrorSystem:
         lap = laplacian_from_graph(path_graph(3))
         ns = NetworkSystem(laplacian=lap, leaders=(0,), dyn=single_integrator())
         pi = Partition(n_nodes=3, cells=((0, 1), (2,)))
-        err = assemble_error_system(ns, pi)
+        err = Analysis(ns, pi).error_system
         l_bar = symmetrized_reduced_coupling(lap, pi)
         n, k = 3, 2
         np.testing.assert_allclose(err.A[:n, :n], -lap.mat, atol=1e-14)
@@ -170,7 +174,7 @@ class TestErrorSystem:
         ns, pi = random_aep_instance(rng, dynamics=make_dynamics(rng, "dissipative", n=2))
         full = assemble_full(ns)
         red = assemble_reduced(ns, pi)
-        err = assemble_error_system(ns, pi)
+        err = Analysis(ns, pi).error_system
         for _ in range(20):
             s = complex(rng.uniform(0.1, 2.0), rng.uniform(-10.0, 10.0))
             expected = dense_response(full, s) - dense_response(red, s)
@@ -182,7 +186,7 @@ class TestErrorSystem:
         lap = laplacian_from_graph(path_graph(5))
         ns = NetworkSystem(laplacian=lap, leaders=(0,), dyn=single_integrator())
         pi = Partition(n_nodes=5, cells=((0, 1, 2), (3, 4)))
-        full, red, err = assemble_full(ns), assemble_reduced(ns, pi), assemble_error_system(ns, pi)
+        full, red, err = assemble_full(ns), assemble_reduced(ns, pi), Analysis(ns, pi).error_system
         for omega in (0.05, 0.7, 3.0):
             expected = dense_response(full, 1j * omega) - dense_response(red, 1j * omega)
             assert np.abs(dense_response(err, 1j * omega) - expected).max() <= 1e-10
@@ -346,7 +350,7 @@ class TestStructuredSchurForm:
     def test_symmetric_agents_give_a_real_diagonal_form(self):
         rng = np.random.default_rng(35)
         ns, pi = random_aep_instance(rng, dynamics=make_dynamics(rng, "symmetric", n=3))
-        for sys in (assemble_full(ns), assemble_error_system(ns, pi)):
+        for sys in (assemble_full(ns), Analysis(ns, pi).error_system):
             t, z, _ = sys.schur
             assert np.isrealobj(t) and np.isrealobj(z)
             assert not (t - np.diag(np.diagonal(t))).any()
@@ -360,3 +364,24 @@ class TestStructuredSchurForm:
         assert an.not_aep
         for sys in (an.error_system, *an.triangle_systems):
             _assert_matches_dense_route(sys)
+
+
+@pytest.mark.parametrize("name, aep", [("random-general", False), ("random-aep", True)])
+def test_analyze_factors_each_coupling_once(tmp_path, monkeypatch, name, aep):
+    # N blocks A - lam B for L and k for l_bar: the error system and the triangle route's
+    # outer terms reuse the full and reduced forms instead of factoring their couplings
+    payload = generate_example(name, seed=1)
+    path, out = tmp_path / "net.json", tmp_path / "report.json"
+    path.write_text(dump_json(payload), encoding="utf-8")
+    kron_schur, blocks = netsys.kron_schur, []
+
+    def counted(dyn, lams, u):
+        blocks.append(lams.size)
+        return kron_schur(dyn, lams, u)
+
+    monkeypatch.setattr(netsys, "kron_schur", counted)
+    assert main(["analyze", str(path), "--triangle", "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["analysis"]["aep"] is aep
+    assert (report["bounds"]["triangle_h2_bound"] is None) is aep
+    assert sum(blocks) == payload["n_nodes"] + len(payload["partition"])

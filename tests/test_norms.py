@@ -29,7 +29,6 @@ from netred.netfile import dump_json
 from netred.netsys import (
     AgentDynamics,
     NetworkSystem,
-    assemble_error_system,
     assemble_full,
 )
 from netred.norms import (
@@ -164,7 +163,7 @@ class TestAuxiliaryBatches:
             full = assemble_full(ns)
             cases = [(full, full.A)]
             if kind == "single":
-                cases.append((assemble_error_system(ns, pi), -ns.laplacian.mat))
+                cases.append((Analysis(ns, pi).error_system, -ns.laplacian.mat))
             for sys, witness in cases:
                 gain = sys.C @ pinv(sys.A) @ sys.B
                 want = np.linalg.svd(gain, compute_uv=False).max(initial=0.0)
@@ -281,7 +280,7 @@ class TestHinfSweep:
         # relative 1e-12; the absolute 1e-14 covers error systems that are exactly zero
         for seed in range(3):
             ns, pi = EXAMPLES[name](np.random.default_rng(seed))
-            for sys in (assemble_full(ns), assemble_error_system(ns, pi)):
+            for sys in (assemble_full(ns), Analysis(ns, pi).error_system):
                 got, want = hinf_norm_sweep(sys).value, reference_hinf_sweep(sys)
                 assert abs(got - want) <= 1e-12 * want + 1e-14
 
@@ -296,7 +295,7 @@ class TestHinfDc:
         lap = laplacian_from_graph(complete_graph(3))
         ns = NetworkSystem(laplacian=lap, leaders=(0, 1), dyn=single_integrator())
         pi = Partition(n_nodes=3, cells=((0,), (1, 2)))
-        err = assemble_error_system(ns, pi)
+        err = Analysis(ns, pi).error_system
         res = hinf_norm_dc(err, -lap.mat)
         m = ns.m_matrix
         expected_sq = 1.0 - np.linalg.eigvalsh(m.T @ pi.projector @ m).min()
@@ -359,7 +358,7 @@ class TestOneFactorization:
         monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
         rng = np.random.default_rng(8)
         ns, pi = random_aep_instance(rng, dynamics=make_dynamics(rng, "dissipative", n=2))
-        err = assemble_error_system(ns, pi)
+        err = Analysis(ns, pi).error_system
         assert calls == [(2, 2)] * (ns.n_agents + pi.n_cells)
         del calls[:]
         routes = (h2_norm, hinf_norm_sweep, h2_norm_quadrature)
@@ -406,7 +405,7 @@ class TestNormProperties:
             ns, pi = random_aep_instance(rng, dynamics=make_dynamics(rng, "symmetric", n=2))
             full_sq = h2_norm(assemble_full(ns)).value ** 2
             red_sq = h2_norm(assemble_reduced(ns, pi)).value ** 2
-            err_sq = h2_norm(assemble_error_system(ns, pi)).value ** 2
+            err_sq = h2_norm(Analysis(ns, pi).error_system).value ** 2
             assert abs(err_sq - (full_sq - red_sq)) <= 1e-7 * (1.0 + full_sq)
 
     def test_adding_a_leader_never_decreases_h2(self):
