@@ -16,7 +16,7 @@ precondition once under one set of :class:`Tolerances`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -41,14 +41,17 @@ from .graphcore import (
     project_to_aep_laplacian,
     reduce_graph,
 )
-from .linalg import StateSpace
+from .linalg import ModalSystem
 from .netsys import (
+    Modes,
     NetworkSystem,
     assemble_error_system,
     assemble_full,
     assemble_reduced_bar,
     hurwitz_over,
     is_synchronized,
+    network_modes,
+    with_output,
 )
 from .norms import (
     METHOD_LYAPUNOV,
@@ -245,15 +248,25 @@ class Analysis:
         return surrogate
 
     @cached_property
-    def full_system(self) -> StateSpace:
-        return assemble_full(self.ns)
+    def full_modes(self) -> Modes:
+        return network_modes(self.ns.dyn, self.ns.laplacian.spectral)
 
     @cached_property
-    def reduced_system(self) -> StateSpace:
-        return assemble_reduced_bar(self.ns, self.pi, self.reduced)
+    def reduced_modes(self) -> Modes:
+        return network_modes(self.ns.dyn, self.reduced.spectral)
 
     @cached_property
-    def error_system(self) -> StateSpace:
+    def full_system(self) -> ModalSystem:
+        return assemble_full(self.ns, self.full_modes)
+
+    @cached_property
+    def reduced_system(self) -> ModalSystem:
+        return assemble_reduced_bar(
+            self.ns, self.pi, self.reduced, self.full_modes, self.reduced_modes
+        )
+
+    @cached_property
+    def error_system(self) -> ModalSystem:
         return assemble_error_system(self.full_system, self.reduced_system)
 
     @cached_property
@@ -265,12 +278,15 @@ class Analysis:
     @cached_property
     def triangle_systems(self) -> tuple:
         """The outer terms of the triangle route (see :func:`triangle_bound_general`): the
-        full and reduced realizations with the output dL and dL P (P^T P)^{-1/2} in place
-        of L and L P (P^T P)^{-1/2}, so they keep those realizations' Schur forms (for
-        single integrators M (x) E = M)."""
+        full and reduced realizations with the output dL (x) I and dL P (P^T P)^{-1/2} (x) I
+        in place of L (x) I and L P (P^T P)^{-1/2} (x) I, unrotated and with no diagonal
+        block, so they keep those realizations' modal forms."""
         d_l = self.ns.laplacian.mat - self.surrogate.ns.laplacian.mat
         d_lp = (d_l @ self.pi.char_matrix) / np.sqrt(self.pi.sizes)[None, :]
-        return replace(self.full_system, C=d_l), replace(self.reduced_system, C=d_lp)
+        return (
+            with_output(self.full_system, self.full_modes, d_l),
+            with_output(self.reduced_system, self.reduced_modes, d_lp),
+        )
 
     def _extremes(self, upper, lower=None) -> tuple:
         """(max of ``upper`` over the lost spectrum, min of ``lower`` over the nonzero one),
@@ -479,10 +495,11 @@ def full_report(an: Analysis, norms=("h2", "hinf")) -> BoundReport:
             lambda: triangle_bound_general(an, "hinf"),
         )
     if "full_hinf_norm" in admitted:
-        # symmetric agents (single integrators included) peak at DC, with witness A
+        # symmetric agents (single integrators included) peak at DC, with the drift as
+        # witness: in the output coordinates of the full realization, diag(poles)
         def full_hinf():
             sys = an.full_system
-            return (hinf_norm_dc(sys, sys.A) if an.symmetric else hinf_norm_sweep(sys),)
+            return (hinf_norm_dc(sys, sys.poles) if an.symmetric else hinf_norm_sweep(sys),)
 
         fill(("full_hinf_norm",), full_hinf)
     if "true_hinf_error" in admitted:

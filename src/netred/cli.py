@@ -73,7 +73,8 @@ def _oracle_checks(an: Analysis, report) -> dict:
             "certificate": quad.certificate,
         }
     if report.true_hinf_error is not None and an.aep and an.single_integrator:
-        dc = hinf_norm_dc(an.error_system, -an.ns.laplacian.mat)
+        # the witness -L in the rotated output coordinates: -lams (x) 1_n
+        dc = hinf_norm_dc(an.error_system, -an.full_system.d)
         gap = abs(report.true_hinf_error.value - dc.value)
         checks["true_hinf_error_dc"] = {
             "value": dc.value,

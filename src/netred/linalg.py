@@ -2,22 +2,28 @@
 
 Symmetric eigendecompositions, an eigenvalue-based pseudoinverse, Hurwitz
 tests (of one matrix, or of a whole stack of blocks in one call) and
-Lyapunov solvers.  A realization is factored once: its sorted Schur form
-(``StateSpace.schur``) feeds the one stable/unstable deflation
-(``stable_unstable_split``), which both the kernel-conditioned Lyapunov
-solve and the one frequency-response primitive (``triangular_response``)
-use, so modes in the closed right half plane are tolerated as long as the
-output matrix does not observe them.  Only ``sorted_schur`` chooses between a
-real ``eigh`` (exactly symmetric input: T real diagonal) and a complex Schur
-form.  A network realization brings its form, from the Laplacian eigenbasis and
-one stacked ``sorted_schur`` of its n x n blocks (``netsys.kron_schur``); a bare
-``StateSpace`` takes one of its whole drift.  When T is exactly diagonal
-(symmetric agents, single integrators included) the Lyapunov solve and the
-response are closed forms; otherwise they are a triangular Sylvester solve and
-a back substitution.  The Gramian never leaves Schur coordinates: the squared H2
-norm is a trace over the deflated input matrix, whose numerical rank a pivoted
-Cholesky factorization cuts, so no N n-state Gramian is formed or factored.
-Every function is pure: none mutates its arguments.
+Lyapunov solvers.  Only ``sorted_schur`` chooses between a real ``eigh``
+(exactly symmetric input: T real diagonal) and a complex Schur form.
+
+Every norm reads a realization in modal coordinates, a ``ModalSystem``: the
+drift blockdiag(T_i) of its sorted Schur blocks, the input and the output in
+those coordinates, and the states in the closed right half plane marked.  A
+network realization is built so, one n x n block per eigenvalue of its
+coupling (``netsys``), and its output, rotated into the coupling's
+eigenbasis, has a diagonal block d on the full system's states; a bare
+``StateSpace`` is one block, the Schur form of its whole drift
+(``StateSpace.modal``).  The one stable/unstable deflation
+(``stable_unstable_split``) drops the unobserved closed-right-half-plane
+states and gives the deflated triple (T_s, B_s, C_s, d_s), which both the
+kernel-conditioned Lyapunov solve and the one frequency-response primitive
+(``triangular_response``) take.  When T_s is diagonal (symmetric agents,
+single integrators included) both are closed forms, the diagonal output
+block makes the Gramian an arrow whose head is eliminated before the rank
+cut, and no N n-state matrix is formed; otherwise (d_s written into C_s)
+they are a triangular Sylvester solve and a back substitution.  The Gramian
+never leaves modal coordinates: the squared H2 norm is a trace over the
+deflated input matrix, whose numerical rank a pivoted Cholesky
+factorization cuts.  Every function is pure: none mutates its arguments.
 """
 
 from __future__ import annotations
@@ -75,16 +81,54 @@ def sorted_schur(a) -> tuple:
 
 
 @dataclass(frozen=True)
-class StateSpace:
-    """A strictly proper LTI realization (A, B, C) with y = C x, dx/dt = A x + B u.
+class ModalSystem:
+    """A strictly proper realization in the coordinates of its drift's Schur form.
 
-    ``form``, when given, is the realization's sorted Schur form ``(T, Z, n_u)``
-    (see ``schur``), built by its assembler from the structure of A."""
+    The drift is blockdiag(t) for a stack ``t`` (K, n, n) of upper triangular blocks;
+    ``unstable`` marks the states whose pole has Re >= -STABILITY_MARGIN, each block's
+    first, so they span an invariant subspace.  The output is [diag(d); 0] on the first
+    len(d) <= p states plus C on the others: a diagonal block that a network realization
+    gets when its output is rotated into the eigenbasis of its coupling.  ``c_scale`` is
+    1 + max|C| of the output before any such rotation, the scale of the kernel test."""
+
+    t: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    unstable: np.ndarray
+    c_scale: float
+    d: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    @property
+    def n_states(self) -> int:
+        return self.B.shape[0]
+
+    @property
+    def n_inputs(self) -> int:
+        return self.B.shape[1]
+
+    @property
+    def n_outputs(self) -> int:
+        return self.C.shape[0]
+
+    @property
+    def modal(self) -> ModalSystem:
+        return self
+
+    @cached_property
+    def poles(self) -> np.ndarray | None:
+        """The diagonal of the drift when every block is exactly diagonal, else None."""
+        diag = np.diagonal(self.t, axis1=1, axis2=2)
+        return diag.ravel() if np.count_nonzero(self.t) == np.count_nonzero(diag) else None
+
+
+@dataclass(frozen=True)
+class StateSpace:
+    """A strictly proper LTI realization (A, B, C) with y = C x, dx/dt = A x + B u, given
+    densely (a bare realization; network realizations are ``ModalSystem``)."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    form: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         a = _square(self.A, "A")
@@ -113,9 +157,21 @@ class StateSpace:
     @cached_property
     def schur(self) -> tuple:
         """``(T, Z, n_u)``: A = Z T Z^H with Z unitary, T upper triangular and the n_u
-        eigenvalues Re >= -STABILITY_MARGIN first on the diagonal of T.  The ``form``
-        given at construction, else one ``sorted_schur`` of A on first use."""
-        return self.form if self.form is not None else sorted_schur(self.A)
+        eigenvalues Re >= -STABILITY_MARGIN first on the diagonal of T, from one
+        ``sorted_schur`` of A on first use."""
+        return sorted_schur(self.A)
+
+    @cached_property
+    def modal(self) -> ModalSystem:
+        """The realization in the coordinates of ``schur``: (T, Z^H B, C Z) as one block."""
+        t, z, n_u = self.schur
+        return ModalSystem(
+            t[None],
+            z.conj().T @ self.B,
+            self.C @ z,
+            np.arange(self.n_states) < n_u,
+            1.0 + np.abs(self.C).max(initial=0.0),
+        )
 
 
 def sym_eig(mat) -> SymmetricEig:
@@ -179,73 +235,111 @@ def solve_lyapunov(a, q) -> np.ndarray:
     return 0.5 * (x + x.T)
 
 
-def _psd_quadratic_trace(x, b) -> float:
+def _psd_quadratic_trace(x, b, scale=None) -> float:
     """tr(B^H X B) for Hermitian PSD X, evaluated as ||L^H P^T B||_F^2 from a pivoted
     Cholesky factorization P^T X P = L L^H (LAPACK ``?pstrf`` on the lower triangle).
 
     Mathematically identical to the direct trace, but the factorization stops at the
-    first pivot at or below RANK_TOL * max diag X and its trailing Schur complement
-    counts as exactly zero.  Solver noise in X then cannot leak into the trace through
-    near-null directions, which matters when the exact value is zero.  The zero and the
-    empty matrix give 0.0.
+    first pivot at or below RANK_TOL * scale (default: max diag X) and its trailing
+    Schur complement counts as exactly zero.  Solver noise in X then cannot leak into
+    the trace through near-null directions, which matters when the exact value is zero.
+    ``?pstrf`` never compares its first pivot with the tolerance, so an X whose whole
+    diagonal is at or below it gives 0.0 without a factorization, as do the zero and the
+    empty matrix.
     """
     top = np.diagonal(x).real.max(initial=0.0)
-    if top <= 0.0:
+    tol = RANK_TOL * (top if scale is None else scale)
+    if top <= tol:
         return 0.0
     pstrf = sla.lapack.get_lapack_funcs("pstrf", (x,))
-    factor, piv, rank, info = pstrf(x, tol=RANK_TOL * top, lower=1)
+    factor, piv, rank, info = pstrf(x, tol=tol, lower=1)
     if info < 0:
         raise ValueError(f"illegal argument {-info} to the pivoted Cholesky factorization")
     proj = np.tril(factor[:, :rank]).conj().T @ b[piv - 1]
     return float(np.vdot(proj, proj).real)
 
 
-def require_unobserved(c, v_u) -> None:
-    """Raise UnstablePoles when C observes the closed-right-half-plane invariant subspace:
-    |C v| above KERNEL_TOL * (1 + max|C|) on its orthonormal basis v_u."""
-    c_scale = 1.0 + np.abs(c).max(initial=0.0)
-    violation = np.abs(c @ v_u).max(initial=0.0)
-    if violation > KERNEL_TOL * c_scale:
+def require_unobserved(sys: ModalSystem, states) -> None:
+    """Raise UnstablePoles when the output observes one of the modal ``states`` (a boolean
+    mask): a column of the output above KERNEL_TOL * ``sys.c_scale``."""
+    n1 = sys.d.size
+    violation = max(
+        np.abs(sys.d[states[:n1]]).max(initial=0.0),
+        np.abs(sys.C[:, states[n1:]]).max(initial=0.0),
+    )
+    if violation > KERNEL_TOL * sys.c_scale:
         raise UnstablePoles(
             f"output observes a closed-right-half-plane mode "
-            f"(|C v| = {violation:.3e} > {KERNEL_TOL:.1e} * {c_scale:.3e})"
+            f"(|C v| = {violation:.3e} > {KERNEL_TOL:.1e} * {sys.c_scale:.3e})"
         )
 
 
-def stable_unstable_split(sys: StateSpace) -> tuple:
-    """``(T_s, Z_s^H B, C Z_s)`` with T_s upper triangular: the stable part of the Schur
-    form ``sys.schur``, whose trailing columns Z_s satisfy Z_s^H A = T_s Z_s^H.  Raises
-    UnstablePoles unless C observes none of the closed-right-half-plane modes
-    (``require_unobserved`` on the leading Schur vectors); then
-    C (sI - A)^{-1} B = C Z_s (sI - T_s)^{-1} Z_s^H B."""
-    t, z, n_u = sys.schur
-    require_unobserved(sys.C, z[:, :n_u])
-    return t[n_u:, n_u:], z[:, n_u:].conj().T @ sys.B, sys.C @ z[:, n_u:]
+def _stable_block(t, keep) -> np.ndarray:
+    """The upper triangular restriction of blockdiag(t) to the states ``keep``."""
+    k, n, _ = t.shape
+    index = np.arange(k * n).reshape(k, n)
+    at = (np.cumsum(keep) - 1)[index]  # where each kept state lands
+    inside = keep[index][:, :, None] & keep[index][:, None, :]
+    t_s = np.zeros((int(keep.sum()),) * 2, dtype=t.dtype)
+    rows = np.broadcast_to(at[:, :, None], t.shape)[inside]
+    t_s[rows, np.broadcast_to(at[:, None, :], t.shape)[inside]] = t[inside]
+    return t_s
 
 
-def diagonal_poles(t) -> np.ndarray | None:
-    """The diagonal of an upper triangular T when every entry off it is exactly zero,
-    else None."""
-    poles = np.diagonal(t)
-    return poles if np.count_nonzero(t) == np.count_nonzero(poles) else None
+def stable_unstable_split(sys) -> tuple:
+    """``(T_s, B_s, C_s, d_s)``: the stable part of the modal form ``sys.modal`` (of a
+    ``ModalSystem`` or a ``StateSpace``), on which C (sI - A)^{-1} B is the response of
+    the deflated triple (see ``triangular_response``).  T_s is the 1-D array of poles
+    when the drift is diagonal, else upper triangular, and then d_s is empty: the
+    diagonal output block is written into C_s.  A deflated state of the diagonal block
+    takes its output row below the kept ones, an orthogonal change of output
+    coordinates.  Raises UnstablePoles unless the output observes none of the
+    closed-right-half-plane modes (``require_unobserved``)."""
+    m = sys.modal
+    require_unobserved(m, m.unstable)
+    keep = ~m.unstable
+    n1 = m.d.size
+    first = keep[:n1]
+    c_s = m.C[:, keep[n1:]]
+    if not first.all():
+        c_s = c_s[np.r_[np.flatnonzero(first), np.flatnonzero(~first), n1 : m.n_outputs]]
+    d_s = m.d[first]
+    if m.poles is None and keep.any():
+        head = np.zeros((m.n_outputs, d_s.size), dtype=d_s.dtype)
+        head[np.arange(d_s.size), np.arange(d_s.size)] = d_s
+        return _stable_block(m.t, keep), m.B[keep], np.hstack([head, c_s]), d_s[:0]
+    return (np.zeros(0) if m.poles is None else m.poles[keep]), m.B[keep], c_s, d_s
 
 
-def triangular_response(t, b, c, s) -> np.ndarray:
-    """C (sI - T)^{-1} B, shape (len(s), p, m), for upper triangular T and a 1-D array s,
-    vectorized across SCHUR_CHUNK frequencies at a time.  A diagonal T (poles p) takes
-    the closed form C (B / (s - p)), O(n m p) per frequency and one matrix product per
-    chunk; otherwise back substitution over the rows of T, O(n^2 m)."""
+def apply_output(c, d, x) -> np.ndarray:
+    """[diag(d); 0] x[:len(d)] + c x[len(d):], the output of a deflated triple applied to
+    the columns of x; a real c acts alike on the real and imaginary parts of a complex x."""
+    n1 = d.size
+    rest = np.ascontiguousarray(x[n1:])
+    if np.isrealobj(c) and np.iscomplexobj(rest):
+        y = (c @ rest.view(float)).view(complex)
+    else:
+        y = c @ rest
+    y[:n1] += d[:, None] * x[:n1]
+    return y
+
+
+def triangular_response(t, b, c, d, s) -> np.ndarray:
+    """C (sI - T)^{-1} B, shape (len(s), p, m), of a deflated triple with output
+    [diag(d); 0] on the first len(d) states and c on the rest, for a 1-D array s,
+    vectorized across SCHUR_CHUNK frequencies at a time.  A diagonal T (t the 1-D array
+    of its poles p) takes the closed form d * B_1 / (s - p_1) + c (B_2 / (s - p_2)),
+    O(n m p) per frequency and one matrix product per chunk; an upper triangular T
+    (with an empty d) back substitution over its rows, O(n^2 m)."""
     s = np.asarray(s, dtype=complex)
     (n, m), p = b.shape, c.shape[0]
-    poles = diagonal_poles(t)
     out = np.empty((s.size, p, m), dtype=complex)
     for k in range(0, s.size, SCHUR_CHUNK):
         shift = s[k : k + SCHUR_CHUNK, None]
-        if poles is not None:
-            # (n, chunk, m): one column block per frequency, so C multiplies all at once;
-            # a real C acts alike on the interleaved real and imaginary parts
-            x = (b[:, None, :] / (shift.T - poles[:, None])[:, :, None]).reshape(n, -1)
-            y = (c @ x.view(float)).view(complex) if np.isrealobj(c) else c @ x
+        if t.ndim == 1:
+            # (n, chunk, m): one column block per frequency, so C multiplies all at once
+            x = b[:, None, :] / (shift.T - t[:, None])[:, :, None]
+            y = apply_output(c, d, x.reshape(n, -1))
             out[k : k + SCHUR_CHUNK] = y.reshape(p, -1, m).transpose(1, 0, 2)
             continue
         x = np.empty((shift.shape[0], n, m), dtype=complex)
@@ -255,32 +349,55 @@ def triangular_response(t, b, c, s) -> np.ndarray:
     return out
 
 
-def solve_lyapunov_with_kernel(sys: StateSpace):
-    """Observability Gramian of (A, B, C) allowing unobservable marginal modes, kept in
-    the deflated coordinates of ``stable_unstable_split``.
+def solve_lyapunov_with_kernel(sys):
+    """Observability Gramian of a realization allowing unobservable marginal modes, kept
+    in the deflated coordinates of ``stable_unstable_split``.
 
-    Returns ``(X_s, h2sq, residual)``.  X_s solves T_s^H X_s + X_s T_s + C_s^H C_s = 0;
-    the PSD solution of A^T X + X A + C^T C = 0 that vanishes on the
-    closed-right-half-plane invariant subspace is X = Z_s X_s Z_s^H, which is never
-    formed.  ``h2sq = tr(B_s^H X_s B_s)`` with B_s = Z_s^H B is the squared H2 norm
-    (``_psd_quadratic_trace``, which cuts the numerical rank of X_s), and ``residual``
-    the largest entry of |T_s^H X_s + X_s T_s + C_s^H C_s|, the equation solved.  A
-    diagonal T_s (poles p) gives X_s = -C_s^H C_s / (conj(p_k) + p_l) entrywise and an
-    O(n^2) residual; otherwise one triangular Sylvester solve (``ztrsyl``).  Raises
-    UnstablePoles when C observes a marginal mode, IllConditioned when the Sylvester
-    solve reports a problem.
+    Returns ``((D, F, R), h2sq, residual)``: the Gramian X_s = [[diag(D), F], [F^H, R]]
+    solving T_s^H X_s + X_s T_s + C_s^H C_s = 0, an arrow whose diagonal head belongs
+    to the diagonal output block d (D and F are empty without one).  The PSD solution
+    of A^T X + X A + C^T C = 0 that vanishes on the closed-right-half-plane invariant
+    subspace is X_s in the coordinates of the modal form, and is never formed.
+    ``residual`` is the largest entry of |T_s^H X_s + X_s T_s + C_s^H C_s| over the
+    three blocks.  A diagonal T_s (poles p) gives each block entrywise,
+    X = -(C_s^H C_s) / (conj(p_k) + p_l); otherwise R comes from one triangular
+    Sylvester solve (``ztrsyl``).
+
+    ``h2sq = tr(B_s^H X_s B_s)`` is the squared H2 norm.  The head is eliminated first:
+    with Y = B_1 + D^+ F B_2, h2sq = sum D |Y|^2 + tr(B_2^H S B_2) for the Schur
+    complement S = R - F^H D^+ F, whose numerical rank ``_psd_quadratic_trace`` cuts
+    against RANK_TOL * max diag R.  Raises UnstablePoles when C observes a marginal
+    mode, IllConditioned when the Sylvester solve reports a problem.
     """
-    t_s, b_s, c_s = stable_unstable_split(sys)
+    t_s, b_s, c_s, d = stable_unstable_split(sys)
+    n1 = d.size
     gram = c_s.conj().T @ c_s
-    poles = diagonal_poles(t_s)
-    if poles is not None:
-        sums = poles.conj()[:, None] + poles
-        x_s = -gram / sums
-        residual = sums * x_s + gram
+    if t_s.ndim == 1:
+        p1, p2 = t_s[:n1], t_s[n1:]
+        sums = p2.conj()[:, None] + p2
+        r = -gram / sums
+        residual = sums * r + gram
     else:
-        x_s, scale, info = sla.lapack.ztrsyl(t_s, t_s, -gram, trana="C")
+        p1, p2 = np.zeros(0), np.diagonal(t_s)
+        r, scale, info = sla.lapack.ztrsyl(t_s, t_s, -gram, trana="C")
         if info:
             raise IllConditioned(f"triangular Lyapunov solve failed (ztrsyl info={info})")
-        x_s = x_s / scale
-        residual = t_s.conj().T @ x_s + x_s @ t_s + gram
-    return x_s, _psd_quadratic_trace(x_s, b_s), float(np.abs(residual).max(initial=0.0))
+        r = r / scale
+        residual = t_s.conj().T @ r + r @ t_s + gram
+    head_sums, norm_sq = 2.0 * p1.real, np.abs(d) ** 2
+    head = -norm_sq / head_sums
+    cross = d.conj()[:, None] * c_s[:n1]
+    cross_sums = p1.conj()[:, None] + p2
+    f = -cross / cross_sums
+    residual = max(
+        np.abs(residual).max(initial=0.0),
+        np.abs(head_sums * head + norm_sq).max(initial=0.0),
+        np.abs(cross_sums * f + cross).max(initial=0.0),
+    )
+    b1, b2 = b_s[:n1], b_s[n1:]
+    g = np.divide(f, head[:, None], out=np.zeros_like(f), where=head[:, None] > 0.0)  # D^+ F
+    y = b1 + g @ b2
+    t1 = float(head @ (np.abs(y) ** 2).sum(axis=1))
+    s = r - f.conj().T @ g if n1 else r
+    tail = _psd_quadratic_trace(s, b2, np.diagonal(r).real.max(initial=0.0))
+    return (head, f, r), t1 + tail, float(residual)

@@ -11,23 +11,33 @@ characteristic matrix P, taken in the coordinates (P^T P)^{1/2} x where its
 coupling is the symmetric quotient l_bar.  The error realization is the
 parallel difference of the two: its transfer function is S - S_hat.
 
-Each coupling, L and l_bar, is factored once, from its eigenbasis
-(``kron_schur``: N factorizations of size n x n in place of one of size N n).
-The error system's Schur form is the direct sum of the full and reduced
-forms, and the triangle route's outer terms, which differ from those two
-realizations only in their output, keep them.
+No realization is formed in these coordinates.  Each coupling, L and l_bar,
+is factored once, from its eigenbasis U diag(lams) U^T and one stacked
+``sorted_schur`` of the n x n blocks A - lam_i B = V_i T_i V_i^H
+(``network_modes``), and every realization is a ``linalg.ModalSystem`` in
+the modal states blockdiag(V_i^H) (U^T (x) I) x: drift blockdiag(T_i) (the
+poles w_ij for symmetric agents), input rows (U^T M)_i (x) V_i^H E.  Norms
+do not change under a unitary change of output coordinates, so the output
+is rotated by the same Q = blockdiag(V_i^H) (U^T (x) I) of L: the full
+output L (x) I becomes the diagonal block d = lams (x) 1_n, and the reduced
+output the N n x k n coupling C_2, block (i, j) lam_i W_ij V_i^H V_hat_j
+with W = U^T P (P^T P)^{-1/2} U_hat.  The error system's output is
+[d | -C_2], and the triangle route's outer terms are the full and reduced
+realizations with an unrotated output dL (x) I, dL P (P^T P)^{-1/2} (x) I
+in place of theirs (``with_output``).  No N n-state drift, input or output
+is formed for symmetric agents; nonsymmetric ones densify only in the
+deflation (``linalg.stable_unstable_split``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 from .graphcore import ZERO_EIG_TOL, Laplacian, Partition, ReducedGraph, leader_selector
-from .linalg import SYMMETRY_RTOL, StateSpace, is_hurwitz, sorted_schur
+from .linalg import SYMMETRY_RTOL, ModalSystem, is_hurwitz, sorted_schur
 
 
 @dataclass(frozen=True)
@@ -100,67 +110,103 @@ class NetworkSystem:
         return leader_selector(self.n_agents, self.leaders)
 
 
-def kron_schur(dyn: AgentDynamics, lams: np.ndarray, u: np.ndarray) -> tuple:
-    """``(T, Z, n_u)`` (see ``StateSpace.schur``) of the drift I (x) A - Lc (x) B for a
-    symmetric coupling Lc = U diag(lams) U^T with U orthogonal.
+@dataclass(frozen=True)
+class Modes:
+    """The modal data of the drift I (x) A - Lc (x) B for a symmetric coupling
+    Lc = U diag(lams) U^T: one sorted Schur form A - lam_i B = V_i T_i V_i^H per
+    eigenvalue, from one stacked ``sorted_schur``.  In the coordinates
+    blockdiag(V_i^H) (U^T (x) I) x the drift is blockdiag(T_i); ``unstable`` marks the
+    states with Re >= -STABILITY_MARGIN, each block's first."""
 
-    (U (x) I)^T (I (x) A - Lc (x) B) (U (x) I) is block diagonal with blocks
-    A - lam_i B = Z_i T_i Z_i^H from one stacked ``sorted_schur`` (real diagonal for
-    symmetric agents), so Z = (U (x) I) blockdiag(Z_i) and T = blockdiag(T_i).  Each
-    block holds its closed-right-half-plane part first, and the columns are reordered
-    so that every such part precedes every stable part: T stays upper triangular.
-    """
-    n, size = dyn.n, lams.size * dyn.n
-    t_blocks, z_blocks, n_u = sorted_schur(dyn.A - lams[:, None, None] * dyn.B)
-    unstable = np.arange(n) < n_u[:, None]
-    order = np.argsort(~unstable.ravel(), kind="stable")
-    z = (u[:, :, None, None] * z_blocks[None]).transpose(0, 2, 1, 3).reshape(size, size)
-    at = np.argsort(order).reshape(lams.size, n)  # where each block's rows land in T
-    t = np.zeros((size, size), dtype=t_blocks.dtype)
-    t[at[:, :, None], at[:, None, :]] = t_blocks
-    return t, z[:, order], int(unstable.sum())
+    lams: np.ndarray
+    u: np.ndarray
+    t: np.ndarray
+    v: np.ndarray
+    unstable: np.ndarray
 
 
-def network_realization(dyn, coupling, eig, b, c) -> StateSpace:
-    """(I (x) A - coupling (x) B, b, c) with the Schur form ``kron_schur`` from the
-    coupling's eigendecomposition ``eig``."""
-    drift = np.kron(np.eye(coupling.shape[0]), dyn.A) - np.kron(coupling, dyn.B)
-    return StateSpace(drift, b, c, form=kron_schur(dyn, eig.eigenvalues, eig.eigenvectors))
+def network_modes(dyn: AgentDynamics, eig) -> Modes:
+    """``Modes`` of the coupling whose eigendecomposition is ``eig``."""
+    lams = eig.eigenvalues
+    t, v, n_u = sorted_schur(dyn.A - lams[:, None, None] * dyn.B)
+    unstable = (np.arange(dyn.n) < n_u[:, None]).ravel()
+    return Modes(lams, eig.eigenvectors, t, v, unstable)
 
 
-def assemble_full(ns: NetworkSystem) -> StateSpace:
-    """Full network realization (I (x) A - L (x) B, M (x) E, L (x) I)."""
-    b = np.kron(ns.m_matrix, ns.dyn.E)
-    c = np.kron(ns.laplacian.mat, np.eye(ns.dyn.n))
-    return network_realization(ns.dyn, ns.laplacian.mat, ns.laplacian.spectral, b, c)
+def modal_output(core, modes: Modes, left: Modes | None = None) -> np.ndarray:
+    """The output (core (x) I) blockdiag(V_j) on the states of ``modes``, whose block
+    (a, j) is core_aj V_j; with ``left``, blockdiag(V_i^H) (core (x) I) blockdiag(V_j),
+    whose block (i, j) is core_ij V_i^H V_j (``left`` gives the V_i)."""
+    if left is None:
+        blocks = np.swapaxes(modes.v, 0, 1)[None]  # (1, n, k, n): [., r, j, s] = V_j[r, s]
+    else:
+        blocks = np.einsum("iar,jas->irjs", left.v.conj(), modes.v)
+    out = core[:, None, :, None] * blocks
+    return out.reshape(out.shape[0] * out.shape[1], -1)
 
 
-def assemble_reduced_bar(ns: NetworkSystem, pi: Partition, rg: ReducedGraph) -> StateSpace:
+def _modal_system(dyn, modes: Modes, b_nodes, c, c_scale, d=np.zeros(0)) -> ModalSystem:
+    """The realization with input b_nodes (x) E, whose modal rows are
+    (U^T b_nodes)_i (x) V_i^H E, and the modal output ``c`` and ``d``."""
+    ve = np.swapaxes(modes.v.conj(), 1, 2) @ dyn.E  # (K, n, r)
+    ub = modes.u.T @ b_nodes
+    b = (ub[:, None, :, None] * ve[:, :, None, :]).reshape(ve.shape[0] * dyn.n, -1)
+    return ModalSystem(modes.t, b, c, modes.unstable, c_scale, d)
+
+
+def assemble_full(ns: NetworkSystem, modes: Modes | None = None) -> ModalSystem:
+    """Full network realization (I (x) A - L (x) B, M (x) E, L (x) I) in the modal
+    coordinates of L's ``Modes`` (computed when not given).  Its output is rotated by the
+    orthogonal Q = blockdiag(V_i^H) (U^T (x) I), which turns L (x) I into the diagonal
+    block d = lams (x) 1_n."""
+    if modes is None:
+        modes = network_modes(ns.dyn, ns.laplacian.spectral)
+    size = modes.lams.size * ns.dyn.n
+    return _modal_system(
+        ns.dyn,
+        modes,
+        ns.m_matrix,
+        np.zeros((size, 0)),
+        1.0 + np.abs(ns.laplacian.mat).max(initial=0.0),
+        np.repeat(modes.lams, ns.dyn.n),
+    )
+
+
+def assemble_reduced_bar(
+    ns: NetworkSystem, pi: Partition, rg: ReducedGraph, full: Modes, modes: Modes
+) -> ModalSystem:
     """Reduced network realization in the symmetrized coordinates (P^T P)^{1/2} x,
     (I (x) A - l_bar (x) B, (P^T P)^{1/2} M_hat (x) E, L P (P^T P)^{-1/2} (x) I) for the
     partition's reduction ``rg``: similar to the Petrov-Galerkin projection, so with
-    the same transfer function, and with a symmetric coupling."""
+    the same transfer function, and with a symmetric coupling.  It takes the modal
+    coordinates of l_bar's ``modes`` and the output coordinates of the full realization
+    (``full``, L's modes): there the output is the N n x k n coupling C_2 whose block
+    (i, j) is lam_i W_ij V_i^H V_hat_j, with W = U^T P (P^T P)^{-1/2} U_hat."""
     root = np.sqrt(pi.sizes)
-    b = np.kron(root[:, None] * rg.m_hat, ns.dyn.E)
-    lp_scaled = (ns.laplacian.mat @ pi.char_matrix) / root[None, :]
-    c = np.kron(lp_scaled, np.eye(ns.dyn.n))
-    return network_realization(ns.dyn, rg.laplacian_bar, rg.spectral, b, c)
+    w = full.u.T @ (pi.char_matrix / root[None, :]) @ modes.u
+    c_scale = 1.0 + np.abs((ns.laplacian.mat @ pi.char_matrix) / root[None, :]).max(initial=0.0)
+    c = modal_output(full.lams[:, None] * w, modes, left=full)
+    return _modal_system(ns.dyn, modes, root[:, None] * rg.m_hat, c, c_scale)
 
 
-def assemble_error_system(full: StateSpace, reduced: StateSpace) -> StateSpace:
+def with_output(sys: ModalSystem, modes: Modes, c_nodes) -> ModalSystem:
+    """``sys``, a realization on the states of ``modes``, with the unrotated output
+    c_nodes (x) I in place of its own and no diagonal block."""
+    c = modal_output(c_nodes @ modes.u, modes)
+    return replace(sys, C=c, d=np.zeros(0), c_scale=1.0 + np.abs(c_nodes).max(initial=0.0))
+
+
+def assemble_error_system(full: ModalSystem, reduced: ModalSystem) -> ModalSystem:
     """Parallel difference of the full and reduced realizations, whose transfer function
-    is S - S_hat: block-diagonal drift, stacked input, output [C, -C_hat].  Its Schur
-    form is the direct sum of theirs with the order ``kron_schur`` gives one: the full
-    and then the reduced closed-right-half-plane parts, then their stable parts."""
-    (t, z, n_u), (t_hat, z_hat, n_u_hat) = full.schur, reduced.schur
-    n, n_hat = full.n_states, reduced.n_states
-    order = np.r_[:n_u, n : n + n_u_hat, n_u:n, n + n_u_hat : n + n_hat]
-    t_sum, z_sum = sla.block_diag(t, t_hat), sla.block_diag(z, z_hat)
-    return StateSpace(
-        sla.block_diag(full.A, reduced.A),
+    is S - S_hat: the blocks of both drifts, stacked input, output [d | C, -C_hat] in the
+    full realization's output coordinates (``reduced`` has no diagonal block)."""
+    return ModalSystem(
+        np.concatenate([full.t, reduced.t]),
         np.vstack([full.B, reduced.B]),
         np.hstack([full.C, -reduced.C]),
-        form=(t_sum[np.ix_(order, order)], z_sum[:, order], n_u + n_u_hat),
+        np.concatenate([full.unstable, reduced.unstable]),
+        max(full.c_scale, reduced.c_scale),
+        full.d,
     )
 
 

@@ -4,22 +4,31 @@ Three routes are implemented and cross-checked against each other and
 against the test suite's oracles:
 
 * ``h2_norm``: Lyapunov solve that tolerates unobservable marginal modes.
+  On a network realization with symmetric agents the Gramian is an arrow
+  (``linalg.solve_lyapunov_with_kernel``); for the full system it is its
+  diagonal head alone, and the value is the spectral sum
+  sum_i ||(U^T M)_i||^2 tr(E^T X_i E) over the auxiliary Gramians.
 * ``hinf_norm_sweep``: adaptive frequency sweep with local refinement, the
-  oracle for everything H-infinity.
+  oracle for everything H-infinity.  Its grids compare gains taken from the
+  smaller Gram matrix of each response; the value is one ``svd`` at the
+  frequency the search chose.
 * ``hinf_norm_dc``: exact DC-gain value sigma_max(C A^+ B), valid when a
-  symmetric witness X with CA = XC exists and ker A lies in ker C; the
-  pseudoinverse comes from the realization's real diagonal Schur form.
+  symmetric witness X with CA = XC exists and ker A lies in ker C, read from
+  the realization's real diagonal modal form; for the full network it is
+  sigma_max(diag(d / p) B).
 
-``h2_norm_quadrature`` is the corresponding H2 oracle (trapezoid rule on a
-log grid with Richardson extrapolation and an analytic tail estimate); it
-integrates the frequency response, not a Gramian.  ``h2_norm``, the sweep and
-the quadrature share one deflation of A (``linalg.stable_unstable_split`` on
-the realization's Schur form), so a realization is factored once; a network
-realization's form is assembled from the Laplacian eigenbasis
-(``netsys.kron_schur``).  The sweep and the quadrature then evaluate every
-frequency grid with ``linalg.triangular_response``: one matrix product per
-grid when the form is diagonal (symmetric agents), otherwise vectorized back
-substitution, O(n^2 m) per frequency.
+Every route reads a realization in modal coordinates (``sys.modal``, see
+``linalg.ModalSystem``), whose output a network realization has rotated into
+the Laplacian eigenbasis (``netsys``): norms do not change under that
+rotation, and a witness is given in the rotated output coordinates (-L
+becomes -lams (x) 1_n).  ``h2_norm_quadrature`` is the corresponding H2
+oracle (trapezoid rule on a log grid with Richardson extrapolation and an
+analytic tail estimate); it integrates the frequency response, not a
+Gramian.  ``h2_norm``, the sweep and the quadrature share one deflation
+(``linalg.stable_unstable_split``), and the sweep and the quadrature
+evaluate every frequency grid with ``linalg.triangular_response``: one
+matrix product per grid when the form is diagonal (symmetric agents),
+otherwise vectorized back substitution, O(n^2 m) per frequency.
 
 The a-priori bounds need two quantities of the auxiliary systems
 (A - lam B, E, lam I), one per eigenvalue lam of a spectrum: the squared H2
@@ -42,8 +51,7 @@ from .errors import KernelViolated, NotSymmetric, WitnessInvalid
 from .linalg import (
     KERNEL_TOL,
     STABILITY_MARGIN,
-    StateSpace,
-    diagonal_poles,
+    apply_output,
     pinv_eigenvalues,
     require_unobserved,
     solve_lyapunov_with_kernel,
@@ -79,12 +87,12 @@ def _zero_result(method: str) -> NormResult:
     return NormResult(0.0, method, {"trivial": "system has no inputs or no outputs"})
 
 
-def h2_norm(sys: StateSpace) -> NormResult:
-    """H2 norm via the kernel-conditioned Lyapunov solve, in Schur coordinates.
+def h2_norm(sys) -> NormResult:
+    """H2 norm via the kernel-conditioned Lyapunov solve, in modal coordinates.
 
     value^2 = tr(B_s^H X_s B_s) on the deflated triple (``solve_lyapunov_with_kernel``);
-    the certificate's ``lyapunov_residual`` is max|T_s^H X_s + X_s T_s + C_s^H C_s|, the
-    residual of the equation solved.  Raises UnstablePoles when the output observes a
+    the certificate's ``lyapunov_residual`` is max|T_s^H X_s + X_s T_s + C_s^H C_s| over
+    the blocks of the arrow X_s, the residual of the equation solved.  Raises UnstablePoles when the output observes a
     closed-right-half-plane mode (the norm is then infinite or undefined).
     """
     if sys.n_inputs == 0 or sys.n_outputs == 0:
@@ -97,7 +105,17 @@ def h2_norm(sys: StateSpace) -> NormResult:
     )
 
 
-def hinf_norm_sweep(sys: StateSpace) -> NormResult:
+def _largest_gram_eigenvalue(g) -> np.ndarray:
+    """sigma_max(G)^2 of each matrix of a stack, the largest eigenvalue of the smaller
+    of the Gram matrices G^H G and G G^H (one batched ``eigvalsh``)."""
+    gh = np.swapaxes(g, -1, -2).conj()
+    gram = gh @ g if g.shape[-1] <= g.shape[-2] else g @ gh
+    if gram.shape[-1] == 0:
+        return np.zeros(g.shape[:-2])
+    return np.linalg.eigvalsh(gram)[..., -1]
+
+
+def hinf_norm_sweep(sys) -> NormResult:
     """H-infinity norm by adaptive frequency sweep.
 
     Coarse log grid over [SWEEP_W_LO, SWEEP_W_HI], then a dense grid
@@ -106,17 +124,21 @@ def hinf_norm_sweep(sys: StateSpace) -> NormResult:
     bounded scalar minimization in log-frequency down to relative width
     SWEEP_W_RTOL.  The response at s = 0 anchors the w -> 0 end.  The
     unobservable marginal modes are deflated (``stable_unstable_split``); each
-    grid, the anchor and each Brent step is then one ``triangular_response`` call.
+    grid, the anchor and each Brent step is then one ``triangular_response`` call,
+    whose gains the search compares as the largest eigenvalues of the smaller Gram
+    matrices; the value is sigma_max of one ``svd`` at the frequency it chose.
     """
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return _zero_result(METHOD_SWEEP)
-    t_s, b_s, c_s = stable_unstable_split(sys)
+    t_s, b_s, c_s, d_s = stable_unstable_split(sys)
     if t_s.shape[0] == 0:
         return NormResult(0.0, METHOD_SWEEP, {"trivial": "transfer function is zero"})
 
+    def response(omegas) -> np.ndarray:
+        return triangular_response(t_s, b_s, c_s, d_s, 1j * np.asarray(omegas, dtype=float))
+
     def gains(omegas) -> np.ndarray:
-        response = triangular_response(t_s, b_s, c_s, 1j * np.asarray(omegas, dtype=float))
-        return np.linalg.svd(response, compute_uv=False).max(axis=-1, initial=0.0)
+        return np.sqrt(np.maximum(_largest_gram_eigenvalue(response(omegas)), 0.0))
 
     dc = float(gains([0.0])[0])
     t_lo, t_hi = math.log10(SWEEP_W_LO), math.log10(SWEEP_W_HI)
@@ -161,8 +183,10 @@ def hinf_norm_sweep(sys: StateSpace) -> NormResult:
         evals += int(res.nfev)
         if -res.fun > best_val:
             best_val, best_omega = float(-res.fun), float(10.0**res.x)
+    # the search compares Gram gains; the value is one svd at the frequency it chose
+    value = float(np.linalg.svd(response([best_omega])[0], compute_uv=False).max(initial=0.0))
     return NormResult(
-        best_val,
+        value,
         METHOD_SWEEP,
         {
             "peak_omega": best_omega,
@@ -176,7 +200,7 @@ def hinf_norm_sweep(sys: StateSpace) -> NormResult:
     )
 
 
-def h2_norm_quadrature(sys: StateSpace) -> NormResult:
+def h2_norm_quadrature(sys) -> NormResult:
     """Oracle H2 norm by trapezoid quadrature of the frequency integral.
 
     value^2 = (1/pi) * int_0^inf ||S(iw)||_F^2 dw, evaluated on a log grid
@@ -185,17 +209,18 @@ def h2_norm_quadrature(sys: StateSpace) -> NormResult:
     """
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return _zero_result(METHOD_SWEEP)
-    t_s, b_s, c_s = stable_unstable_split(sys)
+    t_s, b_s, c_s, d_s = stable_unstable_split(sys)
     if t_s.shape[0] == 0:
         return NormResult(0.0, METHOD_SWEEP, {"trivial": "transfer function is zero"})
     t_lo, t_hi = math.log10(QUAD_W_LO), math.log10(QUAD_W_HI)
     grid = np.concatenate([[0.0], np.logspace(t_lo, t_hi, round((t_hi - t_lo) * QUAD_PPD) + 1)])
-    fs = np.linalg.norm(triangular_response(t_s, b_s, c_s, 1j * grid), "fro", axis=(1, 2)) ** 2
+    response = triangular_response(t_s, b_s, c_s, d_s, 1j * grid)
+    fs = np.linalg.norm(response, "fro", axis=(1, 2)) ** 2
     coarse = np.r_[0, 1 : grid.size : 2]  # w = 0 and every other point of the log grid
     i_fine = float(np.trapezoid(fs, grid))
     i_coarse = float(np.trapezoid(fs[coarse], grid[coarse]))
     i_rich = i_fine + (i_fine - i_coarse) / 3.0
-    tail = float(np.linalg.norm(c_s @ b_s, "fro") ** 2) / QUAD_W_HI
+    tail = float(np.linalg.norm(apply_output(c_s, d_s, b_s), "fro") ** 2) / QUAD_W_HI
     h2sq = (i_rich + tail) / math.pi
     return NormResult(
         math.sqrt(max(h2sq, 0.0)),
@@ -245,38 +270,51 @@ def aux_dc_gain(dyn: AgentDynamics, lams) -> np.ndarray:
     return lams[:, None, None] * np.linalg.solve(blocks, dyn.E)
 
 
-def hinf_norm_dc(sys: StateSpace, x_witness) -> NormResult:
+def hinf_norm_dc(sys, x_witness) -> NormResult:
     """Exact H-infinity norm sigma_max(C A^+ B) under a DC-dominance witness.
 
-    Preconditions: A symmetric, that is ``sys.schur`` real diagonal, A = U diag(w) U^T
-    (else NotSymmetric), and then A^+ = U diag(w^+) U^T; a symmetric witness X with
-    C A = X C (so the gain is maximal at zero frequency); ker A contained in ker C (so
-    the transfer function extends continuously to s = 0); any positive eigenvalues
-    of A unobservable.
+    Read from the modal form ``sys.modal`` (of a ``ModalSystem`` or a ``StateSpace``):
+    with a diagonal output block d it is sigma_max(diag(d / p_1) B_1 + C A_2^+ B_2).
+    Preconditions: a real diagonal drift diag(p) (else NotSymmetric), so that
+    A^+ = diag(p^+); a witness X, symmetric, in the output coordinates of the
+    realization, with C A = X C (so the gain is maximal at zero frequency), given as a
+    p x p matrix or as the vector of a diagonal one; ker A contained in ker C (so the
+    transfer function extends continuously to s = 0); any positive poles unobservable.
     """
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return _zero_result(METHOD_DC)
-    a, b, c = sys.A, sys.B, sys.C
-    t, u, _ = sys.schur
-    w = diagonal_poles(t)
-    if w is None or not (np.isrealobj(t) and np.isrealobj(u)):
+    m = sys.modal
+    w = m.poles
+    if w is None or not np.isrealobj(w):
         raise NotSymmetric("the DC-gain route needs a real diagonal Schur form (a symmetric A)")
     x = np.asarray(x_witness, dtype=float)
-    if x.shape != (sys.n_outputs, sys.n_outputs):
-        raise WitnessInvalid(f"witness must be {sys.n_outputs} x {sys.n_outputs}, got {x.shape}")
+    p, n1 = m.n_outputs, m.d.size
+    if x.shape not in ((p,), (p, p)):
+        raise WitnessInvalid(f"witness must be {p} x {p} or a diagonal of {p}, got {x.shape}")
     if np.abs(x - x.T).max(initial=0.0) > WITNESS_RTOL * (1.0 + np.abs(x).max(initial=0.0)):
         raise WitnessInvalid("witness matrix is not symmetric")
-    ca = c @ a
-    witness_residual = np.abs(ca - x @ c).max(initial=0.0)
-    if witness_residual > WITNESS_RTOL * (1.0 + np.abs(ca).max(initial=0.0)):
+    # C A - X C, column block by column block: the diagonal output block, then C
+    ca_head, ca_rest = m.d * w[:n1], m.C * w[n1:]
+    if x.ndim == 1:
+        head, rest = ca_head - x[:n1] * m.d, ca_rest - x[:, None] * m.C
+    else:
+        head = -x[:, :n1] * m.d
+        head[np.arange(n1), np.arange(n1)] += ca_head
+        rest = ca_rest - x @ m.C
+    witness_residual = max(np.abs(head).max(initial=0.0), np.abs(rest).max(initial=0.0))
+    ca_scale = max(np.abs(ca_head).max(initial=0.0), np.abs(ca_rest).max(initial=0.0))
+    if witness_residual > WITNESS_RTOL * (1.0 + ca_scale):
         raise WitnessInvalid(f"CA != XC (residual {witness_residual:.3e})")
     w_plus = pinv_eigenvalues(w)  # zero exactly on the numerical kernel of A
-    c_scale = 1.0 + np.abs(c).max(initial=0.0)
-    kernel_residual = np.abs(c @ u[:, w_plus == 0.0]).max(initial=0.0)
-    if kernel_residual > KERNEL_TOL * c_scale:
+    kernel = w_plus == 0.0
+    kernel_residual = max(
+        np.abs(m.d[kernel[:n1]]).max(initial=0.0),
+        np.abs(m.C[:, kernel[n1:]]).max(initial=0.0),
+    )
+    if kernel_residual > KERNEL_TOL * m.c_scale:
         raise KernelViolated(f"ker A not contained in ker C (residual {kernel_residual:.3e})")
-    require_unobserved(c, u[:, w > STABILITY_MARGIN])
-    gain = c @ ((u * w_plus) @ (u.T @ b))  # C A^+ B, A^+ = U diag(w^+) U^T
+    require_unobserved(m, w > STABILITY_MARGIN)
+    gain = apply_output(m.C, m.d, w_plus[:, None] * m.B)  # C A^+ B, A^+ = diag(w^+)
     value = float(np.linalg.svd(gain, compute_uv=False).max(initial=0.0))
     return NormResult(
         value,

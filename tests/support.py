@@ -29,7 +29,7 @@ from netred.generators import (
 )
 from netred.errors import Disconnected, NotAEP, NotSynchronized
 from netred.graphcore import ZERO_EIG_TOL, is_almost_equitable, is_connected, reduce_graph
-from netred.linalg import RANK_TOL, STABILITY_MARGIN, StateSpace, sym_eig
+from netred.linalg import RANK_TOL, STABILITY_MARGIN, ModalSystem, StateSpace, sym_eig
 from netred.netsys import hurwitz_over, is_synchronized
 from netred.norms import (
     SWEEP_COARSE_PPD,
@@ -79,9 +79,12 @@ def lyap_kron_oracle(a, q):
     return x.reshape((n, n), order="F")
 
 
-def dense_gramian(sys, x_s) -> np.ndarray:
-    """X = Z_s X_s Z_s^H: the Gramian of ``solve_lyapunov_with_kernel`` in the coordinates
-    of A, from its X_s in those of the stable block of ``sys.schur``."""
+def dense_gramian(sys, arrow) -> np.ndarray:
+    """X = Z_s X_s Z_s^H: the Gramian of ``solve_lyapunov_with_kernel`` on a bare
+    ``StateSpace`` (whose arrow (D, F, X_s) has an empty head) in the coordinates of A,
+    from its X_s in those of the stable block of ``sys.schur``."""
+    head, _, x_s = arrow
+    assert head.size == 0
     _, z, n_u = sys.schur
     x = (z[:, n_u:] @ x_s @ z[:, n_u:].conj().T).real
     return 0.5 * (x + x.T)
@@ -97,9 +100,73 @@ def eigh_quadratic_trace(x, b) -> float:
 
 
 def dense_response(sys, s: complex) -> np.ndarray:
-    """C (sI - A)^{-1} B at one complex frequency by one dense LU solve."""
-    shifted = s * np.eye(sys.n_states) - sys.A
-    return sys.C @ np.linalg.solve(shifted, sys.B.astype(complex))
+    """C (sI - A)^{-1} B at one complex frequency by one dense LU solve (of a
+    ``ModalSystem``, on ``modal_dense``)."""
+    a, b, c = modal_dense(sys) if isinstance(sys, ModalSystem) else (sys.A, sys.B, sys.C)
+    return c @ np.linalg.solve(s * np.eye(sys.n_states) - a, b.astype(complex))
+
+
+def modal_dense(sys) -> tuple:
+    """``(A, B, C)`` of a ``ModalSystem`` as dense matrices: blockdiag(t), B and
+    [[diag(d); 0], C]."""
+    head = np.zeros((sys.n_outputs, sys.d.size), dtype=sys.d.dtype)
+    head[np.arange(sys.d.size), np.arange(sys.d.size)] = sys.d
+    return sla.block_diag(*sys.t), sys.B, np.hstack([head, sys.C])
+
+
+def response_gram(sys, s: complex) -> np.ndarray:
+    """G(s)^H G(s) for G = ``dense_response``: unchanged by an orthogonal change of the
+    output coordinates, so a modal realization and its dense oracle give the same."""
+    g = dense_response(sys, s)
+    return g.conj().T @ g
+
+
+def dense_network(dyn, coupling, b_nodes, c_nodes) -> StateSpace:
+    """(I (x) A - coupling (x) B, b_nodes (x) E, c_nodes (x) I) by Kronecker products."""
+    drift = np.kron(np.eye(coupling.shape[0]), dyn.A) - np.kron(coupling, dyn.B)
+    return StateSpace(drift, np.kron(b_nodes, dyn.E), np.kron(c_nodes, np.eye(dyn.n)))
+
+
+def dense_full(ns) -> StateSpace:
+    """The full network (I (x) A - L (x) B, M (x) E, L (x) I), assembled densely."""
+    lap = ns.laplacian.mat
+    return dense_network(ns.dyn, lap, ns.m_matrix, lap)
+
+
+def dense_reduced_bar(ns, pi, output=None) -> StateSpace:
+    """The reduced network in the coordinates (P^T P)^{1/2} x, assembled densely:
+    (I (x) A - l_bar (x) B, (P^T P)^{1/2} M_hat (x) E, output (x) I), by default with
+    output L P (P^T P)^{-1/2}."""
+    rg = reduce_graph(ns.laplacian, pi, ns.leaders)
+    root = np.sqrt(pi.sizes)
+    if output is None:
+        output = ns.laplacian.mat @ pi.char_matrix / root[None, :]
+    return dense_network(ns.dyn, rg.laplacian_bar, root[:, None] * rg.m_hat, output)
+
+
+def dense_error(ns, pi) -> StateSpace:
+    """The error system S - S_hat as the dense parallel difference of ``dense_full`` and
+    ``dense_reduced_bar``."""
+    full, red = dense_full(ns), dense_reduced_bar(ns, pi)
+    return StateSpace(
+        sla.block_diag(full.A, red.A), np.vstack([full.B, red.B]), np.hstack([full.C, -red.C])
+    )
+
+
+def dense_triangle_terms(an) -> tuple:
+    """The triangle route's outer terms, assembled densely: the full and reduced networks
+    with the outputs dL and dL P (P^T P)^{-1/2}, dL = L - l_aep."""
+    ns, pi = an.ns, an.pi
+    d_l = ns.laplacian.mat - an.aep_projection[0].mat
+    full = dense_full(ns)
+    term1 = StateSpace(full.A, full.B, np.kron(d_l, np.eye(ns.dyn.n)))
+    d_lp = d_l @ pi.char_matrix / np.sqrt(pi.sizes)[None, :]
+    return term1, dense_reduced_bar(ns, pi, output=d_lp)
+
+
+def modal_basis(modes) -> np.ndarray:
+    """Z = (U (x) I) blockdiag(V_i): the modal coordinates of ``netsys.Modes``, x = Z xi."""
+    return np.kron(modes.u, np.eye(modes.v.shape[1])) @ sla.block_diag(*modes.v)
 
 
 def dense_schur(a) -> tuple:
@@ -108,9 +175,11 @@ def dense_schur(a) -> tuple:
     return sla.schur(a, output="complex", sort=lambda ev: ev.real >= -STABILITY_MARGIN)
 
 
-def dense_route(sys) -> StateSpace:
-    """The realization with its Schur form replaced by ``dense_schur`` of its drift."""
-    return StateSpace(sys.A, sys.B, sys.C, form=dense_schur(sys.A))
+def dense_route(sys) -> ModalSystem:
+    """The realization in the coordinates of ``dense_schur`` of its drift, as one block."""
+    t, z, n_u = dense_schur(sys.A)
+    unstable = np.arange(sys.n_states) < n_u
+    return ModalSystem(t[None], z.conj().T @ sys.B, sys.C @ z, unstable, 1.0 + np.abs(sys.C).max())
 
 
 def real_schur_split(a) -> tuple:

@@ -65,6 +65,45 @@ def test_always_expected_groups_record_calls_on_k3(tmp_path):
     assert [group for group in RUN._ALWAYS if tracer.stats[group].calls == 0] == []
 
 
+def _symmetric_aep_payload() -> dict:
+    """A lifted AEP with symmetric n = 3 agents, the shape of ``aep-symmetric-large``."""
+    payload = generate_example("random-aep", seed=4)
+    dyn = random_symmetric_dynamics(np.random.default_rng(45), 3, 2)
+    payload["agent"] = {"A": dyn.A.tolist(), "B": dyn.B.tolist(), "E": dyn.E.tolist()}
+    return payload
+
+
+@pytest.mark.parametrize(
+    "shape, flags",
+    [("symmetric-n3-aep", ()), ("single-integrator-non-aep", ("--triangle",))],
+    ids=["symmetric-n3-aep", "single-integrator-non-aep"],
+)
+def test_always_expected_groups_record_calls_at_large_shapes(tmp_path, shape, flags):
+    # the runs of aep-symmetric-large and triangle-si-large, at small sizes: every group
+    # the benchmark always expects records a call, and with symmetric agents (single
+    # integrators included) no Kronecker product is formed on the analyze path
+    if shape == "symmetric-n3-aep":
+        payload = _symmetric_aep_payload()
+    else:
+        payload = _non_aep_single_integrator_payload(40)
+    path = tmp_path / "net.json"
+    path.write_text(dump_json(payload), encoding="utf-8")
+    kron_calls = []
+
+    def spy_kron(*args, **kwargs):
+        kron_calls.append(np.shape(args[0]))
+        return kron(*args, **kwargs)
+
+    kron = np.kron
+    argv = ["analyze", str(path), *flags, "--out", str(tmp_path / "report.json")]
+    with RUN.tracing.Tracer() as tracer, mock.patch.object(np, "kron", spy_kron):
+        assert main(argv) == 0
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert report["analysis"]["aep"] is (shape == "symmetric-n3-aep")
+    assert [group for group in RUN._ALWAYS if tracer.stats[group].calls == 0] == []
+    assert kron_calls == []
+
+
 def test_error_state_counter_reads_the_error_system(tmp_path):
     # the tracer's netsys.error_states observes assemble_error_system's result on the
     # analyze path
@@ -123,10 +162,7 @@ def test_symmetric_eigendecompositions_stay_network_sized(tmp_path):
     # an N n-state drift, and the H2 norms cut the rank of their Gramians in Schur
     # coordinates instead of factoring an N n-state Gramian, so no eigh sees more than
     # N rows
-    rng = np.random.default_rng(45)
-    payload = generate_example("random-aep", seed=4)
-    dyn = random_symmetric_dynamics(rng, 3, 2)
-    payload["agent"] = {"A": dyn.A.tolist(), "B": dyn.B.tolist(), "E": dyn.E.tolist()}
+    payload = _symmetric_aep_payload()
     path = tmp_path / "sym.json"
     path.write_text(dump_json(payload), encoding="utf-8")
     rows, eigh_rows = [], []

@@ -190,7 +190,7 @@ class TestHinfSingleIntegrator:
         assert exact == 0.0
         err = Analysis(ns, pi).error_system
         assert hinf_norm_sweep(err).value <= 1e-5
-        dc = hinf_norm_dc(err, -ns.laplacian.mat)
+        dc = hinf_norm_dc(err, -ns.laplacian.spectral.eigenvalues)  # -L, rotated by U^T
         assert abs(dc.value - exact) <= 1e-9
 
     def test_nontrivial_value_matches_dc(self):
@@ -199,7 +199,7 @@ class TestHinfSingleIntegrator:
         pi = Partition(n_nodes=4, cells=((0,), (1,), (2, 3)))
         exact = hinf_error_single_integrator(Analysis(ns, pi))
         assert exact == pytest.approx(np.sqrt(0.5), abs=1e-12)
-        dc = hinf_norm_dc(Analysis(ns, pi).error_system, -lap.mat)
+        dc = hinf_norm_dc(Analysis(ns, pi).error_system, -lap.spectral.eigenvalues)
         assert abs(dc.value - exact) <= 1e-9
 
     def test_requires_single_integrator(self):
@@ -215,7 +215,7 @@ class TestHinfSingleIntegrator:
     def test_matches_dc_closed_form_on_corpus(self, single_int_aep_corpus):
         for rec in single_int_aep_corpus:
             ns, pi = rec["ns"], rec["pi"]
-            dc = hinf_norm_dc(Analysis(ns, pi).error_system, -ns.laplacian.mat)
+            dc = hinf_norm_dc(Analysis(ns, pi).error_system, -ns.laplacian.spectral.eigenvalues)
             assert abs(dc.value - rec["exact"]) <= 1e-9, rec["seed"]
 
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from netred.bounds import Analysis
 from netred.errors import NotHurwitz, NotSymmetric, UnstablePoles
 from netred.generators import complete_graph, path_graph, single_integrator
 from netred.graphcore import Partition, laplacian_from_graph
 from netred.linalg import (
+    RANK_TOL,
     SCHUR_CHUNK,
     STABILITY_MARGIN,
     StateSpace,
@@ -232,12 +234,12 @@ class TestStableUnstableSplit:
         )
         sys = StateSpace(A=a, B=rng.normal(size=(5, 2)), C=np.zeros((1, 5)))
         t, z, n_u = sys.schur
-        t_s, b_s, c_s = stable_unstable_split(sys)
-        assert n_u == 2 and t_s.shape == (3, 3)
+        t_s, b_s, c_s, d_s = stable_unstable_split(sys)
+        assert n_u == 2 and t_s.shape == (3, 3) and d_s.size == 0
         z_u, z_s = z[:, :n_u], z[:, n_u:]
         assert np.abs(a @ z_u - z_u @ t[:n_u, :n_u]).max() <= 1e-10
         assert np.abs(z_s.conj().T @ a - t_s @ z_s.conj().T).max() <= 1e-10
-        np.testing.assert_array_equal(b_s, z_s.conj().T @ sys.B)
+        np.testing.assert_array_equal(b_s, (z.conj().T @ sys.B)[n_u:])
         assert c_s.shape == (1, 3)
 
 
@@ -287,8 +289,9 @@ class TestSolveLyapunovWithKernel:
         rng = np.random.default_rng(7)
         for a in (-np.diag([1.0, 2.0, 3.0]), random_hurwitz(rng, 5)):
             sys = StateSpace(a, rng.normal(size=(len(a), 2)), rng.normal(size=(3, len(a))))
-            t_s, _, c_s = stable_unstable_split(sys)
-            x_s, _, residual = solve_lyapunov_with_kernel(sys)
+            t_s, _, c_s, _ = stable_unstable_split(sys)
+            t_s = np.diag(t_s) if t_s.ndim == 1 else t_s  # a diagonal T_s comes as its poles
+            (_, _, x_s), _, residual = solve_lyapunov_with_kernel(sys)
             want = np.abs(t_s.conj().T @ x_s + x_s @ t_s + c_s.conj().T @ c_s).max()
             scale = np.abs(c_s).max() ** 2
             assert abs(residual - want) <= 1e-14 * scale
@@ -314,6 +317,26 @@ class TestPsdQuadraticTrace:
     def test_zero_and_empty(self):
         assert _psd_quadratic_trace(np.zeros((4, 4)), np.ones((4, 2))) == 0.0
         assert _psd_quadratic_trace(np.zeros((0, 0)), np.zeros((0, 2))) == 0.0
+
+    def test_whole_diagonal_under_the_cut_skips_the_factorization(self, monkeypatch):
+        # ?pstrf takes its first pivot whatever the tolerance, so it keeps a matrix of
+        # noise that lies wholly under the cut; the trace must return 0 before calling it
+        x = 1e-13 * np.array([[2.0, 1.0], [1.0, 2.0]])
+        b = np.ones((2, 1))
+        pstrf = scipy.linalg.lapack.get_lapack_funcs("pstrf", (x,))
+        assert pstrf(x, tol=RANK_TOL, lower=1)[2] >= 1
+        calls, get = [], scipy.linalg.lapack.get_lapack_funcs
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return get(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", spy)
+        assert _psd_quadratic_trace(x, b, scale=1.0) == 0.0
+        assert calls == []
+        # against its own diagonal nothing is cut: tr(b^T x b) = 6e-13
+        assert _psd_quadratic_trace(x, b) == pytest.approx(6e-13, rel=1e-12)
+        assert calls == ["pstrf"]
 
 
 class TestStateSpace:
@@ -346,12 +369,18 @@ def _error_system(lap, leaders, cells):
     return Analysis(ns, Partition(n_nodes=lap.n_nodes, cells=cells)).error_system
 
 
-def _schur_matches_dense(sys, omegas):
+def _schur_matches_dense(sys, omegas, gram=False):
+    """With ``gram``, compare G^H G: the deflation of a diagonal output block moves the
+    rows of deflated states below the others, an orthogonal change of output coordinates."""
     got = triangular_response(*stable_unstable_split(sys), 1j * omegas)
     assert got.shape == (len(omegas), sys.n_outputs, sys.n_inputs)
     for k, omega in enumerate(omegas):
         want = dense_response(sys, 1j * omega)
-        assert np.abs(got[k] - want).max() <= 1e-12 * np.abs(want).max()
+        if gram:
+            got_k, want = got[k].conj().T @ got[k], want.conj().T @ want
+        else:
+            got_k = got[k]
+        assert np.abs(got_k - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestSchurResponse:
@@ -377,10 +406,10 @@ class TestSchurResponse:
         path5 = _error_system(path_graph(5), (0,), PATH5_CELLS)
         k3 = _error_system(complete_graph(3), (0, 1), ((0,), (1, 2)))
         for sys in (path5, k3):
-            t, b, c = stable_unstable_split(sys)
+            t, b, c, d = stable_unstable_split(sys)
             assert t.shape[0] < sys.n_states
-            assert np.abs(np.tril(t, -1)).max(initial=0.0) == 0.0
-            _schur_matches_dense(sys, self.OMEGAS)
+            assert t.ndim == 1  # a diagonal T_s, as its poles
+            _schur_matches_dense(sys, self.OMEGAS, gram=True)
 
     def test_single_frequency(self):
         rng = np.random.default_rng(15)

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from netred import netsys
 from netred.bounds import Analysis
@@ -31,10 +32,16 @@ from .support import (
     PATH5_CELLS,
     assemble_reduced,
     aux_systems,
+    dense_error,
+    dense_full,
     dense_response,
     dense_route,
     dense_schur,
+    dense_triangle_terms,
     make_dynamics,
+    modal_basis,
+    modal_dense,
+    response_gram,
     reduced_synchronization_preserved,
     symmetrized_reduced_coupling,
 )
@@ -90,27 +97,30 @@ class TestAgentDynamics:
 
 class TestAssembleFull:
     def test_single_integrator_form(self):
+        # modal coordinates U^T x: drift -diag(lams), input U^T M, output diag(lams)
         ns = _k2_single_integrator()
         sys = assemble_full(ns)
-        np.testing.assert_array_equal(sys.A, -ns.laplacian.mat)
-        np.testing.assert_array_equal(sys.B, ns.m_matrix)
-        np.testing.assert_array_equal(sys.C, ns.laplacian.mat)
+        eig = ns.laplacian.spectral
+        np.testing.assert_array_equal(sys.poles, -eig.eigenvalues)
+        np.testing.assert_array_equal(sys.B, eig.eigenvectors.T @ ns.m_matrix)
+        np.testing.assert_array_equal(sys.d, eig.eigenvalues)
+        assert sys.C.shape == (2, 0)
 
     def test_one_node_network(self):
         lap = laplacian_from_graph(WeightedGraph(n_nodes=1, edges=()))
         dyn = AgentDynamics(A=[[-2.0]], B=[[1.0]], E=[[1.0]])
         sys = assemble_full(NetworkSystem(laplacian=lap, leaders=(0,), dyn=dyn))
-        np.testing.assert_array_equal(sys.A, [[-2.0]])
-        np.testing.assert_array_equal(sys.C, [[0.0]])
+        np.testing.assert_array_equal(sys.poles, [-2.0])
+        np.testing.assert_array_equal(sys.d, [0.0])
 
     def test_shapes_k2_multivariable(self):
         rng = np.random.default_rng(0)
         dyn = make_dynamics(rng, "dissipative", n=2, r=3)
         lap = laplacian_from_graph(path_graph(2))
         sys = assemble_full(NetworkSystem(laplacian=lap, leaders=(1,), dyn=dyn))
-        assert sys.A.shape == (4, 4)
+        assert sys.t.shape == (2, 2, 2)
         assert sys.B.shape == (4, 3)
-        assert sys.C.shape == (4, 4)
+        assert sys.n_outputs == sys.d.size == 4
 
 
 class TestPetrovGalerkinContract:
@@ -126,7 +136,7 @@ class TestPetrovGalerkinContract:
     def test_reduced_equals_projection(self):
         rng = np.random.default_rng(2)
         ns, pi = random_aep_instance(rng, dynamics=make_dynamics(rng, "symmetric", n=2))
-        full = assemble_full(ns)
+        full = dense_full(ns)
         red = assemble_reduced(ns, pi)
         n = ns.dyn.n
         p = pi.char_matrix
@@ -139,7 +149,7 @@ class TestPetrovGalerkinContract:
     def test_singleton_partition_reduces_to_full(self):
         ns = _k2_single_integrator()
         pi = Partition(n_nodes=2, cells=((0,), (1,)))
-        full = assemble_full(ns)
+        full = dense_full(ns)
         red = assemble_reduced(ns, pi)
         np.testing.assert_allclose(red.A, full.A, atol=1e-14)
         np.testing.assert_allclose(red.B, full.B, atol=1e-14)
@@ -155,30 +165,36 @@ class TestErrorSystem:
             assert np.abs(dense_response(err, 1j * omega)).max() <= 1e-9
 
     def test_single_integrator_block_structure(self):
+        # the dense parallel difference (blockdiag(-L, -l_bar), [M; (P^T P)^{1/2} M_hat],
+        # [L, -L P (P^T P)^{-1/2}]) in the states blockdiag(U, U_hat)^T x and the outputs
+        # U^T y is the modal error system: poles -lams, -lams_hat, output [diag(lams) | C]
         lap = laplacian_from_graph(path_graph(3))
         ns = NetworkSystem(laplacian=lap, leaders=(0,), dyn=single_integrator())
         pi = Partition(n_nodes=3, cells=((0, 1), (2,)))
-        err = Analysis(ns, pi).error_system
+        an = Analysis(ns, pi)
+        err, dense = an.error_system, dense_error(ns, pi)
         l_bar = symmetrized_reduced_coupling(lap, pi)
-        n, k = 3, 2
-        np.testing.assert_allclose(err.A[:n, :n], -lap.mat, atol=1e-14)
-        np.testing.assert_allclose(err.A[n:, n:], -l_bar, atol=1e-14)
-        np.testing.assert_array_equal(err.A[:n, n:], np.zeros((n, k)))
-        root = np.sqrt(pi.sizes)
-        np.testing.assert_allclose(
-            err.C, np.hstack([lap.mat, -(lap.mat @ pi.char_matrix) / root[None, :]]), atol=1e-14
-        )
+        z = scipy.linalg.block_diag(an.full_modes.u, an.reduced_modes.u)
+        q = an.full_modes.u.T
+        lams = np.r_[lap.spectral.eigenvalues, np.linalg.eigvalsh(l_bar)]
+        np.testing.assert_allclose(z.T @ dense.A @ z, np.diag(err.poles), atol=1e-14)
+        np.testing.assert_allclose(err.poles, -lams, atol=1e-14)
+        np.testing.assert_allclose(z.T @ dense.B, err.B, atol=1e-14)
+        np.testing.assert_allclose(q @ dense.C @ z, np.hstack([np.diag(err.d), err.C]), atol=1e-14)
+        np.testing.assert_allclose(err.d, lap.spectral.eigenvalues, atol=1e-14)
 
     def test_transfer_equals_difference_at_random_frequencies(self):
         rng = np.random.default_rng(3)
         ns, pi = random_aep_instance(rng, dynamics=make_dynamics(rng, "dissipative", n=2))
-        full = assemble_full(ns)
+        full = dense_full(ns)
         red = assemble_reduced(ns, pi)
         err = Analysis(ns, pi).error_system
         for _ in range(20):
+            # G^H G: the modal error system's output is rotated
             s = complex(rng.uniform(0.1, 2.0), rng.uniform(-10.0, 10.0))
             expected = dense_response(full, s) - dense_response(red, s)
-            got = dense_response(err, s)
+            expected = expected.conj().T @ expected
+            got = response_gram(err, s)
             scale = max(np.abs(expected).max(), 1.0)
             assert np.abs(got - expected).max() <= 1e-8 * scale
 
@@ -186,10 +202,11 @@ class TestErrorSystem:
         lap = laplacian_from_graph(path_graph(5))
         ns = NetworkSystem(laplacian=lap, leaders=(0,), dyn=single_integrator())
         pi = Partition(n_nodes=5, cells=((0, 1, 2), (3, 4)))
-        full, red, err = assemble_full(ns), assemble_reduced(ns, pi), Analysis(ns, pi).error_system
+        full, red, err = dense_full(ns), assemble_reduced(ns, pi), Analysis(ns, pi).error_system
         for omega in (0.05, 0.7, 3.0):
             expected = dense_response(full, 1j * omega) - dense_response(red, 1j * omega)
-            assert np.abs(dense_response(err, 1j * omega) - expected).max() <= 1e-10
+            expected = expected.conj().T @ expected
+            assert np.abs(response_gram(err, 1j * omega) - expected).max() <= 1e-10
 
 
 class TestAuxSystems:
@@ -300,10 +317,19 @@ def _structured_cases():
 
 
 def _realizations(ns, pi):
+    """name -> (modal realization, its dense oracle, its modal basis Z, its output
+    rotation Q or None): the dense oracle is (Q C Z, Z^H A Z, Z^H B) away from it."""
     an = Analysis(ns, pi)
-    systems = {"full": an.full_system, "error": an.error_system}
+    z_full, z_red = modal_basis(an.full_modes), modal_basis(an.reduced_modes)
+    z_err, q = scipy.linalg.block_diag(z_full, z_red), z_full.conj().T
+    systems = {
+        "full": (an.full_system, dense_full(ns), z_full, q),
+        "error": (an.error_system, dense_error(ns, pi), z_err, q),
+    }
     if ns.dyn.is_single_integrator():
-        systems["term1"], systems["term3"] = an.triangle_systems
+        (term1, term3), (dense1, dense3) = an.triangle_systems, dense_triangle_terms(an)
+        systems["term1"] = (term1, dense1, z_full, None)
+        systems["term3"] = (term3, dense3, z_red, None)
     return systems
 
 
@@ -314,8 +340,8 @@ def _norm_or_refusal(route, sys):
         return "UnstablePoles"
 
 
-def _assert_matches_dense_route(sys):
-    oracle = dense_route(sys)
+def _assert_matches_dense_route(sys, dense):
+    oracle = dense_route(dense)
     for route in (h2_norm, hinf_norm_sweep):
         got, want = _norm_or_refusal(route, sys), _norm_or_refusal(route, oracle)
         if isinstance(want, str):
@@ -326,34 +352,40 @@ def _assert_matches_dense_route(sys):
 
 
 class TestStructuredSchurForm:
-    """The Schur forms assembled from the Laplacian eigenbasis against one dense complex
-    Schur form of the whole drift (``support.dense_route``)."""
+    """The modal forms assembled from the Laplacian eigenbasis against the dense
+    Kronecker realizations (``support.dense_full`` ...) and one dense complex Schur form
+    of their whole drift (``support.dense_route``)."""
 
     @pytest.mark.parametrize("ns,pi", _structured_cases())
     def test_form_is_a_sorted_schur_form_of_the_drift(self, ns, pi):
-        for name, sys in _realizations(ns, pi).items():
-            t, z, n_u = sys.schur
+        for name, (sys, dense, z, q) in _realizations(ns, pi).items():
             size = sys.n_states
-            assert t.shape == z.shape == (size, size), name
-            assert np.abs(z @ t @ z.conj().T - sys.A).max() <= 1e-12 * (1 + np.abs(sys.A).max())
+            t = scipy.linalg.block_diag(*sys.t)
+            scale = 1 + np.abs(dense.A).max()
+            assert z.shape == t.shape == (size, size), name
+            assert np.abs(z @ t @ z.conj().T - dense.A).max() <= 1e-12 * scale, name
             assert np.abs(z.conj().T @ z - np.eye(size)).max() <= 1e-12, name
             assert not np.tril(t, -1).any(), name
-            assert n_u == dense_schur(sys.A)[2], name
-            assert (np.diagonal(t)[:n_u].real >= -STABILITY_MARGIN).all(), name
-            assert (np.diagonal(t)[n_u:].real < -STABILITY_MARGIN).all(), name
+            assert np.abs(z.conj().T @ dense.B - sys.B).max() <= 1e-12 * (1 + np.abs(dense.B).max())
+            c = dense.C @ z if q is None else q @ dense.C @ z
+            c_scale = 1 + np.abs(dense.C).max()
+            assert np.abs(c - modal_dense(sys)[2]).max() <= 1e-12 * c_scale, name
+            poles = np.diagonal(t)
+            assert sys.unstable.sum() == dense_schur(dense.A)[2], name
+            assert (poles[sys.unstable].real >= -STABILITY_MARGIN).all(), name
+            assert (poles[~sys.unstable].real < -STABILITY_MARGIN).all(), name
 
     @pytest.mark.parametrize("ns,pi", _structured_cases())
     def test_norms_match_dense_route(self, ns, pi):
-        for sys in _realizations(ns, pi).values():
-            _assert_matches_dense_route(sys)
+        for sys, dense, _, _ in _realizations(ns, pi).values():
+            _assert_matches_dense_route(sys, dense)
 
     def test_symmetric_agents_give_a_real_diagonal_form(self):
         rng = np.random.default_rng(35)
         ns, pi = random_aep_instance(rng, dynamics=make_dynamics(rng, "symmetric", n=3))
         for sys in (assemble_full(ns), Analysis(ns, pi).error_system):
-            t, z, _ = sys.schur
-            assert np.isrealobj(t) and np.isrealobj(z)
-            assert not (t - np.diag(np.diagonal(t))).any()
+            assert sys.poles is not None and np.isrealobj(sys.poles)
+            assert np.isrealobj(sys.B) and np.isrealobj(sys.C)
 
     def test_norms_match_dense_route_at_320_nodes(self):
         rng = np.random.default_rng(36)
@@ -362,24 +394,25 @@ class TestStructuredSchurForm:
         ns = NetworkSystem(laplacian_from_graph(graph), (3, 150, 299), single_integrator())
         an = Analysis(ns, pi)
         assert an.not_aep
-        for sys in (an.error_system, *an.triangle_systems):
-            _assert_matches_dense_route(sys)
+        pairs = zip((an.error_system, *an.triangle_systems), (dense_error(ns, pi), *dense_triangle_terms(an)))
+        for sys, dense in pairs:
+            _assert_matches_dense_route(sys, dense)
 
 
 @pytest.mark.parametrize("name, aep", [("random-general", False), ("random-aep", True)])
 def test_analyze_factors_each_coupling_once(tmp_path, monkeypatch, name, aep):
     # N blocks A - lam B for L and k for l_bar: the error system and the triangle route's
-    # outer terms reuse the full and reduced forms instead of factoring their couplings
+    # outer terms reuse the full and reduced modes instead of factoring their couplings
     payload = generate_example(name, seed=1)
     path, out = tmp_path / "net.json", tmp_path / "report.json"
     path.write_text(dump_json(payload), encoding="utf-8")
-    kron_schur, blocks = netsys.kron_schur, []
+    sorted_schur, blocks = netsys.sorted_schur, []
 
-    def counted(dyn, lams, u):
-        blocks.append(lams.size)
-        return kron_schur(dyn, lams, u)
+    def counted(a):
+        blocks.append(len(a))
+        return sorted_schur(a)
 
-    monkeypatch.setattr(netsys, "kron_schur", counted)
+    monkeypatch.setattr(netsys, "sorted_schur", counted)
     assert main(["analyze", str(path), "--triangle", "--out", str(out)]) == 0
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["analysis"]["aep"] is aep

@@ -20,6 +20,7 @@ from netred.generators import (
     lift_aep_graph,
     path_graph,
     random_aep_instance,
+    random_general_instance,
     random_symmetric_dynamics,
     single_integrator,
 )
@@ -41,6 +42,8 @@ from netred.norms import (
 
 from .support import (
     assemble_reduced,
+    dense_error,
+    dense_full,
     h2_norm_network_spectral,
     h2_norm_reduced_spectral,
     make_dynamics,
@@ -155,17 +158,19 @@ class TestAuxiliaryBatches:
         assert aux_gramian_h2_sq(dyn, np.array([])).shape == (0,)
 
     def test_dc_closed_form_matches_dense_pseudoinverse(self):
-        # full systems with witness A; single-integrator error systems with witness -L
+        # full systems with witness A; single-integrator error systems with witness -L;
+        # each in the rotated output coordinates (diag(poles) and -lams), against the
+        # pseudoinverse of the dense Kronecker drift
         for seed in range(12):
             rng = np.random.default_rng(4300 + seed)
             kind = ("single", "symmetric", "singular")[seed % 3]
             ns, pi = random_aep_instance(rng, dynamics=make_dynamics(rng, kind))
             full = assemble_full(ns)
-            cases = [(full, full.A)]
+            cases = [(full, full.poles, dense_full(ns))]
             if kind == "single":
-                cases.append((Analysis(ns, pi).error_system, -ns.laplacian.mat))
-            for sys, witness in cases:
-                gain = sys.C @ pinv(sys.A) @ sys.B
+                cases.append((Analysis(ns, pi).error_system, -full.d, dense_error(ns, pi)))
+            for sys, witness, dense in cases:
+                gain = dense.C @ pinv(dense.A) @ dense.B
                 want = np.linalg.svd(gain, compute_uv=False).max(initial=0.0)
                 assert hinf_norm_dc(sys, witness).value == pytest.approx(want, rel=1e-12)
 
@@ -280,15 +285,16 @@ class TestHinfSweep:
         # relative 1e-12; the absolute 1e-14 covers error systems that are exactly zero
         for seed in range(3):
             ns, pi = EXAMPLES[name](np.random.default_rng(seed))
-            for sys in (assemble_full(ns), Analysis(ns, pi).error_system):
-                got, want = hinf_norm_sweep(sys).value, reference_hinf_sweep(sys)
+            pairs = ((assemble_full(ns), dense_full(ns)), (Analysis(ns, pi).error_system, dense_error(ns, pi)))
+            for sys, dense in pairs:
+                got, want = hinf_norm_sweep(sys).value, reference_hinf_sweep(dense)
                 assert abs(got - want) <= 1e-12 * want + 1e-14
 
 
 class TestHinfDc:
     def test_full_single_integrator_network_two_leaders(self):
         sys = assemble_full(_k2(leaders=(0, 1)))
-        res = hinf_norm_dc(sys, -laplacian_from_graph(path_graph(2)).mat)
+        res = hinf_norm_dc(sys, -sys.d)  # -L in the output coordinates U^T y
         assert res.value == pytest.approx(1.0, abs=1e-12)
 
     def test_error_system_value_formula(self):
@@ -296,7 +302,7 @@ class TestHinfDc:
         ns = NetworkSystem(laplacian=lap, leaders=(0, 1), dyn=single_integrator())
         pi = Partition(n_nodes=3, cells=((0,), (1, 2)))
         err = Analysis(ns, pi).error_system
-        res = hinf_norm_dc(err, -lap.mat)
+        res = hinf_norm_dc(err, -lap.spectral.eigenvalues)  # -L in the output coordinates
         m = ns.m_matrix
         expected_sq = 1.0 - np.linalg.eigvalsh(m.T @ pi.projector @ m).min()
         assert res.value**2 == pytest.approx(expected_sq, abs=1e-9)
@@ -364,7 +370,7 @@ class TestOneFactorization:
         routes = (h2_norm, hinf_norm_sweep, h2_norm_quadrature)
         values = [route(err).value for route in routes]
         assert calls == []
-        bare = StateSpace(err.A, err.B, err.C)
+        bare = dense_error(ns, pi)
         dense = [route(bare).value for route in routes]
         assert calls == [(err.n_states, err.n_states)]
         assert abs(values[0] - values[2]) <= 1e-2 * values[2]
@@ -426,3 +432,47 @@ class TestNormProperties:
         cert = res.certificate
         assert cert["kind"] == "h2_quadrature"
         assert {"points_per_decade", "integral_fine", "integral_coarse", "tail"} <= set(cert)
+
+
+def _oracle_cases():
+    """Symmetric agents with n = 1, 2, 3 and dissipative ones with n = 2, each on an AEP
+    and on a general partition."""
+    cases = []
+    for seed, (kind, n) in enumerate(
+        (("symmetric", 1), ("symmetric", 2), ("symmetric", 3), ("dissipative", 2))
+    ):
+        for build in (random_aep_instance, random_general_instance):
+            rng = np.random.default_rng(5100 + 10 * seed + (build is random_general_instance))
+            ns, pi = build(rng, dynamics=make_dynamics(rng, kind, n=n, r=2))
+            label = "aep" if build is random_aep_instance else "general"
+            cases.append(pytest.param(ns, pi, id=f"{kind}-n{n}-{label}"))
+    return cases
+
+
+def _value_or_refusal(route, *args):
+    try:
+        return route(*args).value
+    except UnstablePoles:
+        return "UnstablePoles"
+
+
+class TestModalAgainstDenseOracle:
+    """The modal realizations against the dense Kronecker ones (``support.dense_full``,
+    ``support.dense_error``), each bare realization factored as a whole."""
+
+    @pytest.mark.parametrize("ns,pi", _oracle_cases())
+    def test_norms_agree(self, ns, pi):
+        an = Analysis(ns, pi)
+        full, dense_f = an.full_system, dense_full(ns)
+        pairs = ((full, dense_f), (an.error_system, dense_error(ns, pi)))
+        for sys, dense in pairs:
+            for route in (h2_norm, hinf_norm_sweep, h2_norm_quadrature):
+                got, want = _value_or_refusal(route, sys), _value_or_refusal(route, dense)
+                if isinstance(want, str):
+                    assert got == want, route.__name__
+                else:
+                    # the absolute floor only matters for exactly-zero error systems
+                    assert abs(got - want) <= 1e-12 * want + 1e-14, route.__name__
+        if ns.dyn.symmetric:
+            got = hinf_norm_dc(full, full.poles).value
+            assert got == pytest.approx(hinf_norm_dc(dense_f, dense_f.A).value, rel=1e-12)
