@@ -114,6 +114,14 @@ class ModalSystem:
     def modal(self) -> ModalSystem:
         return self
 
+    def observation(self, states) -> float:
+        """The largest |entry| of the output's columns at the ``states`` (a boolean mask)."""
+        n1 = self.d.size
+        return max(
+            np.abs(self.d[states[:n1]]).max(initial=0.0),
+            np.abs(self.C[:, states[n1:]]).max(initial=0.0),
+        )
+
     @cached_property
     def poles(self) -> np.ndarray | None:
         """The diagonal of the drift when every block is exactly diagonal, else None."""
@@ -262,28 +270,12 @@ def _psd_quadratic_trace(x, b, scale=None) -> float:
 def require_unobserved(sys: ModalSystem, states) -> None:
     """Raise UnstablePoles when the output observes one of the modal ``states`` (a boolean
     mask): a column of the output above KERNEL_TOL * ``sys.c_scale``."""
-    n1 = sys.d.size
-    violation = max(
-        np.abs(sys.d[states[:n1]]).max(initial=0.0),
-        np.abs(sys.C[:, states[n1:]]).max(initial=0.0),
-    )
+    violation = sys.observation(states)
     if violation > KERNEL_TOL * sys.c_scale:
         raise UnstablePoles(
             f"output observes a closed-right-half-plane mode "
             f"(|C v| = {violation:.3e} > {KERNEL_TOL:.1e} * {sys.c_scale:.3e})"
         )
-
-
-def _stable_block(t, keep) -> np.ndarray:
-    """The upper triangular restriction of blockdiag(t) to the states ``keep``."""
-    k, n, _ = t.shape
-    index = np.arange(k * n).reshape(k, n)
-    at = (np.cumsum(keep) - 1)[index]  # where each kept state lands
-    inside = keep[index][:, :, None] & keep[index][:, None, :]
-    t_s = np.zeros((int(keep.sum()),) * 2, dtype=t.dtype)
-    rows = np.broadcast_to(at[:, :, None], t.shape)[inside]
-    t_s[rows, np.broadcast_to(at[:, None, :], t.shape)[inside]] = t[inside]
-    return t_s
 
 
 def stable_unstable_split(sys) -> tuple:
@@ -305,9 +297,8 @@ def stable_unstable_split(sys) -> tuple:
         c_s = c_s[np.r_[np.flatnonzero(first), np.flatnonzero(~first), n1 : m.n_outputs]]
     d_s = m.d[first]
     if m.poles is None and keep.any():
-        head = np.zeros((m.n_outputs, d_s.size), dtype=d_s.dtype)
-        head[np.arange(d_s.size), np.arange(d_s.size)] = d_s
-        return _stable_block(m.t, keep), m.B[keep], np.hstack([head, c_s]), d_s[:0]
+        c_s = np.hstack([np.eye(m.n_outputs, d_s.size) * d_s, c_s])
+        return sla.block_diag(*m.t)[np.ix_(keep, keep)], m.B[keep], c_s, d_s[:0]
     return (np.zeros(0) if m.poles is None else m.poles[keep]), m.B[keep], c_s, d_s
 
 

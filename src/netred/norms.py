@@ -92,8 +92,9 @@ def h2_norm(sys) -> NormResult:
 
     value^2 = tr(B_s^H X_s B_s) on the deflated triple (``solve_lyapunov_with_kernel``);
     the certificate's ``lyapunov_residual`` is max|T_s^H X_s + X_s T_s + C_s^H C_s| over
-    the blocks of the arrow X_s, the residual of the equation solved.  Raises UnstablePoles when the output observes a
-    closed-right-half-plane mode (the norm is then infinite or undefined).
+    the blocks of the arrow X_s, the residual of the equation solved.  Raises
+    UnstablePoles when the output observes a closed-right-half-plane mode (the norm is
+    then infinite or undefined).
     """
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return _zero_result(METHOD_LYAPUNOV)
@@ -110,8 +111,6 @@ def _largest_gram_eigenvalue(g) -> np.ndarray:
     of the Gram matrices G^H G and G G^H (one batched ``eigvalsh``)."""
     gh = np.swapaxes(g, -1, -2).conj()
     gram = gh @ g if g.shape[-1] <= g.shape[-2] else g @ gh
-    if gram.shape[-1] == 0:
-        return np.zeros(g.shape[:-2])
     return np.linalg.eigvalsh(gram)[..., -1]
 
 
@@ -126,7 +125,8 @@ def hinf_norm_sweep(sys) -> NormResult:
     unobservable marginal modes are deflated (``stable_unstable_split``); each
     grid, the anchor and each Brent step is then one ``triangular_response`` call,
     whose gains the search compares as the largest eigenvalues of the smaller Gram
-    matrices; the value is sigma_max of one ``svd`` at the frequency it chose.
+    matrices.  The value is sigma_max, by ``svd``, of the response with the largest
+    gain evaluated.
     """
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return _zero_result(METHOD_SWEEP)
@@ -134,13 +134,18 @@ def hinf_norm_sweep(sys) -> NormResult:
     if t_s.shape[0] == 0:
         return NormResult(0.0, METHOD_SWEEP, {"trivial": "transfer function is zero"})
 
-    def response(omegas) -> np.ndarray:
-        return triangular_response(t_s, b_s, c_s, d_s, 1j * np.asarray(omegas, dtype=float))
+    best = [-1.0, 0.0, None]  # the largest gain evaluated, its frequency and response
 
     def gains(omegas) -> np.ndarray:
-        return np.sqrt(np.maximum(_largest_gram_eigenvalue(response(omegas)), 0.0))
+        omegas = np.asarray(omegas, dtype=float)
+        response = triangular_response(t_s, b_s, c_s, d_s, 1j * omegas)
+        vals = np.sqrt(np.maximum(_largest_gram_eigenvalue(response), 0.0))
+        j = int(vals.argmax())
+        if vals[j] > best[0]:
+            best[:] = float(vals[j]), float(omegas[j]), response[j].copy()
+        return vals
 
-    dc = float(gains([0.0])[0])
+    gains([0.0])
     t_lo, t_hi = math.log10(SWEEP_W_LO), math.log10(SWEEP_W_HI)
     n_coarse = int(round((t_hi - t_lo) * SWEEP_COARSE_PPD)) + 1
     ts = np.linspace(t_lo, t_hi, n_coarse)
@@ -159,10 +164,6 @@ def hinf_norm_sweep(sys) -> NormResult:
         if steps[lo] > 0 > steps[hi]
     ]
     interior.sort(key=lambda i: -vals[i])
-    best_val, best_omega = dc, 0.0
-    if vals.max(initial=0.0) > best_val:
-        best_val = float(vals.max())
-        best_omega = float(10.0 ** ts[int(vals.argmax())])
     step = (t_hi - t_lo) / (n_coarse - 1)
     for i in interior[:3]:
         lo, hi = ts[i] - step, ts[i] + step
@@ -171,8 +172,6 @@ def hinf_norm_sweep(sys) -> NormResult:
         dvals = gains(10.0**dts)
         evals += n_dense
         j = int(dvals.argmax())
-        if dvals[j] > best_val:
-            best_val, best_omega = float(dvals[j]), float(10.0 ** dts[j])
         j0, j1 = max(j - 1, 0), min(j + 1, n_dense - 1)
         res = minimize_scalar(
             lambda t: -float(gains([10.0**t])[0]),
@@ -181,10 +180,9 @@ def hinf_norm_sweep(sys) -> NormResult:
             options={"xatol": SWEEP_W_RTOL / math.log(10.0)},
         )
         evals += int(res.nfev)
-        if -res.fun > best_val:
-            best_val, best_omega = float(-res.fun), float(10.0**res.x)
-    # the search compares Gram gains; the value is one svd at the frequency it chose
-    value = float(np.linalg.svd(response([best_omega])[0], compute_uv=False).max(initial=0.0))
+    # the search compares Gram gains; the value is the svd of the response it chose
+    _, best_omega, peak = best
+    value = float(np.linalg.svd(peak, compute_uv=False).max(initial=0.0))
     return NormResult(
         value,
         METHOD_SWEEP,
@@ -306,11 +304,7 @@ def hinf_norm_dc(sys, x_witness) -> NormResult:
     if witness_residual > WITNESS_RTOL * (1.0 + ca_scale):
         raise WitnessInvalid(f"CA != XC (residual {witness_residual:.3e})")
     w_plus = pinv_eigenvalues(w)  # zero exactly on the numerical kernel of A
-    kernel = w_plus == 0.0
-    kernel_residual = max(
-        np.abs(m.d[kernel[:n1]]).max(initial=0.0),
-        np.abs(m.C[:, kernel[n1:]]).max(initial=0.0),
-    )
+    kernel_residual = m.observation(w_plus == 0.0)
     if kernel_residual > KERNEL_TOL * m.c_scale:
         raise KernelViolated(f"ker A not contained in ker C (residual {kernel_residual:.3e})")
     require_unobserved(m, w > STABILITY_MARGIN)

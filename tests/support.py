@@ -109,8 +109,7 @@ def dense_response(sys, s: complex) -> np.ndarray:
 def modal_dense(sys) -> tuple:
     """``(A, B, C)`` of a ``ModalSystem`` as dense matrices: blockdiag(t), B and
     [[diag(d); 0], C]."""
-    head = np.zeros((sys.n_outputs, sys.d.size), dtype=sys.d.dtype)
-    head[np.arange(sys.d.size), np.arange(sys.d.size)] = sys.d
+    head = np.eye(sys.n_outputs, sys.d.size) * sys.d
     return sla.block_diag(*sys.t), sys.B, np.hstack([head, sys.C])
 
 

@@ -394,8 +394,8 @@ class TestStructuredSchurForm:
         ns = NetworkSystem(laplacian_from_graph(graph), (3, 150, 299), single_integrator())
         an = Analysis(ns, pi)
         assert an.not_aep
-        pairs = zip((an.error_system, *an.triangle_systems), (dense_error(ns, pi), *dense_triangle_terms(an)))
-        for sys, dense in pairs:
+        systems = (an.error_system, *an.triangle_systems)
+        for sys, dense in zip(systems, (dense_error(ns, pi), *dense_triangle_terms(an))):
             _assert_matches_dense_route(sys, dense)
 
 

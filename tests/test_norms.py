@@ -285,8 +285,8 @@ class TestHinfSweep:
         # relative 1e-12; the absolute 1e-14 covers error systems that are exactly zero
         for seed in range(3):
             ns, pi = EXAMPLES[name](np.random.default_rng(seed))
-            pairs = ((assemble_full(ns), dense_full(ns)), (Analysis(ns, pi).error_system, dense_error(ns, pi)))
-            for sys, dense in pairs:
+            err = Analysis(ns, pi).error_system
+            for sys, dense in ((assemble_full(ns), dense_full(ns)), (err, dense_error(ns, pi))):
                 got, want = hinf_norm_sweep(sys).value, reference_hinf_sweep(dense)
                 assert abs(got - want) <= 1e-12 * want + 1e-14
 
