@@ -18,8 +18,10 @@ import time
 from .bounds import Analysis, Tolerances, full_report
 from .errors import (
     InvalidPartition,
+    KernelViolated,
     NegativeWeight,
     UnknownExample,
+    WitnessInvalid,
 )
 from .generators import EXAMPLES
 from .netfile import (
@@ -73,14 +75,14 @@ def _oracle_checks(an: Analysis, report) -> dict:
             "certificate": quad.certificate,
         }
     if report.true_hinf_error is not None and an.aep and an.single_integrator:
-        # the witness -L in the rotated output coordinates: -lams (x) 1_n
-        dc = hinf_norm_dc(an.error_system, -an.full_system.d)
-        gap = abs(report.true_hinf_error.value - dc.value)
-        checks["true_hinf_error_dc"] = {
-            "value": dc.value,
-            "absolute_gap": gap,
-            "certificate": dc.certificate,
-        }
+        # the witness -L, rotated: -lams (x) 1_n.  A loose aep_rtol may fail its test
+        try:
+            dc = hinf_norm_dc(an.error_system, -an.full_system.d)
+            gap = abs(report.true_hinf_error.value - dc.value)
+            entry = {"value": dc.value, "absolute_gap": gap, "certificate": dc.certificate}
+        except (WitnessInvalid, KernelViolated) as exc:
+            entry = {"value": None, "unavailable": type(exc).__name__, "message": str(exc)}
+        checks["true_hinf_error_dc"] = entry
     return checks
 
 

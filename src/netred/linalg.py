@@ -1,29 +1,20 @@
 """Linear-algebra kernels used throughout the package.
 
-Symmetric eigendecompositions, an eigenvalue-based pseudoinverse, Hurwitz
-tests (of one matrix, or of a whole stack of blocks in one call) and
-Lyapunov solvers.  Only ``sorted_schur`` chooses between a real ``eigh``
-(exactly symmetric input: T real diagonal) and a complex Schur form.
+Symmetric eigendecompositions, the eigenvalue cut of a pseudoinverse, Hurwitz
+tests (of one matrix or a stack of blocks in one call) and Lyapunov solvers.
+Only ``sorted_schur`` chooses between a real ``eigh`` (exactly symmetric
+input: T real diagonal) and a complex Schur form.
 
-Every norm reads a realization in modal coordinates, a ``ModalSystem``: the
-drift blockdiag(T_i) of its sorted Schur blocks, the input and the output in
-those coordinates, and the states in the closed right half plane marked.  A
-network realization is built so, one n x n block per eigenvalue of its
-coupling (``netsys``), and its output, rotated into the coupling's
-eigenbasis, has a diagonal block d on the full system's states; a bare
-``StateSpace`` is one block, the Schur form of its whole drift
-(``StateSpace.modal``).  The one stable/unstable deflation
-(``stable_unstable_split``) drops the unobserved closed-right-half-plane
-states and gives the deflated triple (T_s, B_s, C_s, d_s), which both the
-kernel-conditioned Lyapunov solve and the one frequency-response primitive
-(``triangular_response``) take.  When T_s is diagonal (symmetric agents,
-single integrators included) both are closed forms, the diagonal output
-block makes the Gramian an arrow whose head is eliminated before the rank
-cut, and no N n-state matrix is formed; otherwise (d_s written into C_s)
-they are a triangular Sylvester solve and a back substitution.  The Gramian
-never leaves modal coordinates: the squared H2 norm is a trace over the
-deflated input matrix, whose numerical rank a pivoted Cholesky
-factorization cuts.  Every function is pure: none mutates its arguments.
+Every norm reads a ``ModalSystem``: a drift blockdiag(T_i) of K upper
+triangular b x b blocks (b = 1 for a real diagonal form, b = n for a network
+of nonsymmetric agents, K = 1 for a bare ``StateSpace``), with the input and
+the output in those coordinates.  The one deflation (``stable_unstable_split``)
+keeps the stack, and the response (``triangular_response``) and the Gramian
+(``solve_block_sylvester``) are each one path over it: a back substitution
+over the rows of all blocks, and an entrywise recurrence over block pairs.
+No N n-state matrix is formed: the Gramian is an arrow whose block-diagonal
+head is eliminated before a pivoted Cholesky factorization cuts its rank.
+Every function is pure: none mutates its arguments.
 """
 
 from __future__ import annotations
@@ -84,10 +75,11 @@ def sorted_schur(a) -> tuple:
 class ModalSystem:
     """A strictly proper realization in the coordinates of its drift's Schur form.
 
-    The drift is blockdiag(t) for a stack ``t`` (K, n, n) of upper triangular blocks;
-    ``unstable`` marks the states whose pole has Re >= -STABILITY_MARGIN, each block's
-    first, so they span an invariant subspace.  The output is [diag(d); 0] on the first
-    len(d) <= p states plus C on the others: a diagonal block that a network realization
+    The drift is blockdiag(t) for a stack ``t`` (K, b, b) of upper triangular blocks; a
+    real diagonal stack is kept as (K b, 1, 1), one state per block.  ``unstable`` marks
+    the states whose pole has Re >= -STABILITY_MARGIN, each block's first, so they span
+    an invariant subspace.  The output is [diag(d); 0] on the first len(d) <= p states
+    (whole blocks) plus C on the others: a diagonal block that a network realization
     gets when its output is rotated into the eigenbasis of its coupling.  ``c_scale`` is
     1 + max|C| of the output before any such rotation, the scale of the kernel test."""
 
@@ -97,6 +89,11 @@ class ModalSystem:
     unstable: np.ndarray
     c_scale: float
     d: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    def __post_init__(self):
+        t = self.t
+        if t.shape[1] > 1 and np.isrealobj(t) and not np.triu(t, 1).any():
+            object.__setattr__(self, "t", np.diagonal(t, axis1=1, axis2=2).reshape(-1, 1, 1))
 
     @property
     def n_states(self) -> int:
@@ -124,9 +121,8 @@ class ModalSystem:
 
     @cached_property
     def poles(self) -> np.ndarray | None:
-        """The diagonal of the drift when every block is exactly diagonal, else None."""
-        diag = np.diagonal(self.t, axis1=1, axis2=2)
-        return diag.ravel() if np.count_nonzero(self.t) == np.count_nonzero(diag) else None
+        """The diagonal of the drift when it is held as one-state blocks, else None."""
+        return self.t[:, 0, 0] if self.t.shape[1] == 1 else None
 
 
 @dataclass(frozen=True)
@@ -198,19 +194,9 @@ def sym_eig(mat) -> SymmetricEig:
     return SymmetricEig(eigenvalues=w, eigenvectors=u)
 
 
-def pinv(mat) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a symmetric matrix.
-
-    Built as U diag(w)^+ U^T: eigenvalues with |w| <= RANK_TOL * max|w| are
-    treated as zero and left uninverted.  The zero matrix maps to itself.
-    """
-    eig = sym_eig(mat)
-    return (eig.eigenvectors * pinv_eigenvalues(eig.eigenvalues)) @ eig.eigenvectors.T
-
-
 def pinv_eigenvalues(w) -> np.ndarray:
-    """w^+: 1 / w where |w| > RANK_TOL * max|w|, exactly zero elsewhere (the rank cut
-    of ``pinv``)."""
+    """w^+: 1 / w where |w| > RANK_TOL * max|w|, exactly zero elsewhere: the eigenvalues
+    of the pseudoinverse of a symmetric matrix, with its rank cut."""
     keep = np.abs(w) > RANK_TOL * np.abs(w).max(initial=0.0)
     inv = np.zeros_like(w)
     inv[keep] = 1.0 / w[keep]
@@ -279,27 +265,26 @@ def require_unobserved(sys: ModalSystem, states) -> None:
 
 
 def stable_unstable_split(sys) -> tuple:
-    """``(T_s, B_s, C_s, d_s)``: the stable part of the modal form ``sys.modal`` (of a
-    ``ModalSystem`` or a ``StateSpace``), on which C (sI - A)^{-1} B is the response of
-    the deflated triple (see ``triangular_response``).  T_s is the 1-D array of poles
-    when the drift is diagonal, else upper triangular, and then d_s is empty: the
-    diagonal output block is written into C_s.  A deflated state of the diagonal block
-    takes its output row below the kept ones, an orthogonal change of output
-    coordinates.  Raises UnstablePoles unless the output observes none of the
-    closed-right-half-plane modes (``require_unobserved``)."""
+    """``(T_s, B_s, C_s, d_s)``: the stable part of ``sys.modal``, with the same response
+    (``triangular_response``).  Blocks with no stable state are dropped; in the others a
+    closed-right-half-plane state gets a zero output column and its pole moved to -1.
+    Unobserved, and driving no stable state, it then changes neither the response nor
+    the Gramian, whose rows for it are exactly zero.  A dropped state of the diagonal
+    block moves its output row below the kept ones (an orthogonal change of output
+    coordinates).  Raises UnstablePoles if the output observes such a state."""
     m = sys.modal
     require_unobserved(m, m.unstable)
-    keep = ~m.unstable
-    n1 = m.d.size
-    first = keep[:n1]
-    c_s = m.C[:, keep[n1:]]
+    w, n1 = m.t.shape[1], m.d.size
+    keep = np.repeat(~m.unstable.reshape(-1, w).all(axis=1), w)  # the blocks with a stable state
+    first, gone = keep[:n1], m.unstable[keep]
+    t_s, c_s, d_s = m.t[keep[::w]], m.C[:, keep[n1:]], m.d[first]
+    if gone.any():  # closed-right-half-plane states of kept blocks
+        rows, cols = np.nonzero(gone.reshape(-1, w))
+        t_s[rows, cols, cols] = -1.0
+        c_s[:, gone[d_s.size :]], d_s[gone[: d_s.size]] = 0.0, 0.0
     if not first.all():
         c_s = c_s[np.r_[np.flatnonzero(first), np.flatnonzero(~first), n1 : m.n_outputs]]
-    d_s = m.d[first]
-    if m.poles is None and keep.any():
-        c_s = np.hstack([np.eye(m.n_outputs, d_s.size) * d_s, c_s])
-        return sla.block_diag(*m.t)[np.ix_(keep, keep)], m.B[keep], c_s, d_s[:0]
-    return (np.zeros(0) if m.poles is None else m.poles[keep]), m.B[keep], c_s, d_s
+    return t_s, m.B[keep], c_s, d_s
 
 
 def apply_output(c, d, x) -> np.ndarray:
@@ -316,79 +301,95 @@ def apply_output(c, d, x) -> np.ndarray:
 
 
 def triangular_response(t, b, c, d, s) -> np.ndarray:
-    """C (sI - T)^{-1} B, shape (len(s), p, m), of a deflated triple with output
-    [diag(d); 0] on the first len(d) states and c on the rest, for a 1-D array s,
-    vectorized across SCHUR_CHUNK frequencies at a time.  A diagonal T (t the 1-D array
-    of its poles p) takes the closed form d * B_1 / (s - p_1) + c (B_2 / (s - p_2)),
-    O(n m p) per frequency and one matrix product per chunk; an upper triangular T
-    (with an empty d) back substitution over its rows, O(n^2 m)."""
+    """C (sI - T)^{-1} B, shape (len(s), p, m), of a deflated triple (drift blockdiag(t),
+    output [diag(d); 0] on the first len(d) states and c on the rest) for a 1-D array s:
+    a back substitution over the b rows of all blocks and SCHUR_CHUNK frequencies at once,
+    then one output product.  With b = 1 it is d * B_1 / (s - p_1) + c (B_2 / (s - p_2))."""
     s = np.asarray(s, dtype=complex)
-    (n, m), p = b.shape, c.shape[0]
+    (n, m), p, (k, w) = b.shape, c.shape[0], t.shape[:2]
     out = np.empty((s.size, p, m), dtype=complex)
-    for k in range(0, s.size, SCHUR_CHUNK):
-        shift = s[k : k + SCHUR_CHUNK, None]
-        if t.ndim == 1:
-            # (n, chunk, m): one column block per frequency, so C multiplies all at once
-            x = b[:, None, :] / (shift.T - t[:, None])[:, :, None]
-            y = apply_output(c, d, x.reshape(n, -1))
-            out[k : k + SCHUR_CHUNK] = y.reshape(p, -1, m).transpose(1, 0, 2)
-            continue
-        x = np.empty((shift.shape[0], n, m), dtype=complex)
-        for i in range(n - 1, -1, -1):
-            x[:, i] = (b[i] + t[i, i + 1 :] @ x[:, i + 1 :]) / (shift - t[i, i])
-        out[k : k + SCHUR_CHUNK] = c @ x
+    for j in range(0, s.size, SCHUR_CHUNK):
+        shift = s[j : j + SCHUR_CHUNK]
+        x = np.empty((k, w, shift.size, m), dtype=complex)  # [block, row, frequency, input]
+        for i in range(w - 1, -1, -1):
+            acc = b[i::w, None]
+            if i < w - 1:
+                rest = t[:, i, None, i + 1 :] @ x[:, i + 1 :].reshape(k, w - i - 1, -1)
+                acc = acc + rest.reshape(k, shift.size, m)
+            np.divide(acc, (shift - t[:, i, i, None])[:, :, None], out=x[:, i])
+        y = apply_output(c, d, x.reshape(n, -1))
+        out[j : j + SCHUR_CHUNK] = y.reshape(p, -1, m).transpose(1, 0, 2)
     return out
 
 
+def solve_block_sylvester(t1, t2, g) -> tuple:
+    """``(X, max|T1^H X + X T2 + G|)`` with T1^H X + X T2 + G = 0, for stacks of upper
+    triangular b x b blocks T1, T2 and of blocks G broadcast over their leading axes: the
+    recurrence X_rc (conj(T1_rr) + T2_cc) = -G_rc - sum_{q<r} conj(T1_qr) X_qc -
+    sum_{q<c} X_rq T2_qc, one step per entry for all blocks (one division when b = 1)."""
+    w, t1h = g.shape[-1] if g.size else 0, np.conj(t1)  # no steps for an empty stack
+    sums = np.diagonal(t1h, 0, -2, -1)[..., :, None] + np.diagonal(t2, 0, -2, -1)[..., None, :]
+    x = np.empty(sums.shape, np.result_type(sums, g))  # g has the leading axes of T1, T2
+    known = np.empty_like(x)
+    for r in range(w):
+        row = g[..., r, :] + (t1h[..., :r, r, None] * x[..., :r, :]).sum(axis=-2)
+        for c in range(w):
+            acc = row[..., c] + (x[..., r, :c] * t2[..., :c, c]).sum(axis=-1)
+            known[..., r, c] = acc
+            x[..., r, c] = -acc / sums[..., r, c]
+    return x, float(np.abs(sums * x + known).max(initial=0.0))
+
+
+def _solve_psd_blocks(a, f) -> np.ndarray:
+    """a^+ f for a stack a (K, b, b) of Hermitian PSD blocks and f (K, b, m) when a zero on
+    the diagonal of a has a zero row in a and in f (D and F of the Gramian's arrow):
+    Gauss-Jordan elimination without pivoting, one division when b = 1."""
+    a, f = a.copy(), f.astype(np.result_type(a, f))
+    for j in range(a.shape[1] if a.size else 0):  # no steps for an empty stack
+        pivot = np.where(a[:, j, j, None] == 0.0, 1.0, a[:, j, j, None])
+        a[:, j] /= pivot
+        f[:, j] /= pivot
+        for i in [i for i in range(a.shape[1]) if i != j]:
+            f[:, i] -= a[:, i, j, None] * f[:, j]
+            a[:, i] -= a[:, i, j, None] * a[:, j]
+    return f
+
+
 def solve_lyapunov_with_kernel(sys):
-    """Observability Gramian of a realization allowing unobservable marginal modes, kept
-    in the deflated coordinates of ``stable_unstable_split``.
-
-    Returns ``((D, F, R), h2sq, residual)``: the Gramian X_s = [[diag(D), F], [F^H, R]]
-    solving T_s^H X_s + X_s T_s + C_s^H C_s = 0, an arrow whose diagonal head belongs
-    to the diagonal output block d (D and F are empty without one).  The PSD solution
-    of A^T X + X A + C^T C = 0 that vanishes on the closed-right-half-plane invariant
-    subspace is X_s in the coordinates of the modal form, and is never formed.
-    ``residual`` is the largest entry of |T_s^H X_s + X_s T_s + C_s^H C_s| over the
-    three blocks.  A diagonal T_s (poles p) gives each block entrywise,
-    X = -(C_s^H C_s) / (conj(p_k) + p_l); otherwise R comes from one triangular
-    Sylvester solve (``ztrsyl``).
-
-    ``h2sq = tr(B_s^H X_s B_s)`` is the squared H2 norm.  The head is eliminated first:
-    with Y = B_1 + D^+ F B_2, h2sq = sum D |Y|^2 + tr(B_2^H S B_2) for the Schur
-    complement S = R - F^H D^+ F, whose numerical rank ``_psd_quadratic_trace`` cuts
-    against RANK_TOL * max diag R.  Raises UnstablePoles when C observes a marginal
-    mode, IllConditioned when the Sylvester solve reports a problem.
-    """
+    """``((D, F, R), h2sq, residual)``: the observability Gramian X_s = [[blockdiag(D),
+    F], [F^H, R]] of ``stable_unstable_split``'s triple, T_s^H X_s + X_s T_s + C_s^H C_s
+    = 0, whose head D (b x b blocks) belongs to the diagonal output block d.  It is the
+    PSD solution of A^T X + X A + C^T C = 0 that vanishes on the closed right half plane,
+    in modal coordinates.  D, F and R are ``solve_block_sylvester`` over the head's
+    blocks and the block pairs (LAPACK's ``ztrsyl`` for a one-block form, a bare
+    ``StateSpace``).  h2sq = tr(B_s^H X_s B_s) = tr(Y^H D Y) + tr(B_2^H S B_2) with
+    Y = B_1 + D^+ F B_2 and S = R - F^H D^+ F, whose rank ``_psd_quadratic_trace`` cuts
+    against RANK_TOL * max diag R; D^+ leaves out the states with d = 0, whose rows of D
+    and F are zero.  Raises UnstablePoles, and IllConditioned when ``ztrsyl`` fails."""
     t_s, b_s, c_s, d = stable_unstable_split(sys)
-    n1 = d.size
+    w, n1 = t_s.shape[1], d.size
+    t1, t2, n2 = t_s[: n1 // w], t_s[n1 // w :], b_s.shape[0] - n1
+
+    def solve(ta, g):  # over the block pairs of ta and t2; g and X are (len(ta) w, n2)
+        pairs = g.reshape(len(ta), w, len(t2), w).swapaxes(1, 2)
+        x, res = solve_block_sylvester(ta[:, None], t2, pairs)
+        return x.swapaxes(1, 2).reshape(g.shape), res
+
+    head, res_head = solve_block_sylvester(t1, t1, np.eye(w) * np.abs(d.reshape(-1, 1, w)) ** 2)
+    f, res_cross = solve(t1, d.conj()[:, None] * c_s[:n1])
     gram = c_s.conj().T @ c_s
-    if t_s.ndim == 1:
-        p1, p2 = t_s[:n1], t_s[n1:]
-        sums = p2.conj()[:, None] + p2
-        r = -gram / sums
-        residual = sums * r + gram
-    else:
-        p1, p2 = np.zeros(0), np.diagonal(t_s)
-        r, scale, info = sla.lapack.ztrsyl(t_s, t_s, -gram, trana="C")
+    if len(t2) == len(t_s) == 1 < w:  # one block: LAPACK runs the recurrence
+        r, scale, info = sla.lapack.ztrsyl(t2[0], t2[0], -gram, trana="C")
         if info:
             raise IllConditioned(f"triangular Lyapunov solve failed (ztrsyl info={info})")
         r = r / scale
-        residual = t_s.conj().T @ r + r @ t_s + gram
-    head_sums, norm_sq = 2.0 * p1.real, np.abs(d) ** 2
-    head = -norm_sq / head_sums
-    cross = d.conj()[:, None] * c_s[:n1]
-    cross_sums = p1.conj()[:, None] + p2
-    f = -cross / cross_sums
-    residual = max(
-        np.abs(residual).max(initial=0.0),
-        np.abs(head_sums * head + norm_sq).max(initial=0.0),
-        np.abs(cross_sums * f + cross).max(initial=0.0),
-    )
+        res_tail = np.abs(t2[0].conj().T @ r + r @ t2[0] + gram).max()
+    else:
+        r, res_tail = solve(t2, gram)
     b1, b2 = b_s[:n1], b_s[n1:]
-    g = np.divide(f, head[:, None], out=np.zeros_like(f), where=head[:, None] > 0.0)  # D^+ F
-    y = b1 + g @ b2
-    t1 = float(head @ (np.abs(y) ** 2).sum(axis=1))
+    g = _solve_psd_blocks(head, f.reshape(len(t1), w, n2)).reshape(n1, n2)  # D^+ F
+    y = (b1 + g @ b2).reshape(len(t1), w, b_s.shape[1])
+    t_head = np.vdot(y, head @ y).real
     s = r - f.conj().T @ g if n1 else r
     tail = _psd_quadratic_trace(s, b2, np.diagonal(r).real.max(initial=0.0))
-    return (head, f, r), t1 + tail, float(residual)
+    return (head, f, r), t_head + tail, float(max(res_head, res_cross, res_tail))

@@ -25,8 +25,8 @@ with W = U^T P (P^T P)^{-1/2} U_hat.  The error system's output is
 [d | -C_2], and the triangle route's outer terms are the full and reduced
 realizations with an unrotated output dL (x) I, dL P (P^T P)^{-1/2} (x) I
 in place of theirs (``with_output``).  No N n-state drift, input or output
-is formed for symmetric agents; nonsymmetric ones densify only in the
-deflation (``linalg.stable_unstable_split``).
+is formed for any agent: the deflation, the response and the Gramian work
+on the stack of blocks T_i (``linalg``).
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ Three routes are implemented and cross-checked against each other and
 against the test suite's oracles:
 
 * ``h2_norm``: Lyapunov solve that tolerates unobservable marginal modes.
-  On a network realization with symmetric agents the Gramian is an arrow
+  On a network realization the Gramian is an arrow
   (``linalg.solve_lyapunov_with_kernel``); for the full system it is its
-  diagonal head alone, and the value is the spectral sum
+  block-diagonal head alone, and the value is the spectral sum
   sum_i ||(U^T M)_i||^2 tr(E^T X_i E) over the auxiliary Gramians.
 * ``hinf_norm_sweep``: adaptive frequency sweep with local refinement, the
   oracle for everything H-infinity.  Its grids compare gains taken from the
@@ -26,16 +26,17 @@ oracle (trapezoid rule on a log grid with Richardson extrapolation and an
 analytic tail estimate); it integrates the frequency response, not a
 Gramian.  ``h2_norm``, the sweep and the quadrature share one deflation
 (``linalg.stable_unstable_split``), and the sweep and the quadrature
-evaluate every frequency grid with ``linalg.triangular_response``: one
-matrix product per grid when the form is diagonal (symmetric agents),
-otherwise vectorized back substitution, O(n^2 m) per frequency.
+evaluate every frequency grid with ``linalg.triangular_response``: a back
+substitution over the rows of every b x b block of the modal form, one
+division per state when it is diagonal (b = 1, symmetric agents), then one
+output product per grid.
 
 The a-priori bounds need two quantities of the auxiliary systems
 (A - lam B, E, lam I), one per eigenvalue lam of a spectrum: the squared H2
 norm (``aux_gramian_h2_sq``) and the DC gain (``aux_dc_gain``).  Each takes
 the whole spectrum as an array and makes one stacked call over its n x n
-blocks; only the Gramians of nonsymmetric agents keep one Lyapunov solve per
-eigenvalue.
+blocks: the Gramians are the block Sylvester recurrence of the Lyapunov
+head on the stacked Schur forms of A - lam B.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
 from scipy.optimize import minimize_scalar
 
 from .errors import KernelViolated, NotSymmetric, WitnessInvalid
@@ -54,7 +54,9 @@ from .linalg import (
     apply_output,
     pinv_eigenvalues,
     require_unobserved,
+    solve_block_sylvester,
     solve_lyapunov_with_kernel,
+    sorted_schur,
     stable_unstable_split,
     triangular_response,
 )
@@ -240,24 +242,17 @@ def aux_gramian_h2_sq(dyn: AgentDynamics, lams) -> np.ndarray:
     """Squared H2 norms tr(E^T X_i E) of the auxiliary systems (A - lam_i B, E, lam_i I),
     one per entry of the 1-D array ``lams``, as an array of the same length.
 
-    X_i solves (A - lam_i B)^T X_i + X_i (A - lam_i B) + lam_i^2 I = 0.  For symmetric
-    agents (``AgentDynamics.symmetric``, whose A and B are exactly symmetric), one
-    batched ``eigh`` gives A - lam_i B = V_i diag(w_i) V_i^T and the closed form
-    tr(E^T X_i E) = lam_i^2 sum_j ||v_ij^T E||^2 / (-2 w_ij); otherwise one
-    ``solve_continuous_lyapunov`` per lam_i.  Requires, without testing it, every
-    A - lam_i B Hurwitz: the callers' lams come from a spectrum that
-    ``is_synchronized`` or ``Analysis.lost_hurwitz`` has tested.
+    X_i solves (A - lam_i B)^T X_i + X_i (A - lam_i B) + lam_i^2 I = 0: with the stacked
+    ``sorted_schur`` A - lam_i B = V_i T_i V_i^H, X_i = V_i Y_i V_i^H for the Y_i that
+    ``solve_block_sylvester`` gives.  Requires, without testing it, every A - lam_i B
+    Hurwitz: the callers' lams come from a spectrum that ``is_synchronized`` or
+    ``Analysis.lost_hurwitz`` has tested.
     """
     lams = np.asarray(lams, dtype=float)
-    if dyn.symmetric:
-        w, v = np.linalg.eigh(dyn.A - lams[:, None, None] * dyn.B)
-        weights = (np.swapaxes(v, 1, 2) @ dyn.E) ** 2
-        return lams**2 * (weights.sum(axis=2) / (-2.0 * w)).sum(axis=1)
-    out = np.empty(lams.size)
-    for i, lam in enumerate(lams):
-        x = solve_continuous_lyapunov((dyn.A - lam * dyn.B).T, -lam * lam * np.eye(dyn.n))
-        out[i] = np.trace(dyn.E.T @ (0.5 * (x + x.T)) @ dyn.E)
-    return out
+    t, v, _ = sorted_schur(dyn.A - lams[:, None, None] * dyn.B)
+    y, _ = solve_block_sylvester(t, t, lams[:, None, None] ** 2 * np.eye(dyn.n))
+    ve = np.swapaxes(v.conj(), 1, 2) @ dyn.E
+    return (ve.conj() * (y @ ve)).sum(axis=(1, 2)).real
 
 
 def aux_dc_gain(dyn: AgentDynamics, lams) -> np.ndarray:

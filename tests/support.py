@@ -29,7 +29,14 @@ from netred.generators import (
 )
 from netred.errors import Disconnected, NotAEP, NotSynchronized
 from netred.graphcore import ZERO_EIG_TOL, is_almost_equitable, is_connected, reduce_graph
-from netred.linalg import RANK_TOL, STABILITY_MARGIN, ModalSystem, StateSpace, sym_eig
+from netred.linalg import (
+    RANK_TOL,
+    STABILITY_MARGIN,
+    ModalSystem,
+    StateSpace,
+    pinv_eigenvalues,
+    sym_eig,
+)
 from netred.netsys import hurwitz_over, is_synchronized
 from netred.norms import (
     SWEEP_COARSE_PPD,
@@ -69,6 +76,13 @@ PATH5_AEP_PROJECTION = (
 )
 
 
+def pinv(mat) -> np.ndarray:
+    """Moore-Penrose pseudoinverse of a symmetric matrix, U diag(w)^+ U^T: eigenvalues
+    with |w| <= RANK_TOL * max|w| are treated as zero (``linalg.pinv_eigenvalues``)."""
+    eig = sym_eig(mat)
+    return (eig.eigenvectors * pinv_eigenvalues(eig.eigenvalues)) @ eig.eigenvectors.T
+
+
 def lyap_kron_oracle(a, q):
     """Brute-force Lyapunov solve: (I (x) A^T + A^T (x) I) vec(X) = -vec(Q)."""
     a = np.asarray(a, dtype=float)
@@ -82,11 +96,12 @@ def lyap_kron_oracle(a, q):
 def dense_gramian(sys, arrow) -> np.ndarray:
     """X = Z_s X_s Z_s^H: the Gramian of ``solve_lyapunov_with_kernel`` on a bare
     ``StateSpace`` (whose arrow (D, F, X_s) has an empty head) in the coordinates of A,
-    from its X_s in those of the stable block of ``sys.schur``."""
+    from its X_s on the trailing states of ``sys.schur``: the stable ones of a diagonal
+    form, all of them (zero on the deflated ones) of a triangular one."""
     head, _, x_s = arrow
     assert head.size == 0
-    _, z, n_u = sys.schur
-    x = (z[:, n_u:] @ x_s @ z[:, n_u:].conj().T).real
+    z = sys.schur[1][:, sys.n_states - len(x_s) :]
+    x = (z @ x_s @ z.conj().T).real
     return 0.5 * (x + x.T)
 
 

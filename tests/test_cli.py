@@ -444,6 +444,26 @@ class TestFileTolerances:
         assert report["bounds"]["triangle_h2_bound"] is None
         assert "l_aep" not in report
 
+    @pytest.mark.parametrize("eps, rtol", [(1e-7, 1e-6), (1e-4, 1e-3)])
+    def test_loose_aep_leaves_the_dc_oracle_unavailable(self, tmp_path, eps, rtol):
+        # path 1-2-3-4 with weights 1, 2, 1 + eps: {{1, 4}, {2, 3}} passes the AEP test
+        # under rtol, but -L fails the DC route's own witness test CA = XC
+        payload = {
+            "n_nodes": 4,
+            "edges": [[1, 2, 1.0], [2, 3, 2.0], [3, 4, 1.0 + eps]],
+            "leaders": [1],
+            "agent": {"A": [[0.0]], "B": [[1.0]], "E": [[1.0]]},
+            "partition": [[1, 4], [2, 3]],
+            "options": {"tolerances": {"aep_rtol": rtol}},
+        }
+        code, report = _run(tmp_path, payload, "--oracle-check")
+        assert code == 0 and report["analysis"]["aep"] is True
+        checks = report["oracle_checks"]
+        assert checks["true_h2_error_quadrature"]["relative_gap"] <= 1e-3
+        dc = checks["true_hinf_error_dc"]
+        assert dc["value"] is None and dc["unavailable"] == "WitnessInvalid"
+        assert dc["message"].startswith("CA != XC (residual ")
+
     def test_zero_eig_tol_override_refuses_as_disconnected(self, tmp_path, capsys):
         payload = {
             "schema_version": 1,

@@ -13,7 +13,6 @@ from netred.linalg import (
     StateSpace,
     _psd_quadratic_trace,
     is_hurwitz,
-    pinv,
     solve_lyapunov,
     solve_lyapunov_with_kernel,
     sorted_schur,
@@ -30,6 +29,7 @@ from .support import (
     dense_response,
     eigh_quadratic_trace,
     lyap_kron_oracle,
+    pinv,
     random_hurwitz,
 )
 
@@ -235,12 +235,16 @@ class TestStableUnstableSplit:
         sys = StateSpace(A=a, B=rng.normal(size=(5, 2)), C=np.zeros((1, 5)))
         t, z, n_u = sys.schur
         t_s, b_s, c_s, d_s = stable_unstable_split(sys)
-        assert n_u == 2 and t_s.shape == (3, 3) and d_s.size == 0
+        assert n_u == 2 and t_s.shape == (1, 5, 5) and d_s.size == 0
+        # the one block keeps its size: each closed-right-half-plane state has its pole
+        # moved to -1 and a zero output column
+        np.testing.assert_array_equal(np.diagonal(t_s[0])[:n_u], -1.0)
+        np.testing.assert_array_equal(np.triu(t_s[0], 1), np.triu(t, 1))
+        assert c_s.shape == (1, 5) and not c_s[:, :n_u].any()
         z_u, z_s = z[:, :n_u], z[:, n_u:]
         assert np.abs(a @ z_u - z_u @ t[:n_u, :n_u]).max() <= 1e-10
-        assert np.abs(z_s.conj().T @ a - t_s @ z_s.conj().T).max() <= 1e-10
-        np.testing.assert_array_equal(b_s, (z.conj().T @ sys.B)[n_u:])
-        assert c_s.shape == (1, 3)
+        assert np.abs(z_s.conj().T @ a - t_s[0, n_u:, n_u:] @ z_s.conj().T).max() <= 1e-10
+        np.testing.assert_array_equal(b_s, z.conj().T @ sys.B)
 
 
 class TestSolveLyapunovWithKernel:
@@ -290,7 +294,7 @@ class TestSolveLyapunovWithKernel:
         for a in (-np.diag([1.0, 2.0, 3.0]), random_hurwitz(rng, 5)):
             sys = StateSpace(a, rng.normal(size=(len(a), 2)), rng.normal(size=(3, len(a))))
             t_s, _, c_s, _ = stable_unstable_split(sys)
-            t_s = np.diag(t_s) if t_s.ndim == 1 else t_s  # a diagonal T_s comes as its poles
+            t_s = scipy.linalg.block_diag(*t_s)  # a diagonal T_s comes as one-state blocks
             (_, _, x_s), _, residual = solve_lyapunov_with_kernel(sys)
             want = np.abs(t_s.conj().T @ x_s + x_s @ t_s + c_s.conj().T @ c_s).max()
             scale = np.abs(c_s).max() ** 2
@@ -408,7 +412,7 @@ class TestSchurResponse:
         for sys in (path5, k3):
             t, b, c, d = stable_unstable_split(sys)
             assert t.shape[0] < sys.n_states
-            assert t.ndim == 1  # a diagonal T_s, as its poles
+            assert t.shape[1:] == (1, 1)  # a diagonal T_s, as one-state blocks
             _schur_matches_dense(sys, self.OMEGAS, gram=True)
 
     def test_single_frequency(self):
@@ -417,6 +421,24 @@ class TestSchurResponse:
         sys = StateSpace(A=a, B=b, C=c)
         _schur_matches_dense(sys, np.array([0.7]))
         _schur_matches_dense(sys, np.array([0.0]))
+
+    def test_excited_unobserved_marginal_modes_in_one_block(self):
+        # A = [[H, N], [0, 0]] and C = [C1, C1 H^-1 N]: the marginal modes are driven by
+        # B and couple to H's states but are unobserved, and one Schur block holds all of
+        # them.  G(s) = C1 (sI - H)^-1 (B1 + H^-1 N B2), the minimal realization's response
+        rng = np.random.default_rng(16)
+        h, n = random_hurwitz(rng, 4), rng.normal(size=(4, 2))
+        c1, b = rng.normal(size=(3, 4)), rng.normal(size=(6, 2))
+        a = np.block([[h, n], [np.zeros((2, 6))]])
+        sys = StateSpace(a, b, np.hstack([c1, c1 @ np.linalg.solve(h, n)]))
+        minimal = StateSpace(h, b[:4] + np.linalg.solve(h, n @ b[4:]), c1)
+        t, _, _, _ = stable_unstable_split(sys)
+        assert t.shape == (1, 6, 6)
+        got = triangular_response(*stable_unstable_split(sys), 1j * self.OMEGAS)
+        want = triangular_response(*stable_unstable_split(minimal), 1j * self.OMEGAS)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        h2sq = [solve_lyapunov_with_kernel(s)[1] for s in (sys, minimal)]
+        assert h2sq[0] == pytest.approx(h2sq[1], rel=1e-10)
 
     def test_observable_marginal_mode_raises(self):
         sys = StateSpace(A=np.diag([-1.0, 0.0]), B=np.ones((2, 1)), C=[[0.0, 1.0]])

@@ -26,7 +26,7 @@ from netred.netsys import (
     assemble_full,
     is_synchronized,
 )
-from netred.norms import h2_norm, hinf_norm_sweep
+from netred.norms import h2_norm, h2_norm_quadrature, hinf_norm_sweep
 
 from .support import (
     PATH5_CELLS,
@@ -294,7 +294,8 @@ class TestMarginalSubspaceDimension:
 
 
 def _structured_cases():
-    """``pytest.param(network, partition, id=label)`` covering every branch of ``kron_schur``."""
+    """``pytest.param(network, partition, id=label)``: real diagonal and block forms,
+    unstable blocks, and n x n blocks with both stable and deflated states."""
     cases = []
     for kind in ("symmetric", "dissipative", "single"):
         rng = np.random.default_rng({"symmetric": 31, "dissipative": 32, "single": 33}[kind])
@@ -313,6 +314,11 @@ def _structured_cases():
     dyn = AgentDynamics(A=[[0.5]], B=[[1.0]], E=[[1.0]])
     ns = NetworkSystem(laplacian=laplacian_from_graph(path_graph(5)), leaders=(0,), dyn=dyn)
     cases.append(pytest.param(ns, Partition(n_nodes=5, cells=PATH5_CELLS), id="unstable-full"))
+    # a nonsymmetric agent with a marginal mode: the block at lam = 0 is partly unstable
+    dyn = AgentDynamics(A=[[0.0, 1.0], [0.0, -1.0]], B=[[1.0, 0.3], [-0.3, 1.0]], E=[[0.0], [1.0]])
+    rng = np.random.default_rng(37)
+    cases.append(pytest.param(*random_aep_instance(rng, dynamics=dyn), id="marginal-aep"))
+    cases.append(pytest.param(*random_general_instance(rng, dynamics=dyn), id="marginal-general"))
     return cases
 
 
@@ -326,7 +332,7 @@ def _realizations(ns, pi):
         "full": (an.full_system, dense_full(ns), z_full, q),
         "error": (an.error_system, dense_error(ns, pi), z_err, q),
     }
-    if ns.dyn.is_single_integrator():
+    if ns.dyn.is_single_integrator() or an.not_aep:
         (term1, term3), (dense1, dense3) = an.triangle_systems, dense_triangle_terms(an)
         systems["term1"] = (term1, dense1, z_full, None)
         systems["term3"] = (term3, dense3, z_red, None)
@@ -342,7 +348,7 @@ def _norm_or_refusal(route, sys):
 
 def _assert_matches_dense_route(sys, dense):
     oracle = dense_route(dense)
-    for route in (h2_norm, hinf_norm_sweep):
+    for route in (h2_norm, hinf_norm_sweep, h2_norm_quadrature):
         got, want = _norm_or_refusal(route, sys), _norm_or_refusal(route, oracle)
         if isinstance(want, str):
             assert got == want, route.__name__

@@ -25,7 +25,7 @@ from netred.generators import (
     single_integrator,
 )
 from netred.graphcore import Partition, laplacian_from_graph
-from netred.linalg import StateSpace, pinv, solve_lyapunov
+from netred.linalg import StateSpace, solve_lyapunov
 from netred.netfile import dump_json
 from netred.netsys import (
     AgentDynamics,
@@ -47,6 +47,7 @@ from .support import (
     h2_norm_network_spectral,
     h2_norm_reduced_spectral,
     make_dynamics,
+    pinv,
     reference_hinf_sweep,
 )
 from .test_golden import GOLDEN
@@ -68,8 +69,8 @@ class TestH2Norm:
         assert aux_gramian_h2_sq(single_integrator(), lams) == pytest.approx(lams / 2.0)
 
     def test_aux_gramian_equals_checked_lyapunov_route(self):
-        # skipping the Hurwitz re-test must not change a single bit of the solver route;
-        # symmetric agents take the eigh closed form instead, equal to rounding
+        # the block recurrence on the Schur form, with no Hurwitz re-test, against the
+        # checked dense solver: equal to rounding for symmetric and nonsymmetric agents
         for seed in range(10):
             rng = np.random.default_rng(500 + seed)
             dyn = make_dynamics(rng, ("symmetric", "dissipative")[seed % 2], n=3, r=2)
@@ -77,10 +78,7 @@ class TestH2Norm:
             x = solve_lyapunov(dyn.A - lam * dyn.B, lam * lam * np.eye(dyn.n))
             want = float(np.trace(dyn.E.T @ x @ dyn.E))
             (got,) = aux_gramian_h2_sq(dyn, np.array([lam]))
-            if dyn.symmetric:
-                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-            else:
-                assert got == want
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_aux_value_confirmed_by_quadrature(self):
         # settles the lam/2 reading: the H2 integral of lam/(s+lam) equals lam/2
@@ -144,13 +142,14 @@ class TestAuxiliaryBatches:
             aux_gramian_h2_sq(single_integrator(), lams), lams / 2.0, rtol=1e-15, atol=0.0
         )
 
-    def test_nonsymmetric_agents_keep_the_solver_bits(self):
+    def test_nonsymmetric_agents_match_the_lyapunov_route(self):
         for seed in range(8):
             rng = np.random.default_rng(4200 + seed)
             dyn = make_dynamics(rng, "dissipative", n=2 + seed % 2, r=2)
             assert not dyn.symmetric
             lams = rng.uniform(0.1, 5.0, size=5)
-            assert aux_gramian_h2_sq(dyn, lams).tolist() == self._reference(dyn, lams).tolist()
+            got = aux_gramian_h2_sq(dyn, lams)
+            np.testing.assert_allclose(got, self._reference(dyn, lams), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("kind", ["single", "symmetric", "dissipative"])
     def test_empty_spectrum(self, kind):
@@ -378,21 +377,35 @@ class TestOneFactorization:
 
     def test_analyze_factors_agent_sized_blocks_only(self, monkeypatch, tmp_path):
         # every realization on the analyze path carries its structured form: a fallback
-        # to one dense Schur form of a whole network realization fails here
-        sizes = []
+        # to one dense Schur form of a whole network realization fails here, and so does
+        # densifying the n x n blocks of nonsymmetric agents (a block_diag of the drift,
+        # a Sylvester solve by LAPACK over all of its states)
+        sizes, dense = [], []
 
         def spy_schur(a, *args, **kwargs):
             sizes.append(np.shape(a))
             return schur(a, *args, **kwargs)
 
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                dense.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
         schur = scipy.linalg.schur
         monkeypatch.setattr(scipy.linalg, "schur", spy_schur)
+        monkeypatch.setattr(scipy.linalg, "block_diag", spy("block_diag", scipy.linalg.block_diag))
+        monkeypatch.setattr(scipy.linalg.lapack, "ztrsyl", spy("ztrsyl", scipy.linalg.lapack.ztrsyl))
         payloads = {path.stem: json.loads(path.read_text())["input"] for path in GOLDEN.glob("*")}
         rng = np.random.default_rng(9)
         dyn = make_dynamics(rng, "dissipative", n=2)
+        # a marginal mode: the block at lam = 0 has a stable and a deflated state
+        marginal = {"A": [[0.0, 1.0], [0.0, -1.0]], "B": [[1.0, 0.3], [-0.3, 1.0]], "E": [[0.0], [1.0]]}
         agent = {"A": dyn.A.tolist(), "B": dyn.B.tolist(), "E": dyn.E.tolist()}
         for name in ("k3-aep", "random-aep-0"):  # AEPs, which admit non-integrator agents
             payloads[f"{name}-dissipative"] = {**payloads[name], "agent": agent}
+            payloads[f"{name}-marginal"] = {**payloads[name], "agent": marginal}
         for payload in payloads.values():
             n = len(payload["agent"]["A"])
             start = len(sizes)
@@ -402,6 +415,7 @@ class TestOneFactorization:
             assert main(argv) == 0
             assert set(sizes[start:]) <= {(n, n)}
         assert sizes  # the nonsymmetric agents are factored block by block
+        assert dense == []
 
 
 class TestNormProperties:
