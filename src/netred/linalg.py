@@ -71,14 +71,19 @@ def sorted_schur(a) -> tuple:
     return sla.schur(a, output="complex", sort=lambda ev: ev.real >= -STABILITY_MARGIN)
 
 
+def diagonal_blocks(t) -> np.ndarray:
+    """The diagonal of a diagonal T, or of a stack of them, as one-state blocks (K, 1, 1)."""
+    return np.diagonal(t, axis1=-2, axis2=-1).reshape(-1, 1, 1)
+
+
 @dataclass(frozen=True)
 class ModalSystem:
     """A strictly proper realization in the coordinates of its drift's Schur form.
 
     The drift is blockdiag(t) for a stack ``t`` (K, b, b) of upper triangular blocks; a
-    real diagonal stack is kept as (K b, 1, 1), one state per block.  ``unstable`` marks
-    the states whose pole has Re >= -STABILITY_MARGIN, each block's first, so they span
-    an invariant subspace.  The output is [diag(d); 0] on the first len(d) <= p states
+    real diagonal form is held as (K b, 1, 1), one state per block (``diagonal_blocks``).
+    ``unstable`` marks the states whose pole has Re >= -STABILITY_MARGIN, each block's
+    first, so they span an invariant subspace.  The output is [diag(d); 0] on the first len(d) <= p states
     (whole blocks) plus C on the others: a diagonal block that a network realization
     gets when its output is rotated into the eigenbasis of its coupling.  ``c_scale`` is
     1 + max|C| of the output before any such rotation, the scale of the kernel test."""
@@ -89,11 +94,6 @@ class ModalSystem:
     unstable: np.ndarray
     c_scale: float
     d: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def __post_init__(self):
-        t = self.t
-        if t.shape[1] > 1 and np.isrealobj(t) and not np.triu(t, 1).any():
-            object.__setattr__(self, "t", np.diagonal(t, axis1=1, axis2=2).reshape(-1, 1, 1))
 
     @property
     def n_states(self) -> int:
@@ -170,7 +170,7 @@ class StateSpace:
         """The realization in the coordinates of ``schur``: (T, Z^H B, C Z) as one block."""
         t, z, n_u = self.schur
         return ModalSystem(
-            t[None],
+            diagonal_blocks(t) if np.isrealobj(t) else t[None],  # eigh gives a real diagonal T
             z.conj().T @ self.B,
             self.C @ z,
             np.arange(self.n_states) < n_u,
@@ -194,9 +194,19 @@ def sym_eig(mat) -> SymmetricEig:
     return SymmetricEig(eigenvalues=w, eigenvectors=u)
 
 
+def pinv(mat) -> np.ndarray:
+    """Moore-Penrose pseudoinverse of a symmetric matrix.
+
+    Built as U diag(w)^+ U^T: eigenvalues with |w| <= RANK_TOL * max|w| are
+    treated as zero and left uninverted.  The zero matrix maps to itself.
+    """
+    eig = sym_eig(mat)
+    return (eig.eigenvectors * pinv_eigenvalues(eig.eigenvalues)) @ eig.eigenvectors.T
+
+
 def pinv_eigenvalues(w) -> np.ndarray:
-    """w^+: 1 / w where |w| > RANK_TOL * max|w|, exactly zero elsewhere: the eigenvalues
-    of the pseudoinverse of a symmetric matrix, with its rank cut."""
+    """w^+: 1 / w where |w| > RANK_TOL * max|w|, exactly zero elsewhere (the rank cut
+    of ``pinv``)."""
     keep = np.abs(w) > RANK_TOL * np.abs(w).max(initial=0.0)
     inv = np.zeros_like(w)
     inv[keep] = 1.0 / w[keep]
@@ -326,33 +336,18 @@ def solve_block_sylvester(t1, t2, g) -> tuple:
     """``(X, max|T1^H X + X T2 + G|)`` with T1^H X + X T2 + G = 0, for stacks of upper
     triangular b x b blocks T1, T2 and of blocks G broadcast over their leading axes: the
     recurrence X_rc (conj(T1_rr) + T2_cc) = -G_rc - sum_{q<r} conj(T1_qr) X_qc -
-    sum_{q<c} X_rq T2_qc, one step per entry for all blocks (one division when b = 1)."""
+    sum_{q<c} X_rq T2_qc, one step per entry for all blocks (one division when b = 1).
+    The residual is the equation evaluated afresh with the X found."""
     w, t1h = g.shape[-1] if g.size else 0, np.conj(t1)  # no steps for an empty stack
     sums = np.diagonal(t1h, 0, -2, -1)[..., :, None] + np.diagonal(t2, 0, -2, -1)[..., None, :]
     x = np.empty(sums.shape, np.result_type(sums, g))  # g has the leading axes of T1, T2
-    known = np.empty_like(x)
     for r in range(w):
         row = g[..., r, :] + (t1h[..., :r, r, None] * x[..., :r, :]).sum(axis=-2)
         for c in range(w):
             acc = row[..., c] + (x[..., r, :c] * t2[..., :c, c]).sum(axis=-1)
-            known[..., r, c] = acc
             x[..., r, c] = -acc / sums[..., r, c]
-    return x, float(np.abs(sums * x + known).max(initial=0.0))
-
-
-def _solve_psd_blocks(a, f) -> np.ndarray:
-    """a^+ f for a stack a (K, b, b) of Hermitian PSD blocks and f (K, b, m) when a zero on
-    the diagonal of a has a zero row in a and in f (D and F of the Gramian's arrow):
-    Gauss-Jordan elimination without pivoting, one division when b = 1."""
-    a, f = a.copy(), f.astype(np.result_type(a, f))
-    for j in range(a.shape[1] if a.size else 0):  # no steps for an empty stack
-        pivot = np.where(a[:, j, j, None] == 0.0, 1.0, a[:, j, j, None])
-        a[:, j] /= pivot
-        f[:, j] /= pivot
-        for i in [i for i in range(a.shape[1]) if i != j]:
-            f[:, i] -= a[:, i, j, None] * f[:, j]
-            a[:, i] -= a[:, i, j, None] * a[:, j]
-    return f
+    residual = np.einsum("...qr,...qc->...rc", t1h, x) + np.einsum("...rq,...qc->...rc", x, t2) + g
+    return x, float(np.abs(residual).max(initial=0.0))
 
 
 def solve_lyapunov_with_kernel(sys):
@@ -364,8 +359,9 @@ def solve_lyapunov_with_kernel(sys):
     blocks and the block pairs (LAPACK's ``ztrsyl`` for a one-block form, a bare
     ``StateSpace``).  h2sq = tr(B_s^H X_s B_s) = tr(Y^H D Y) + tr(B_2^H S B_2) with
     Y = B_1 + D^+ F B_2 and S = R - F^H D^+ F, whose rank ``_psd_quadratic_trace`` cuts
-    against RANK_TOL * max diag R; D^+ leaves out the states with d = 0, whose rows of D
-    and F are zero.  Raises UnstablePoles, and IllConditioned when ``ztrsyl`` fails."""
+    against RANK_TOL * max diag R.  D^+ F is one batched solve over the head's blocks, with
+    a unit pivot on each state with d = 0 (a block at lam = 0, or a deflated state), whose
+    rows of D and F are zero.  Raises UnstablePoles, and IllConditioned when ``ztrsyl`` fails."""
     t_s, b_s, c_s, d = stable_unstable_split(sys)
     w, n1 = t_s.shape[1], d.size
     t1, t2, n2 = t_s[: n1 // w], t_s[n1 // w :], b_s.shape[0] - n1
@@ -387,7 +383,8 @@ def solve_lyapunov_with_kernel(sys):
     else:
         r, res_tail = solve(t2, gram)
     b1, b2 = b_s[:n1], b_s[n1:]
-    g = _solve_psd_blocks(head, f.reshape(len(t1), w, n2)).reshape(n1, n2)  # D^+ F
+    unit = np.eye(w) * (d == 0).reshape(-1, 1, w)  # on the states whose rows of D and F are 0
+    g = np.linalg.solve(head + unit, f.reshape(len(t1), w, n2)).reshape(n1, n2)  # D^+ F
     y = (b1 + g @ b2).reshape(len(t1), w, b_s.shape[1])
     t_head = np.vdot(y, head @ y).real
     s = r - f.conj().T @ g if n1 else r

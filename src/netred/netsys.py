@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphcore import ZERO_EIG_TOL, Laplacian, Partition, ReducedGraph, leader_selector
-from .linalg import SYMMETRY_RTOL, ModalSystem, is_hurwitz, sorted_schur
+from .linalg import SYMMETRY_RTOL, ModalSystem, diagonal_blocks, is_hurwitz, sorted_schur
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,9 @@ class Modes:
     """The modal data of the drift I (x) A - Lc (x) B for a symmetric coupling
     Lc = U diag(lams) U^T: one sorted Schur form A - lam_i B = V_i T_i V_i^H per
     eigenvalue, from one stacked ``sorted_schur``.  In the coordinates
-    blockdiag(V_i^H) (U^T (x) I) x the drift is blockdiag(T_i); ``unstable`` marks the
-    states with Re >= -STABILITY_MARGIN, each block's first."""
+    blockdiag(V_i^H) (U^T (x) I) x the drift is blockdiag(T_i), held as one-state blocks
+    for symmetric agents; ``unstable`` marks the states with Re >= -STABILITY_MARGIN,
+    each block's first."""
 
     lams: np.ndarray
     u: np.ndarray
@@ -129,6 +130,8 @@ def network_modes(dyn: AgentDynamics, eig) -> Modes:
     """``Modes`` of the coupling whose eigendecomposition is ``eig``."""
     lams = eig.eigenvalues
     t, v, n_u = sorted_schur(dyn.A - lams[:, None, None] * dyn.B)
+    if dyn.symmetric:  # decided per agent, so every stack of one network has one block size
+        t = diagonal_blocks(t)
     unstable = (np.arange(dyn.n) < n_u[:, None]).ravel()
     return Modes(lams, eig.eigenvectors, t, v, unstable)
 

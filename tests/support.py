@@ -29,14 +29,7 @@ from netred.generators import (
 )
 from netred.errors import Disconnected, NotAEP, NotSynchronized
 from netred.graphcore import ZERO_EIG_TOL, is_almost_equitable, is_connected, reduce_graph
-from netred.linalg import (
-    RANK_TOL,
-    STABILITY_MARGIN,
-    ModalSystem,
-    StateSpace,
-    pinv_eigenvalues,
-    sym_eig,
-)
+from netred.linalg import RANK_TOL, STABILITY_MARGIN, ModalSystem, StateSpace, sym_eig
 from netred.netsys import hurwitz_over, is_synchronized
 from netred.norms import (
     SWEEP_COARSE_PPD,
@@ -74,13 +67,6 @@ PATH5_AEP_PROJECTION = (
     )
     / 9.0
 )
-
-
-def pinv(mat) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a symmetric matrix, U diag(w)^+ U^T: eigenvalues
-    with |w| <= RANK_TOL * max|w| are treated as zero (``linalg.pinv_eigenvalues``)."""
-    eig = sym_eig(mat)
-    return (eig.eigenvectors * pinv_eigenvalues(eig.eigenvalues)) @ eig.eigenvectors.T
 
 
 def lyap_kron_oracle(a, q):

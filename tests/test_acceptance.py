@@ -30,7 +30,7 @@ from netred.graphcore import (
     project_to_aep_laplacian,
     reduce_graph,
 )
-from netred.linalg import StateSpace
+from netred.linalg import StateSpace, pinv
 from netred.netsys import (
     NetworkSystem,
     assemble_full,
@@ -48,7 +48,6 @@ from .support import (
     PATH5_LAPLACIAN,
     aep_by_degree_constancy,
     make_dynamics,
-    pinv,
     random_hurwitz,
 )
 

@@ -4,7 +4,7 @@ import scipy.linalg
 
 from netred.bounds import Analysis
 from netred.errors import NotHurwitz, NotSymmetric, UnstablePoles
-from netred.generators import complete_graph, path_graph, single_integrator
+from netred.generators import complete_graph, path_graph, random_aep_instance, single_integrator
 from netred.graphcore import Partition, laplacian_from_graph
 from netred.linalg import (
     RANK_TOL,
@@ -13,6 +13,7 @@ from netred.linalg import (
     StateSpace,
     _psd_quadratic_trace,
     is_hurwitz,
+    pinv,
     solve_lyapunov,
     solve_lyapunov_with_kernel,
     sorted_schur,
@@ -29,7 +30,7 @@ from .support import (
     dense_response,
     eigh_quadratic_trace,
     lyap_kron_oracle,
-    pinv,
+    make_dynamics,
     random_hurwitz,
 )
 
@@ -289,13 +290,24 @@ class TestSolveLyapunovWithKernel:
         assert np.abs(x @ ones).max() <= 1e-12
 
     def test_residual_is_that_of_the_equation_solved(self):
-        # diagonal and triangular T_s: max|T_s^H X_s + X_s T_s + C_s^H C_s|, at rounding level
+        # diagonal and triangular T_s, and an error system of nonsymmetric agents (many
+        # 3 x 3 blocks, one with d = 0, and a diagonal output block):
+        # max|T_s^H X_s + X_s T_s + C_s^H C_s| over the whole arrow X_s, at rounding level
         rng = np.random.default_rng(7)
-        for a in (-np.diag([1.0, 2.0, 3.0]), random_hurwitz(rng, 5)):
-            sys = StateSpace(a, rng.normal(size=(len(a), 2)), rng.normal(size=(3, len(a))))
-            t_s, _, c_s, _ = stable_unstable_split(sys)
+        systems = [
+            StateSpace(a, rng.normal(size=(len(a), 2)), rng.normal(size=(3, len(a))))
+            for a in (-np.diag([1.0, 2.0, 3.0]), random_hurwitz(rng, 5))
+        ]
+        ns, pi = random_aep_instance(rng, dynamics=make_dynamics(rng, "dissipative", n=3))
+        systems.append(Analysis(ns, pi).error_system)
+        for sys in systems:
+            t_s, _, c_s, d_s = stable_unstable_split(sys)
+            n1 = d_s.size
             t_s = scipy.linalg.block_diag(*t_s)  # a diagonal T_s comes as one-state blocks
-            (_, _, x_s), _, residual = solve_lyapunov_with_kernel(sys)
+            c_s = np.hstack([np.vstack([np.diag(d_s), np.zeros((len(c_s) - n1, n1))]), c_s])
+            (head, f, r), _, residual = solve_lyapunov_with_kernel(sys)
+            head = scipy.linalg.block_diag(*head) if n1 else np.zeros((0, 0))
+            x_s = np.block([[head, f], [f.conj().T, r]])
             want = np.abs(t_s.conj().T @ x_s + x_s @ t_s + c_s.conj().T @ c_s).max()
             scale = np.abs(c_s).max() ** 2
             assert abs(residual - want) <= 1e-14 * scale

@@ -319,6 +319,10 @@ def _structured_cases():
     rng = np.random.default_rng(37)
     cases.append(pytest.param(*random_aep_instance(rng, dynamics=dyn), id="marginal-aep"))
     cases.append(pytest.param(*random_general_instance(rng, dynamics=dyn), id="marginal-general"))
+    # one cell: the reduced stack is the symmetric A alone, the full stack is nonsymmetric
+    dyn = AgentDynamics(A=-np.eye(2), B=[[1.0, 0.3], [-0.3, 1.0]], E=[[1.0], [0.5]])
+    ns = NetworkSystem(laplacian=laplacian_from_graph(path_graph(4)), leaders=(0,), dyn=dyn)
+    cases.append(pytest.param(ns, Partition(n_nodes=4, cells=((0, 1, 2, 3),)), id="one-cell"))
     return cases
 
 

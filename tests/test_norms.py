@@ -25,7 +25,7 @@ from netred.generators import (
     single_integrator,
 )
 from netred.graphcore import Partition, laplacian_from_graph
-from netred.linalg import StateSpace, solve_lyapunov
+from netred.linalg import StateSpace, pinv, solve_lyapunov
 from netred.netfile import dump_json
 from netred.netsys import (
     AgentDynamics,
@@ -47,7 +47,6 @@ from .support import (
     h2_norm_network_spectral,
     h2_norm_reduced_spectral,
     make_dynamics,
-    pinv,
     reference_hinf_sweep,
 )
 from .test_golden import GOLDEN
