@@ -359,9 +359,9 @@ def solve_lyapunov_with_kernel(sys):
     blocks and the block pairs (LAPACK's ``ztrsyl`` for a one-block form, a bare
     ``StateSpace``).  h2sq = tr(B_s^H X_s B_s) = tr(Y^H D Y) + tr(B_2^H S B_2) with
     Y = B_1 + D^+ F B_2 and S = R - F^H D^+ F, whose rank ``_psd_quadratic_trace`` cuts
-    against RANK_TOL * max diag R.  D^+ F is one batched solve over the head's blocks, with
-    a unit pivot on each state with d = 0 (a block at lam = 0, or a deflated state), whose
-    rows of D and F are zero.  Raises UnstablePoles, and IllConditioned when ``ztrsyl`` fails."""
+    against RANK_TOL * max diag R.  D^+ F inverts the head's blocks in one batched call,
+    with a unit pivot on each state with d = 0 (a block at lam = 0, or a deflated state),
+    whose rows of D and F are zero.  Raises UnstablePoles, and IllConditioned when ``ztrsyl`` fails."""
     t_s, b_s, c_s, d = stable_unstable_split(sys)
     w, n1 = t_s.shape[1], d.size
     t1, t2, n2 = t_s[: n1 // w], t_s[n1 // w :], b_s.shape[0] - n1
@@ -384,7 +384,9 @@ def solve_lyapunov_with_kernel(sys):
         r, res_tail = solve(t2, gram)
     b1, b2 = b_s[:n1], b_s[n1:]
     unit = np.eye(w) * (d == 0).reshape(-1, 1, w)  # on the states whose rows of D and F are 0
-    g = np.linalg.solve(head + unit, f.reshape(len(t1), w, n2)).reshape(n1, n2)  # D^+ F
+    # the inverses of the small blocks and one product: a batched solve with n2 right-hand
+    # sides per block costs several times more
+    g = (np.linalg.inv(head + unit) @ f.reshape(len(t1), w, n2)).reshape(n1, n2)  # D^+ F
     y = (b1 + g @ b2).reshape(len(t1), w, b_s.shape[1])
     t_head = np.vdot(y, head @ y).real
     s = r - f.conj().T @ g if n1 else r
