@@ -71,19 +71,14 @@ def sorted_schur(a) -> tuple:
     return sla.schur(a, output="complex", sort=lambda ev: ev.real >= -STABILITY_MARGIN)
 
 
-def diagonal_blocks(t) -> np.ndarray:
-    """The diagonal of a diagonal T, or of a stack of them, as one-state blocks (K, 1, 1)."""
-    return np.diagonal(t, axis1=-2, axis2=-1).reshape(-1, 1, 1)
-
-
 @dataclass(frozen=True)
 class ModalSystem:
     """A strictly proper realization in the coordinates of its drift's Schur form.
 
-    The drift is blockdiag(t) for a stack ``t`` (K, b, b) of upper triangular blocks; a
-    real diagonal form is held as (K b, 1, 1), one state per block (``diagonal_blocks``).
-    ``unstable`` marks the states whose pole has Re >= -STABILITY_MARGIN, each block's
-    first, so they span an invariant subspace.  The output is [diag(d); 0] on the first len(d) <= p states
+    The drift is blockdiag(t) for a stack ``t`` (K, b, b) of upper triangular blocks, a
+    real diagonal form as (K b, 1, 1), one state per block.  ``unstable`` marks the
+    states whose pole has Re >= -STABILITY_MARGIN, each block's first, so they span an
+    invariant subspace.  The output is [diag(d); 0] on the first len(d) <= p states
     (whole blocks) plus C on the others: a diagonal block that a network realization
     gets when its output is rotated into the eigenbasis of its coupling.  ``c_scale`` is
     1 + max|C| of the output before any such rotation, the scale of the kernel test."""
@@ -170,7 +165,7 @@ class StateSpace:
         """The realization in the coordinates of ``schur``: (T, Z^H B, C Z) as one block."""
         t, z, n_u = self.schur
         return ModalSystem(
-            diagonal_blocks(t) if np.isrealobj(t) else t[None],  # eigh gives a real diagonal T
+            np.diagonal(t)[:, None, None] if np.isrealobj(t) else t[None],  # eigh: T diagonal
             z.conj().T @ self.B,
             self.C @ z,
             np.arange(self.n_states) < n_u,
@@ -359,9 +354,9 @@ def solve_lyapunov_with_kernel(sys):
     blocks and the block pairs (LAPACK's ``ztrsyl`` for a one-block form, a bare
     ``StateSpace``).  h2sq = tr(B_s^H X_s B_s) = tr(Y^H D Y) + tr(B_2^H S B_2) with
     Y = B_1 + D^+ F B_2 and S = R - F^H D^+ F, whose rank ``_psd_quadratic_trace`` cuts
-    against RANK_TOL * max diag R.  D^+ F inverts the head's blocks in one batched call,
-    with a unit pivot on each state with d = 0 (a block at lam = 0, or a deflated state),
-    whose rows of D and F are zero.  Raises UnstablePoles, and IllConditioned when ``ztrsyl`` fails."""
+    against RANK_TOL * max diag R.  D^+ F inverts the head's blocks at once, with a unit
+    pivot on each state with d = 0 (at lam = 0, or deflated), whose rows of D and F are
+    zero.  Raises UnstablePoles, and IllConditioned when ``ztrsyl`` fails."""
     t_s, b_s, c_s, d = stable_unstable_split(sys)
     w, n1 = t_s.shape[1], d.size
     t1, t2, n2 = t_s[: n1 // w], t_s[n1 // w :], b_s.shape[0] - n1
@@ -384,8 +379,7 @@ def solve_lyapunov_with_kernel(sys):
         r, res_tail = solve(t2, gram)
     b1, b2 = b_s[:n1], b_s[n1:]
     unit = np.eye(w) * (d == 0).reshape(-1, 1, w)  # on the states whose rows of D and F are 0
-    # the inverses of the small blocks and one product: a batched solve with n2 right-hand
-    # sides per block costs several times more
+    # the small blocks' inverses and one product: a batched solve is several times slower
     g = (np.linalg.inv(head + unit) @ f.reshape(len(t1), w, n2)).reshape(n1, n2)  # D^+ F
     y = (b1 + g @ b2).reshape(len(t1), w, b_s.shape[1])
     t_head = np.vdot(y, head @ y).real

@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphcore import ZERO_EIG_TOL, Laplacian, Partition, ReducedGraph, leader_selector
-from .linalg import SYMMETRY_RTOL, ModalSystem, diagonal_blocks, is_hurwitz, sorted_schur
+from .linalg import SYMMETRY_RTOL, ModalSystem, is_hurwitz, sorted_schur
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def network_modes(dyn: AgentDynamics, eig) -> Modes:
     lams = eig.eigenvalues
     t, v, n_u = sorted_schur(dyn.A - lams[:, None, None] * dyn.B)
     if dyn.symmetric:  # decided per agent, so every stack of one network has one block size
-        t = diagonal_blocks(t)
+        t = np.diagonal(t, axis1=1, axis2=2).reshape(-1, 1, 1)
     unstable = (np.arange(dyn.n) < n_u[:, None]).ravel()
     return Modes(lams, eig.eigenvectors, t, v, unstable)
 
