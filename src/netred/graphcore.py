@@ -11,7 +11,7 @@ almost equitable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -65,9 +65,10 @@ class WeightedGraph:
 
 @dataclass(frozen=True)
 class Laplacian:
-    """Symmetric PSD matrix with zero row sums, plus a cached spectrum."""
+    """Symmetric PSD matrix with zero row sums, plus its spectrum."""
 
     mat: np.ndarray
+    spectral: SymmetricEig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.mat, dtype=float)
@@ -81,16 +82,15 @@ class Laplacian:
         if row_sums > ROW_SUM_TOL * scale:
             raise ValueError(f"Laplacian row sums reach {row_sums:.3e}, expected zero")
         object.__setattr__(self, "mat", 0.5 * (m + m.T))
-        if self.n_nodes and self.spectral.eigenvalues[0] < -ZERO_EIG_TOL * scale:
+        eig = sym_eig(self.mat)
+        if self.n_nodes and eig.eigenvalues[0] < -ZERO_EIG_TOL * scale:
             raise ValueError("Laplacian is not positive semi-definite")
+        eig.eigenvalues[:1] = 0.0  # L 1 = 0: exact once the PSD check has read it
+        object.__setattr__(self, "spectral", eig)
 
     @property
     def n_nodes(self) -> int:
         return self.mat.shape[0]
-
-    @cached_property
-    def spectral(self) -> SymmetricEig:
-        return sym_eig(self.mat)
 
     @property
     def has_negative_weights(self) -> bool:
@@ -174,7 +174,7 @@ class ReducedGraph:
     ``laplacian_bar`` is the size-symmetrized quotient
     (P^T P)^{-1/2} P^T L P (P^T P)^{-1/2}: similar to ``laplacian_hat``, hence
     with the same (real) spectrum, but symmetric PSD; ``spectral`` caches its
-    eigendecomposition.
+    eigendecomposition, whose smallest eigenvalue is 0.0: l_bar (P^T P)^{1/2} 1 = 0.
     """
 
     laplacian_hat: np.ndarray
@@ -184,7 +184,9 @@ class ReducedGraph:
 
     @cached_property
     def spectral(self) -> SymmetricEig:
-        return sym_eig(self.laplacian_bar)
+        eig = sym_eig(self.laplacian_bar)
+        eig.eigenvalues[:1] = 0.0
+        return eig
 
 
 def leader_selector(n_nodes: int, leaders) -> np.ndarray:

@@ -1,20 +1,22 @@
 """Linear-algebra kernels used throughout the package.
 
-Symmetric eigendecompositions, the eigenvalue cut of a pseudoinverse, Hurwitz
-tests (of one matrix or a stack of blocks in one call) and Lyapunov solvers.
-Only ``sorted_schur`` chooses between a real ``eigh`` (exactly symmetric
-input: T real diagonal) and a complex Schur form.
+Symmetric eigendecompositions, a pseudoinverse, Hurwitz tests (of one matrix or a
+stack of blocks in one call) and Lyapunov solvers.  Only ``sorted_schur`` chooses
+between a real ``eigh`` (exactly symmetric input: T real diagonal) and a complex
+Schur form.
 
 Every norm reads a ``ModalSystem``: a drift blockdiag(T_i) of K upper
 triangular b x b blocks (b = 1 for a real diagonal form, b = n for a network
 of nonsymmetric agents, K = 1 for a bare ``StateSpace``), with the input and
-the output in those coordinates.  The one deflation (``stable_unstable_split``)
-keeps the stack, and the response (``triangular_response``) and the Gramian
-(``solve_block_sylvester``) are each one path over it: a back substitution
-over the rows of all blocks, and an entrywise recurrence over block pairs.
-No N n-state matrix is formed: the Gramian is an arrow whose block-diagonal
-head is eliminated before a pivoted Cholesky factorization cuts its rank.
-Every function is pure: none mutates its arguments.
+the output in those coordinates.  Its ``unstable`` mask is the one decision on
+which modes a norm drops, and the one deflation (``stable_unstable_split``)
+masks those states in place, so every route sees the shapes of the form.  The
+response (``triangular_response``) and the Gramian (``solve_block_sylvester``)
+are each one path over the stack: a back substitution over the rows of all
+blocks, and an entrywise recurrence over block pairs.  No N n-state matrix is
+formed: the Gramian is an arrow whose block-diagonal head is eliminated before
+a pivoted Cholesky factorization cuts its rank.  Every function is pure: none
+mutates its arguments.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import scipy.linalg as sla
 from .errors import IllConditioned, NotHurwitz, NotSymmetric, UnstablePoles
 
 # Eigenvalues with real part >= -STABILITY_MARGIN count as closed right half
-# plane; Laplacian zero modes arrive with O(1e-14) numerical noise.
+# plane: the margin classifies agent modes (poles of A - lam B), since the
+# consensus eigenvalue of a Laplacian is stored as exactly 0.
 STABILITY_MARGIN = 1e-9
 RANK_TOL = 1e-10
 SYMMETRY_RTOL = 1e-10
@@ -78,7 +81,8 @@ class ModalSystem:
     The drift is blockdiag(t) for a stack ``t`` (K, b, b) of upper triangular blocks, a
     real diagonal form as (K b, 1, 1), one state per block.  ``unstable`` marks the
     states whose pole has Re >= -STABILITY_MARGIN, each block's first, so they span an
-    invariant subspace.  The output is [diag(d); 0] on the first len(d) <= p states
+    invariant subspace: the modes every norm drops, and the kernel and positive poles
+    of the DC route.  The output is [diag(d); 0] on the first len(d) <= p states
     (whole blocks) plus C on the others: a diagonal block that a network realization
     gets when its output is rotated into the eigenbasis of its coupling.  ``c_scale`` is
     1 + max|C| of the output before any such rotation, the scale of the kernel test."""
@@ -196,16 +200,10 @@ def pinv(mat) -> np.ndarray:
     treated as zero and left uninverted.  The zero matrix maps to itself.
     """
     eig = sym_eig(mat)
-    return (eig.eigenvectors * pinv_eigenvalues(eig.eigenvalues)) @ eig.eigenvectors.T
-
-
-def pinv_eigenvalues(w) -> np.ndarray:
-    """w^+: 1 / w where |w| > RANK_TOL * max|w|, exactly zero elsewhere (the rank cut
-    of ``pinv``)."""
+    w = eig.eigenvalues
     keep = np.abs(w) > RANK_TOL * np.abs(w).max(initial=0.0)
-    inv = np.zeros_like(w)
-    inv[keep] = 1.0 / w[keep]
-    return inv
+    w_plus = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
+    return (eig.eigenvectors * w_plus) @ eig.eigenvectors.T
 
 
 def is_hurwitz(mat) -> bool:
@@ -270,26 +268,23 @@ def require_unobserved(sys: ModalSystem, states) -> None:
 
 
 def stable_unstable_split(sys) -> tuple:
-    """``(T_s, B_s, C_s, d_s)``: the stable part of ``sys.modal``, with the same response
-    (``triangular_response``).  Blocks with no stable state are dropped; in the others a
-    closed-right-half-plane state gets a zero output column and its pole moved to -1.
-    Unobserved, and driving no stable state, it then changes neither the response nor
-    the Gramian, whose rows for it are exactly zero.  A dropped state of the diagonal
-    block moves its output row below the kept ones (an orthogonal change of output
-    coordinates).  Raises UnstablePoles if the output observes such a state."""
+    """``(T_s, B_s, C_s, d_s)``: ``sys.modal`` with every closed-right-half-plane state
+    masked, of the same shapes and with the same response (``triangular_response``).  A
+    masked state gets its pole moved to -1 and a zero output column, in d and in C.  It
+    comes first in its block, so it drives no other state; unobserved, it then changes
+    neither the response nor the Gramian, whose rows for it are exactly zero.  With no
+    such state the modal triple itself is returned.  Raises UnstablePoles if the output
+    observes one of them."""
     m = sys.modal
     require_unobserved(m, m.unstable)
-    w, n1 = m.t.shape[1], m.d.size
-    keep = np.repeat(~m.unstable.reshape(-1, w).all(axis=1), w)  # the blocks with a stable state
-    first, gone = keep[:n1], m.unstable[keep]
-    t_s, c_s, d_s = m.t[keep[::w]], m.C[:, keep[n1:]], m.d[first]
-    if gone.any():  # closed-right-half-plane states of kept blocks
-        rows, cols = np.nonzero(gone.reshape(-1, w))
-        t_s[rows, cols, cols] = -1.0
-        c_s[:, gone[d_s.size :]], d_s[gone[: d_s.size]] = 0.0, 0.0
-    if not first.all():
-        c_s = c_s[np.r_[np.flatnonzero(first), np.flatnonzero(~first), n1 : m.n_outputs]]
-    return t_s, m.B[keep], c_s, d_s
+    if not m.unstable.any():
+        return m.t, m.B, m.C, m.d
+    n1, w = m.d.size, m.t.shape[1]
+    t_s, c_s, d_s = m.t.copy(), m.C.copy(), m.d.copy()
+    blocks, rows = np.nonzero(m.unstable.reshape(-1, w))
+    t_s[blocks, rows, rows] = -1.0
+    c_s[:, m.unstable[n1:]], d_s[m.unstable[:n1]] = 0.0, 0.0
+    return t_s, m.B, c_s, d_s
 
 
 def apply_output(c, d, x) -> np.ndarray:
@@ -355,7 +350,7 @@ def solve_lyapunov_with_kernel(sys):
     ``StateSpace``).  h2sq = tr(B_s^H X_s B_s) = tr(Y^H D Y) + tr(B_2^H S B_2) with
     Y = B_1 + D^+ F B_2 and S = R - F^H D^+ F, whose rank ``_psd_quadratic_trace`` cuts
     against RANK_TOL * max diag R.  D^+ F inverts the head's blocks at once, with a unit
-    pivot on each state with d = 0 (at lam = 0, or deflated), whose rows of D and F are
+    pivot on each state with d = 0 (at lam = 0, or masked), whose rows of D and F are
     zero.  Raises UnstablePoles, and IllConditioned when ``ztrsyl`` fails."""
     t_s, b_s, c_s, d = stable_unstable_split(sys)
     w, n1 = t_s.shape[1], d.size

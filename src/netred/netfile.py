@@ -112,7 +112,8 @@ def validate_network_payload(payload: dict) -> dict:
     for name in ("n_nodes", "edges", "leaders", "agent", "partition"):
         _require(name in payload, name, "missing required field")
     version = payload.get("schema_version", SCHEMA_VERSION)
-    _require(version == SCHEMA_VERSION, "schema_version", f"expected {SCHEMA_VERSION}")
+    is_int = isinstance(version, int) and not isinstance(version, bool)  # True == 1.0 == 1
+    _require(is_int and version == SCHEMA_VERSION, "schema_version", f"expected {SCHEMA_VERSION}")
 
     n_nodes = payload["n_nodes"]
     _require(

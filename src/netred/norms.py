@@ -15,7 +15,7 @@ against the test suite's oracles:
 * ``hinf_norm_dc``: exact DC-gain value sigma_max(C A^+ B), valid when a
   symmetric witness X with CA = XC exists and ker A lies in ker C, read from
   the realization's real diagonal modal form; for the full network it is
-  sigma_max(diag(d / p) B).
+  sigma_max(diag(d / p) B) over the stable poles p.
 
 Every route reads a realization in modal coordinates (``sys.modal``, see
 ``linalg.ModalSystem``), whose output a network realization has rotated into
@@ -24,12 +24,14 @@ rotation, and a witness is given in the rotated output coordinates (-L
 becomes -lams (x) 1_n).  ``h2_norm_quadrature`` is the corresponding H2
 oracle (trapezoid rule on a log grid with Richardson extrapolation and an
 analytic tail estimate); it integrates the frequency response, not a
-Gramian.  ``h2_norm``, the sweep and the quadrature share one deflation
-(``linalg.stable_unstable_split``), and the sweep and the quadrature
-evaluate every frequency grid with ``linalg.triangular_response``: a back
-substitution over the rows of every b x b block of the modal form, one
-division per state when it is diagonal (b = 1, symmetric agents), then one
-output product per grid.
+Gramian.  Every route drops the modes of the form's ``unstable`` mask and
+refuses a realization whose output observes one: ``h2_norm``, the sweep and
+the quadrature through one deflation that masks them in place
+(``linalg.stable_unstable_split``), the DC route by inverting only the poles
+off the mask.  The sweep and the quadrature evaluate every frequency grid
+with ``linalg.triangular_response``: a back substitution over the rows of
+every b x b block of the modal form, one division per state when it is
+diagonal (b = 1, symmetric agents), then one output product per grid.
 
 The a-priori bounds need two quantities of the auxiliary systems
 (A - lam B, E, lam I), one per eigenvalue lam of a spectrum: the squared H2
@@ -52,7 +54,6 @@ from .linalg import (
     KERNEL_TOL,
     STABILITY_MARGIN,
     apply_output,
-    pinv_eigenvalues,
     require_unobserved,
     solve_block_sylvester,
     solve_lyapunov_with_kernel,
@@ -124,7 +125,7 @@ def hinf_norm_sweep(sys) -> NormResult:
     grid that rises and falls by more than SWEEP_LEVEL_ULPS ulps, then
     bounded scalar minimization in log-frequency down to relative width
     SWEEP_W_RTOL.  The response at s = 0 anchors the w -> 0 end.  The
-    unobservable marginal modes are deflated (``stable_unstable_split``); each
+    unobservable marginal modes are masked (``stable_unstable_split``); each
     grid, the anchor and each Brent step is then one ``triangular_response`` call,
     whose gains the search compares as the largest eigenvalues of the smaller Gram
     matrices.  The value is sigma_max, by ``svd``, of the response with the largest
@@ -133,8 +134,6 @@ def hinf_norm_sweep(sys) -> NormResult:
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return _zero_result(METHOD_SWEEP)
     t_s, b_s, c_s, d_s = stable_unstable_split(sys)
-    if t_s.shape[0] == 0:
-        return NormResult(0.0, METHOD_SWEEP, {"trivial": "transfer function is zero"})
 
     best = [-1.0, 0.0, None]  # the largest gain evaluated, its frequency and response
 
@@ -210,8 +209,6 @@ def h2_norm_quadrature(sys) -> NormResult:
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return _zero_result(METHOD_SWEEP)
     t_s, b_s, c_s, d_s = stable_unstable_split(sys)
-    if t_s.shape[0] == 0:
-        return NormResult(0.0, METHOD_SWEEP, {"trivial": "transfer function is zero"})
     t_lo, t_hi = math.log10(QUAD_W_LO), math.log10(QUAD_W_HI)
     grid = np.concatenate([[0.0], np.logspace(t_lo, t_hi, round((t_hi - t_lo) * QUAD_PPD) + 1)])
     response = triangular_response(t_s, b_s, c_s, d_s, 1j * grid)
@@ -267,12 +264,14 @@ def hinf_norm_dc(sys, x_witness) -> NormResult:
     """Exact H-infinity norm sigma_max(C A^+ B) under a DC-dominance witness.
 
     Read from the modal form ``sys.modal`` (of a ``ModalSystem`` or a ``StateSpace``):
-    with a diagonal output block d it is sigma_max(diag(d / p_1) B_1 + C A_2^+ B_2).
-    Preconditions: a real diagonal drift diag(p) (else NotSymmetric), so that
-    A^+ = diag(p^+); a witness X, symmetric, in the output coordinates of the
-    realization, with C A = X C (so the gain is maximal at zero frequency), given as a
-    p x p matrix or as the vector of a diagonal one; ker A contained in ker C (so the
-    transfer function extends continuously to s = 0); any positive poles unobservable.
+    with a diagonal output block d it is sigma_max(diag(d w_1^+) B_1 + C diag(w_2^+) B_2),
+    w^+ = 1/w off ``unstable`` and 0 on it.  Of the states ``unstable`` marks, those with
+    w <= STABILITY_MARGIN span ker A and the others are positive poles; the output may
+    observe neither (KernelViolated, the certificate's ``kernel_residual``, and
+    UnstablePoles).  Preconditions besides: a real diagonal drift diag(w) (else
+    NotSymmetric); a witness X, symmetric, in the output coordinates of the realization,
+    with C A = X C (so the gain is maximal at zero frequency), given as a p x p matrix
+    or as the vector of a diagonal one.
     """
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return _zero_result(METHOD_DC)
@@ -298,12 +297,13 @@ def hinf_norm_dc(sys, x_witness) -> NormResult:
     ca_scale = max(np.abs(ca_head).max(initial=0.0), np.abs(ca_rest).max(initial=0.0))
     if witness_residual > WITNESS_RTOL * (1.0 + ca_scale):
         raise WitnessInvalid(f"CA != XC (residual {witness_residual:.3e})")
-    w_plus = pinv_eigenvalues(w)  # zero exactly on the numerical kernel of A
-    kernel_residual = m.observation(w_plus == 0.0)
+    kernel = m.unstable & (w <= STABILITY_MARGIN)
+    kernel_residual = m.observation(kernel)
     if kernel_residual > KERNEL_TOL * m.c_scale:
         raise KernelViolated(f"ker A not contained in ker C (residual {kernel_residual:.3e})")
-    require_unobserved(m, w > STABILITY_MARGIN)
-    gain = apply_output(m.C, m.d, w_plus[:, None] * m.B)  # C A^+ B, A^+ = diag(w^+)
+    require_unobserved(m, m.unstable & ~kernel)  # the positive poles
+    w_plus = np.divide(1.0, w, out=np.zeros_like(w), where=~m.unstable)  # A^+ = diag(w_plus)
+    gain = apply_output(m.C, m.d, w_plus[:, None] * m.B)  # C A^+ B
     value = float(np.linalg.svd(gain, compute_uv=False).max(initial=0.0))
     return NormResult(
         value,

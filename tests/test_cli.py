@@ -195,6 +195,15 @@ class TestValidation:
         assert code == 0
         assert report["bounds"]["rel_h2_bound"] == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-12)
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_schema_version_must_be_an_integer(self, tmp_path, capsys, version):
+        # True == 1.0 == 1 in Python, but neither is the integer the schema names
+        payload = generate_example("k3-aep")
+        payload["schema_version"] = version
+        code, _ = _run(tmp_path, payload)
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"]["field"] == "schema_version"
+
     def test_ill_conditioned_agent_gives_finite_values(self, tmp_path):
         # lam B spans 1e94 against A = -1; the oracle's DC solve used to meet a singular matrix
         payload = generate_example("k3-aep")
@@ -305,6 +314,25 @@ class TestAnalyze:
         assert code == 0
         assert report["bounds"]["true_hinf_error"] is None
         assert "true_h2_error_quadrature" in report["oracle_checks"]
+
+    def test_exact_reduction_at_large_weights_reads_zero(self, tmp_path):
+        # singleton cells reduce exactly; at these weights the smallest computed eigenvalue
+        # of L is 5.6e-7, and the consensus mode it gave counted as stable
+        payload = {
+            "n_nodes": 3,
+            "edges": [[1, 2, 1477109767.777338], [1, 3, 2e9]],
+            "leaders": [2],
+            "agent": {"A": [[0.0]], "B": [[1.0]], "E": [[1.0]]},
+            "partition": [[3], [2], [1]],
+        }
+        code, report = _run(tmp_path, payload, "--oracle-check")
+        assert code == 0
+        eigenvalues = report["analysis"]["eigenvalues"]
+        assert eigenvalues["laplacian"][0] == 0.0 == eigenvalues["reduced_laplacian"][0]
+        bounds = report["bounds"]
+        for norm in ("hinf", "h2"):
+            full = bounds[f"full_{norm}_norm"]["value"]
+            assert bounds[f"true_{norm}_error"]["value"] <= 1e-10 * full
 
     def test_disconnected_refused(self, tmp_path, capsys):
         payload = {

@@ -385,18 +385,12 @@ def _error_system(lap, leaders, cells):
     return Analysis(ns, Partition(n_nodes=lap.n_nodes, cells=cells)).error_system
 
 
-def _schur_matches_dense(sys, omegas, gram=False):
-    """With ``gram``, compare G^H G: the deflation of a diagonal output block moves the
-    rows of deflated states below the others, an orthogonal change of output coordinates."""
+def _schur_matches_dense(sys, omegas):
     got = triangular_response(*stable_unstable_split(sys), 1j * omegas)
     assert got.shape == (len(omegas), sys.n_outputs, sys.n_inputs)
     for k, omega in enumerate(omegas):
         want = dense_response(sys, 1j * omega)
-        if gram:
-            got_k, want = got[k].conj().T @ got[k], want.conj().T @ want
-        else:
-            got_k = got[k]
-        assert np.abs(got_k - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(got[k] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestSchurResponse:
@@ -423,9 +417,14 @@ class TestSchurResponse:
         k3 = _error_system(complete_graph(3), (0, 1), ((0,), (1, 2)))
         for sys in (path5, k3):
             t, b, c, d = stable_unstable_split(sys)
-            assert t.shape[0] < sys.n_states
-            assert t.shape[1:] == (1, 1)  # a diagonal T_s, as one-state blocks
-            _schur_matches_dense(sys, self.OMEGAS, gram=True)
+            assert t.shape == sys.t.shape and t.shape[1:] == (1, 1)  # masked in place
+            n1, masked = d.size, sys.unstable
+            assert masked.sum() == 2  # the consensus state of each coupling
+            np.testing.assert_array_equal(t[masked, 0, 0], -1.0)
+            np.testing.assert_array_equal(t[~masked], sys.t[~masked])
+            assert not d[masked[:n1]].any() and not c[:, masked[n1:]].any()
+            np.testing.assert_array_equal(b, sys.B)
+            _schur_matches_dense(sys, self.OMEGAS)
 
     def test_single_frequency(self):
         rng = np.random.default_rng(15)

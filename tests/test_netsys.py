@@ -295,7 +295,7 @@ class TestMarginalSubspaceDimension:
 
 def _structured_cases():
     """``pytest.param(network, partition, id=label)``: real diagonal and block forms,
-    unstable blocks, and n x n blocks with both stable and deflated states."""
+    unstable blocks, and n x n blocks with both stable and masked states or masked whole."""
     cases = []
     for kind in ("symmetric", "dissipative", "single"):
         rng = np.random.default_rng({"symmetric": 31, "dissipative": 32, "single": 33}[kind])
@@ -319,6 +319,12 @@ def _structured_cases():
     rng = np.random.default_rng(37)
     cases.append(pytest.param(*random_aep_instance(rng, dynamics=dyn), id="marginal-aep"))
     cases.append(pytest.param(*random_general_instance(rng, dynamics=dyn), id="marginal-general"))
+    # an oscillator: A - lam B is Hurwitz for every lam > 0, and both states of the block
+    # at lam = 0 have Re = 0, so the whole 2 x 2 block is masked
+    dyn = AgentDynamics(A=[[0.0, 1.0], [-1.0, 0.0]], B=np.eye(2), E=[[0.0], [1.0]])
+    for label, instance in (("aep", random_aep_instance), ("general", random_general_instance)):
+        ns, pi = instance(np.random.default_rng(39), dynamics=dyn)
+        cases.append(pytest.param(ns, pi, id=f"oscillator-{label}"))
     # one cell: the reduced stack is the symmetric A alone, the full stack is nonsymmetric
     dyn = AgentDynamics(A=-np.eye(2), B=[[1.0, 0.3], [-0.3, 1.0]], E=[[1.0], [0.5]])
     ns = NetworkSystem(laplacian=laplacian_from_graph(path_graph(4)), leaders=(0,), dyn=dyn)

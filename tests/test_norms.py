@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from netred.generators import (
     random_symmetric_dynamics,
     single_integrator,
 )
-from netred.graphcore import Partition, laplacian_from_graph
+from netred.graphcore import Partition, WeightedGraph, laplacian_from_graph
 from netred.linalg import StateSpace, pinv, solve_lyapunov
 from netred.netfile import dump_json
 from netred.netsys import (
@@ -304,6 +305,15 @@ class TestHinfDc:
         m = ns.m_matrix
         expected_sq = 1.0 - np.linalg.eigvalsh(m.T @ pi.projector @ m).min()
         assert res.value**2 == pytest.approx(expected_sq, abs=1e-9)
+
+    def test_stable_mode_far_below_the_largest_is_kept(self):
+        # path 1-2-3 with weights 1e10 and 1: sigma(L) = {0, ~1.5, ~2e10}; the stable pole
+        # at -1.5 lies below 1e-10 of the largest, and a relative rank cut dropped it
+        graph = WeightedGraph(n_nodes=3, edges=((0, 1, 1e10), (1, 2, 1.0)))
+        ns = NetworkSystem(laplacian_from_graph(graph), (2,), single_integrator())
+        report = full_report(Analysis(ns, Partition(n_nodes=3, cells=((0,), (1,), (2,)))))
+        assert report.full_hinf_norm.method == "dc_gain_closed_form"
+        assert report.full_hinf_norm.value == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-12)
 
     def test_diagonal_stable_matches_sweep(self):
         rng = np.random.default_rng(4)
