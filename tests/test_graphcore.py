@@ -62,7 +62,7 @@ class TestLaplacianFromGraph:
         lap = laplacian_from_graph(WeightedGraph(n_nodes=3, edges=()))
         np.testing.assert_array_equal(lap.mat, np.zeros((3, 3)))
 
-    def test_laplacian_type_rejects_nonzero_row_sums_and_negative_eigenvalues(self):
+    def test_laplacian_type_rejects_row_sums_and_indefinite(self):
         with pytest.raises(ValueError, match="row sums"):
             Laplacian(np.eye(2))
         # zero row sums and eigenvalue -2: the check reads the smallest eigenvalue computed,
