@@ -36,9 +36,9 @@ from .graphcore import (
     ZERO_EIG_TOL,
     Partition,
     ReducedGraph,
+    aep_deviation,
     is_almost_equitable,
     is_connected,
-    project_to_aep_laplacian,
     reduce_graph,
 )
 from .linalg import ModalSystem
@@ -183,7 +183,14 @@ class Analysis:
 
     @cached_property
     def aep(self) -> bool:
-        return is_almost_equitable(self.ns.laplacian, self.pi, self.tol.aep_rtol)
+        return is_almost_equitable(self.ns.laplacian, self.pi, self.tol.aep_rtol, self.reduced)
+
+    @cached_property
+    def deviation(self) -> np.ndarray:
+        """dL = L - l_aep, from the reduction's AEP residual R (:func:`aep_deviation`): R is
+        the one quantity behind the AEP test, the lost spectrum, the AEP projection and the
+        triangle route."""
+        return aep_deviation(self.pi, self.reduced.residual)
 
     not_aep = property(lambda self: not self.aep)
     symmetric = property(lambda self: self.ns.dyn.symmetric)
@@ -228,23 +235,31 @@ class Analysis:
 
     @cached_property
     def lost_eigenvalues(self) -> np.ndarray:
-        """sigma(L) minus sigma(L_hat) for an AEP, ascending.  L then leaves span(P)
-        invariant, so these are its eigenvalues on the orthogonal complement: those
-        of (I - proj) L (I - proj) after the k zeros that span(P) contributes."""
-        comp = np.eye(self.pi.n_nodes) - self.pi.projector
-        return np.linalg.eigvalsh(comp @ self.ns.laplacian.mat @ comp)[self.pi.n_cells :]
-
-    @cached_property
-    def aep_projection(self) -> tuple:
-        """``(l_aep, delta_frobenius)``, see :func:`project_to_aep_laplacian`."""
-        return project_to_aep_laplacian(self.ns.laplacian, self.pi)
+        """The spectrum of (I - proj) L (I - proj) = L - dL - proj L proj after the k zeros
+        that span(P) contributes, ascending; proj L proj = P l_hat (P^T P)^{-1} P^T comes from
+        the reduction, by indexing.  It is the spectrum of l_aep on span(P)^perp.  For an
+        AEP, dL = 0 and L leaves span(P) invariant, so it is sigma(L) minus sigma(l_hat): the
+        eigenvalues the reduction loses."""
+        plp = (self.reduced.laplacian_hat / self.pi.sizes)[self.pi.labels][:, self.pi.labels]
+        return np.linalg.eigvalsh(self.ns.laplacian.mat - self.deviation - plp)[self.pi.n_cells :]
 
     @cached_property
     def surrogate(self) -> Analysis:
-        """The run on l_aep, for which the partition is almost equitable by construction."""
-        ns = NetworkSystem(self.aep_projection[0], self.ns.leaders, self.ns.dyn)
-        surrogate = Analysis(ns, self.pi, self.tol)
+        """The run on l_aep, for which the partition is almost equitable by construction.
+        No network is built on l_aep: the surrogate keeps the run's network, for its leaders
+        and agents, and takes the run's spectra.  l_aep is block diagonal on
+        span(P) + span(P)^perp, and (I - proj) l_aep (I - proj) = (I - proj) L (I - proj):
+        its lost spectrum is the run's ``lost_eigenvalues``, and its nonzero spectrum is
+        sigma(l_bar) minus {0} plus those.  Both parts are >= lambda_2(L) (Cauchy
+        interlacing for the compression l_bar; Courant-Fischer on span(P)^perp, inside
+        1^perp), so a connected run has a connected surrogate, and for single integrators,
+        the triangle route's only agents, a synchronized one.  The route reaches the
+        surrogate only for a connected run, so the surrogate takes both decisions from it."""
+        surrogate, lost = Analysis(self.ns, self.pi, self.tol), self.lost_eigenvalues
         surrogate.aep = True  # (I - proj) l_aep P = 0 exactly; no test to repeat
+        surrogate.connected, surrogate.synchronized = self.connected, self.synchronized
+        surrogate.lost_eigenvalues = lost
+        surrogate.nonzero_eigenvalues = np.concatenate([self.reduced_eigenvalues[1:], lost])
         return surrogate
 
     @cached_property
@@ -280,12 +295,13 @@ class Analysis:
         """The outer terms of the triangle route (see :func:`triangle_bound_general`): the
         full and reduced realizations with the output dL (x) I and dL P (P^T P)^{-1/2} (x) I
         in place of L (x) I and L P (P^T P)^{-1/2} (x) I, unrotated and with no diagonal
-        block, so they keep those realizations' modal forms."""
-        d_l = self.ns.laplacian.mat - self.surrogate.ns.laplacian.mat
-        d_lp = (d_l @ self.pi.char_matrix) / np.sqrt(self.pi.sizes)[None, :]
+        block, so they keep those realizations' modal forms.  dL P = R exactly (H^T P = 0,
+        see :func:`aep_deviation`), so the second output is the scaled residual
+        R (P^T P)^{-1/2}, with no N x N x k product."""
+        scaled = self.reduced.residual / np.sqrt(self.pi.sizes)[None, :]
         return (
-            with_output(self.full_system, self.full_modes, d_l),
-            with_output(self.reduced_system, self.reduced_modes, d_lp),
+            with_output(self.full_system, self.full_modes, self.deviation),
+            with_output(self.reduced_system, self.reduced_modes, scaled),
         )
 
     def _extremes(self, upper, lower=None) -> tuple:

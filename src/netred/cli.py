@@ -3,8 +3,9 @@
     netred analyze <file> [--norms h2,hinf] [--triangle] [--oracle-check] [--out FILE]
     netred example <name> [--seed N] [--out FILE]
 
-Exit codes: 0 success, 2 validation error, 3 theory-precondition refusal
-(for example, bounds requested for a non-AEP partition without --triangle).
+Exit codes: 0 success, 2 validation error (an unreadable input or an
+unwritable --out included), 3 theory-precondition refusal (for example,
+bounds requested for a non-AEP partition without --triangle).
 Errors are emitted as a JSON payload on stderr.
 """
 
@@ -24,6 +25,7 @@ from .errors import (
     WitnessInvalid,
 )
 from .generators import EXAMPLES
+from .graphcore import has_negative_weights, project_to_aep_laplacian
 from .netfile import (
     SCHEMA_VERSION,
     FileFormatError,
@@ -55,12 +57,18 @@ def _fail(code: int, kind: str, message: str, **extra) -> int:
     return code
 
 
-def _write(text: str, out_path) -> None:
-    if out_path:
+def _write(text: str, out_path) -> int:
+    """Write ``text`` to ``out_path``, or to stdout when it is not given; an unwritable
+    path exits 2 with kind ``io``, like an unreadable input."""
+    if not out_path:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        return _fail(EXIT_VALIDATION, "io", f"cannot write {out_path}: {exc}")
+    return EXIT_OK
 
 
 def _oracle_checks(an: Analysis, report) -> dict:
@@ -137,17 +145,16 @@ def cmd_analyze(args) -> int:
         "bounds": report_to_dict(report),
     }
     if an.not_aep:
-        l_aep, delta = an.aep_projection
+        l_aep, delta = project_to_aep_laplacian(ns.laplacian, pi, an.deviation)
         out["l_aep"] = {
-            "matrix": l_aep.mat.tolist(),
+            "matrix": l_aep.tolist(),
             "delta_frobenius": delta,
-            "has_negative_weights": l_aep.has_negative_weights,
+            "has_negative_weights": has_negative_weights(l_aep),
         }
     if oracle:
         out["oracle_checks"] = _oracle_checks(an, report)
     out["timings"] = {"total_s": time.perf_counter() - started}
-    _write(dump_json(out), args.out)
-    return EXIT_OK
+    return _write(dump_json(out), args.out)
 
 
 def cmd_example(args) -> int:
@@ -155,8 +162,7 @@ def cmd_example(args) -> int:
         payload = generate_example(args.name, seed=args.seed)
     except UnknownExample as exc:
         return _fail(EXIT_VALIDATION, "UnknownExample", str(exc))
-    _write(dump_json(payload), args.out)
-    return EXIT_OK
+    return _write(dump_json(payload), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

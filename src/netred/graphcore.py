@@ -3,10 +3,12 @@
 A partition of the node set induces a characteristic matrix P and the
 orthogonal projector onto its column span.  Compressing the Laplacian
 through P yields the quotient (reduced) Laplacian; when the partition is
-almost equitable the quotient spectrum embeds in the original one.  For an
-arbitrary partition, :func:`project_to_aep_laplacian` returns the closest
-PSD zero-row-sum matrix (in Frobenius norm) for which the partition is
-almost equitable.
+almost equitable the quotient spectrum embeds in the original one.  The
+reduction also keeps the AEP residual R = (I - proj) L P, an N x k matrix made
+from L P: it decides almost equitability and gives, for an arbitrary
+partition, the closest PSD zero-row-sum matrix (in Frobenius norm) for which
+the partition is almost equitable (:func:`project_to_aep_laplacian`), with no
+N x N x N product.
 """
 
 from __future__ import annotations
@@ -92,22 +94,19 @@ class Laplacian:
     def n_nodes(self) -> int:
         return self.mat.shape[0]
 
-    @property
-    def has_negative_weights(self) -> bool:
-        """True iff an off-diagonal entry is positive, i.e. some edge weight is negative."""
-        return bool((self.mat - np.diag(np.diag(self.mat)) > NEG_WEIGHT_TOL).any())
-
 
 @dataclass(frozen=True)
 class Partition:
     """Disjoint cover of {0, ..., n_nodes-1} by nonempty cells.
 
     Cell order is preserved (it fixes the quotient node labels); nodes
-    within a cell are sorted.
+    within a cell are sorted.  ``labels`` holds the cell index of each node, so
+    that P X = X[labels] and X P^T = X[:, labels] for the characteristic matrix P.
     """
 
     n_nodes: int
     cells: tuple
+    labels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         owner = {}
@@ -134,6 +133,7 @@ class Partition:
         if missing is not None:
             raise InvalidPartition(f"node {missing} is not covered by any cell", node=missing)
         object.__setattr__(self, "cells", tuple(normalized))
+        object.__setattr__(self, "labels", np.array([owner[v] for v in range(self.n_nodes)], int))
 
     @property
     def n_cells(self) -> int:
@@ -145,10 +145,7 @@ class Partition:
 
     @cached_property
     def char_matrix(self) -> np.ndarray:
-        p = np.zeros((self.n_nodes, self.n_cells))
-        for c_idx, cell in enumerate(self.cells):
-            p[list(cell), c_idx] = 1.0
-        return p
+        return np.eye(self.n_cells)[self.labels]
 
     @cached_property
     def projector(self) -> np.ndarray:
@@ -156,12 +153,8 @@ class Partition:
         p = self.char_matrix
         return (p / self.sizes[None, :]) @ p.T
 
-    @cached_property
-    def _cell_of(self) -> dict:
-        return {v: c_idx for c_idx, cell in enumerate(self.cells) for v in cell}
-
     def cell_of(self, node: int) -> int:
-        return self._cell_of[int(node)]
+        return int(self.labels[node])
 
 
 @dataclass(frozen=True)
@@ -175,12 +168,15 @@ class ReducedGraph:
     (P^T P)^{-1/2} P^T L P (P^T P)^{-1/2}: similar to ``laplacian_hat``, hence
     with the same (real) spectrum, but symmetric PSD; ``spectral`` caches its
     eigendecomposition, whose smallest eigenvalue is 0.0: l_bar (P^T P)^{1/2} 1 = 0.
+    ``residual`` is the AEP residual R = L P - P L_hat = (I - proj) L P, N x k, what the
+    quotient misses: the partition is almost equitable exactly when R = 0.
     """
 
     laplacian_hat: np.ndarray
     adjacency_hat: np.ndarray
     m_hat: np.ndarray
     laplacian_bar: np.ndarray
+    residual: np.ndarray
 
     @cached_property
     def spectral(self) -> SymmetricEig:
@@ -215,15 +211,18 @@ def is_connected(lap: Laplacian, tol: float = ZERO_EIG_TOL) -> bool:
     return bool(lap.spectral.eigenvalues[1] > tol)
 
 
-def is_almost_equitable(lap: Laplacian, pi: Partition, rtol: float = AEP_RTOL) -> bool:
-    """Subspace test for almost equitability: (I - proj) L P vanishes.
+def has_negative_weights(mat) -> bool:
+    """True iff an off-diagonal entry of the Laplacian-like ``mat`` is positive, i.e. some
+    edge weight is negative."""
+    return bool((mat - np.diag(np.diag(mat)) > NEG_WEIGHT_TOL).any())
 
-    Equivalent to each node's total weight into any other cell depending
-    only on its own cell.
-    """
-    lp = lap.mat @ pi.char_matrix
-    residual = np.abs(lp - pi.projector @ lp).max(initial=0.0)
-    return bool(residual <= rtol * (1.0 + np.abs(lap.mat).max(initial=0.0)))
+
+def is_almost_equitable(lap: Laplacian, pi: Partition, rtol=AEP_RTOL, rg=None) -> bool:
+    """True iff max |R| <= rtol (1 + max |L|) for the AEP residual R of the reduction ``rg``
+    (:func:`reduce_graph`, computed when not given): each node's total weight into any
+    other cell then depends, within the tolerance, only on its own cell."""
+    residual = (rg or reduce_graph(lap, pi, ())).residual
+    return bool(np.abs(residual).max(initial=0) <= rtol * (1.0 + np.abs(lap.mat).max(initial=0)))
 
 
 def reduce_graph(lap: Laplacian, pi: Partition, leaders) -> ReducedGraph:
@@ -236,7 +235,8 @@ def reduce_graph(lap: Laplacian, pi: Partition, leaders) -> ReducedGraph:
     """
     p = pi.char_matrix
     sizes, root = pi.sizes, np.sqrt(pi.sizes)
-    compressed = p.T @ lap.mat @ p
+    lp = lap.mat @ p
+    compressed = p.T @ lp
     l_hat = compressed / sizes[:, None]
     m = leader_selector(lap.n_nodes, leaders)
     m_hat = (p.T @ m) / sizes[:, None]
@@ -247,22 +247,29 @@ def reduce_graph(lap: Laplacian, pi: Partition, leaders) -> ReducedGraph:
         adjacency_hat=a_hat,
         m_hat=m_hat,
         laplacian_bar=compressed / root[:, None] / root[None, :],
+        residual=lp - l_hat[pi.labels],
     )
 
 
-def project_to_aep_laplacian(lap: Laplacian, pi: Partition):
+def aep_deviation(pi: Partition, residual) -> np.ndarray:
+    """dL = L - l_aep = H + H^T for the AEP residual R, H = R (P^T P)^{-1} P^T = (I - proj) L proj,
+    of rank at most 2k and made by indexing.  Exact facts: dL is symmetric; dL 1 = 0, as
+    H 1 = R 1 = (I - proj) L 1 = 0 and R^T 1 = 0; and H^T P = 0, so dL P = R."""
+    h = (residual / pi.sizes[None, :])[:, pi.labels]
+    return h + h.T
+
+
+def project_to_aep_laplacian(lap: Laplacian, pi: Partition, d_l=None):
     """Closest PSD zero-row-sum matrix making the partition almost equitable.
 
-    Solves, in closed form, the Frobenius-norm projection of L onto the set
-    of symmetric PSD matrices X with X 1 = 0 and (I - proj) X P = 0:
-    the minimizer is proj L proj + (I - proj) L (I - proj).  The result may
-    carry positive off-diagonal entries (negative edge weights); its
-    ``has_negative_weights`` flags them, they are not rejected.  Returns
-    ``(l_aep, delta_frobenius)`` with ``delta_frobenius = ||L - l_aep||_F``.
+    Solves, in closed form, the Frobenius-norm projection of L onto the set of symmetric
+    PSD matrices X with X 1 = 0 and (I - proj) X P = 0: the minimizer is
+    l_aep = proj L proj + (I - proj) L (I - proj) = L - dL, with dL the
+    :func:`aep_deviation` (computed when not given).  l_aep is block diagonal on
+    span(P) + span(P)^perp, so it is exactly symmetric with zero row sums, and PSD: its
+    spectrum is that of l_bar and of (I - proj) L (I - proj).  It may carry positive
+    off-diagonal entries (negative edge weights; see :func:`has_negative_weights`), which
+    are not rejected.  Returns ``(l_aep, delta_frobenius)``, an ndarray and ||dL||_F.
     """
-    proj = pi.projector
-    comp = np.eye(lap.n_nodes) - proj
-    mat = proj @ lap.mat @ proj + comp @ lap.mat @ comp
-    mat = 0.5 * (mat + mat.T)
-    delta = float(np.linalg.norm(lap.mat - mat, "fro"))
-    return Laplacian(mat), delta
+    d_l = aep_deviation(pi, reduce_graph(lap, pi, ()).residual) if d_l is None else d_l
+    return lap.mat - d_l, float(np.linalg.norm(d_l, "fro"))

@@ -68,7 +68,8 @@ METHOD_DC = "dc_gain_closed_form"
 METHOD_SWEEP = "frequency_sweep"
 
 # Frequency grids (rad/s; PPD = points per decade) of the H-infinity sweep and
-# the H2 quadrature oracle.  Their certificates echo them.
+# the H2 quadrature oracle (whose window widens past the poles, see
+# h2_norm_quadrature).  Their certificates echo them.
 SWEEP_W_LO, SWEEP_W_HI, SWEEP_W_RTOL = 1e-6, 1e6, 1e-6
 SWEEP_COARSE_PPD, SWEEP_PEAK_PPD = 30, 400
 # Coarse-grid neighbours closer than this many ulps of the coarse maximum are level.
@@ -202,22 +203,30 @@ def hinf_norm_sweep(sys) -> NormResult:
 def h2_norm_quadrature(sys) -> NormResult:
     """Oracle H2 norm by trapezoid quadrature of the frequency integral.
 
-    value^2 = (1/pi) * int_0^inf ||S(iw)||_F^2 dw, evaluated on a log grid
-    anchored at w = 0, Richardson-extrapolated against the half-density
-    grid, plus the analytic O(1/w) tail ||C B||_F^2 / QUAD_W_HI.
+    value^2 = (1/pi) * int_0^inf ||S(iw)||_F^2 dw, evaluated on a log grid over
+    [w_lo, w_hi] (QUAD_PPD points per decade, an odd number of points) anchored at
+    w = 0, Richardson-extrapolated against the half-density grid, plus the analytic
+    O(1/w) tail ||C B||_F^2 / w_hi.  The window reaches a decade past the poles on the
+    deflated triple's diagonal and is never narrower than [QUAD_W_LO, QUAD_W_HI]:
+    w_lo = min(QUAD_W_LO, min|p| / 10), w_hi = max(QUAD_W_HI, 10 max|p|).  A masked
+    state's pole, -1, lies inside every window.
     """
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return _zero_result(METHOD_SWEEP)
     t_s, b_s, c_s, d_s = stable_unstable_split(sys)
-    t_lo, t_hi = math.log10(QUAD_W_LO), math.log10(QUAD_W_HI)
-    grid = np.concatenate([[0.0], np.logspace(t_lo, t_hi, round((t_hi - t_lo) * QUAD_PPD) + 1)])
+    poles = np.abs(np.diagonal(t_s, axis1=1, axis2=2))
+    w_lo = min(QUAD_W_LO, poles.min(initial=math.inf) / 10.0)
+    w_hi = max(QUAD_W_HI, 10.0 * poles.max(initial=0.0))
+    t_lo, t_hi = math.log10(w_lo), math.log10(w_hi)
+    n_log = 2 * round((t_hi - t_lo) * QUAD_PPD / 2) + 1
+    grid = np.concatenate([[0.0], np.logspace(t_lo, t_hi, n_log)])
     response = triangular_response(t_s, b_s, c_s, d_s, 1j * grid)
     fs = np.linalg.norm(response, "fro", axis=(1, 2)) ** 2
     coarse = np.r_[0, 1 : grid.size : 2]  # w = 0 and every other point of the log grid
     i_fine = float(np.trapezoid(fs, grid))
     i_coarse = float(np.trapezoid(fs[coarse], grid[coarse]))
     i_rich = i_fine + (i_fine - i_coarse) / 3.0
-    tail = float(np.linalg.norm(apply_output(c_s, d_s, b_s), "fro") ** 2) / QUAD_W_HI
+    tail = float(np.linalg.norm(apply_output(c_s, d_s, b_s), "fro") ** 2) / w_hi
     h2sq = (i_rich + tail) / math.pi
     return NormResult(
         math.sqrt(max(h2sq, 0.0)),
@@ -225,8 +234,8 @@ def h2_norm_quadrature(sys) -> NormResult:
         {
             "kind": "h2_quadrature",
             "points_per_decade": QUAD_PPD,
-            "w_lo": QUAD_W_LO,
-            "w_hi": QUAD_W_HI,
+            "w_lo": w_lo,
+            "w_hi": w_hi,
             "integral_fine": i_fine,
             "integral_coarse": i_coarse,
             "integral_richardson": i_rich,

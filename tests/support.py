@@ -28,7 +28,13 @@ from netred.generators import (
     single_integrator,
 )
 from netred.errors import Disconnected, NotAEP, NotSynchronized
-from netred.graphcore import ZERO_EIG_TOL, is_almost_equitable, is_connected, reduce_graph
+from netred.graphcore import (
+    ZERO_EIG_TOL,
+    is_almost_equitable,
+    is_connected,
+    project_to_aep_laplacian,
+    reduce_graph,
+)
 from netred.linalg import RANK_TOL, STABILITY_MARGIN, ModalSystem, StateSpace, sym_eig
 from netred.netsys import hurwitz_over, is_synchronized
 from netred.norms import (
@@ -157,7 +163,7 @@ def dense_triangle_terms(an) -> tuple:
     """The triangle route's outer terms, assembled densely: the full and reduced networks
     with the outputs dL and dL P (P^T P)^{-1/2}, dL = L - l_aep."""
     ns, pi = an.ns, an.pi
-    d_l = ns.laplacian.mat - an.aep_projection[0].mat
+    d_l = ns.laplacian.mat - project_to_aep_laplacian(ns.laplacian, pi)[0]
     full = dense_full(ns)
     term1 = StateSpace(full.A, full.B, np.kron(d_l, np.eye(ns.dyn.n)))
     d_lp = d_l @ pi.char_matrix / np.sqrt(pi.sizes)[None, :]

@@ -140,9 +140,10 @@ def _non_aep_single_integrator_payload(n_nodes: int) -> dict:
 
 
 def test_spectrum_work_does_not_grow_with_the_network(tmp_path):
-    # one stacked Hurwitz test and one auxiliary-Gramian call per spectrum, at any N:
-    # the network's and the surrogate's synchronization plus the surrogate's lost
-    # spectrum, and the surrogate's lost and nonzero Gramians
+    # one stacked Hurwitz test and one auxiliary-Gramian call per spectrum, at any N: the
+    # network's synchronization and the surrogate's lost spectrum (the surrogate takes
+    # connectivity and synchronization from the run), and the surrogate's lost and
+    # nonzero Gramians
     counts = []
     for n_nodes in (20, 160):
         path, out = tmp_path / f"net{n_nodes}.json", tmp_path / f"report{n_nodes}.json"
@@ -154,6 +155,32 @@ def test_spectrum_work_does_not_grow_with_the_network(tmp_path):
     assert counts[0] == counts[1]
     hurwitz_calls, gramian_calls = counts[0]
     assert 1 <= hurwitz_calls <= 3 and 1 <= gramian_calls <= 2
+
+
+def test_triangle_run_factors_one_network(tmp_path):
+    # a non-AEP triangle run builds no network on l_aep: one N-row eigh (of L) and one
+    # N-row eigvalsh (of the complement (I - proj) L (I - proj), whose spectrum the
+    # surrogate shares); the parent factored l_aep with a second eigh
+    n_nodes = 160
+    path, out = tmp_path / "net.json", tmp_path / "report.json"
+    path.write_text(dump_json(_non_aep_single_integrator_payload(n_nodes)), encoding="utf-8")
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    with (
+        mock.patch.object(np.linalg, "eigh", spy("eigh", np.linalg.eigh)),
+        mock.patch.object(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh)),
+    ):
+        assert main(["analyze", str(path), "--triangle", "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["analysis"]["aep"] is False
+    network_sized = [name for name, shape in calls if n_nodes in shape[-2:]]
+    assert sorted(network_sized) == ["eigh", "eigvalsh"]
 
 
 def test_symmetric_eigendecompositions_stay_network_sized(tmp_path):

@@ -30,7 +30,12 @@ from netred.generators import (
     random_aep_instance,
     single_integrator,
 )
-from netred.graphcore import Partition, WeightedGraph, laplacian_from_graph
+from netred.graphcore import (
+    Partition,
+    WeightedGraph,
+    laplacian_from_graph,
+    project_to_aep_laplacian,
+)
 from netred.linalg import solve_lyapunov
 from netred.netsys import AgentDynamics, NetworkSystem, is_synchronized
 from netred.norms import h2_norm, hinf_norm_dc, hinf_norm_sweep
@@ -67,6 +72,42 @@ class TestLostEigenvalues:
         # sigma(L) = {0, 3, 3}, sigma(L_hat) = {0, 3}
         an = Analysis(*_k3())
         np.testing.assert_allclose(an.lost_eigenvalues, [3.0], atol=1e-12)
+
+
+class TestAepProjectionInvariants:
+    """What ``Laplacian(l_aep)``'s constructor would check holds by construction: l_aep =
+    L - dL is block diagonal on span(P) + span(P)^perp, so it is symmetric with zero row
+    sums, and its spectrum is sigma(l_bar) plus the run's lost spectrum, which the
+    surrogate reads instead of factoring l_aep."""
+
+    def test_l_aep_is_exactly_symmetric_with_zero_row_sums(self, non_aep_corpus):
+        for rec in non_aep_corpus:
+            lap = rec["ns"].laplacian.mat
+            l_aep, _ = project_to_aep_laplacian(rec["ns"].laplacian, rec["pi"])
+            assert np.array_equal(l_aep, l_aep.T), rec["seed"]
+            scale = 1.0 + np.abs(lap).max()
+            assert np.abs(l_aep.sum(axis=1)).max() <= 1e-12 * scale, rec["seed"]
+
+    def test_spectrum_is_the_reduced_and_the_lost_one(self, non_aep_corpus):
+        for rec in non_aep_corpus:
+            an = Analysis(rec["ns"], rec["pi"])
+            l_aep, _ = project_to_aep_laplacian(rec["ns"].laplacian, rec["pi"], an.deviation)
+            joined = np.sort(np.r_[an.reduced_eigenvalues, an.lost_eigenvalues])
+            scale = 1.0 + np.abs(rec["ns"].laplacian.mat).max()
+            assert np.abs(joined - np.linalg.eigvalsh(l_aep)).max() <= 1e-10 * scale, rec["seed"]
+            surrogate = an.surrogate
+            assert surrogate.lost_eigenvalues is an.lost_eigenvalues
+            assert np.sort(surrogate.nonzero_eigenvalues) == pytest.approx(joined[1:])
+
+    def test_deviation_maps_the_cells_to_the_residual(self, non_aep_corpus):
+        # H^T P = 0, so dL P (P^T P)^{-1/2} is the scaled residual R (P^T P)^{-1/2}, the
+        # output of the triangle route's third term
+        for rec in non_aep_corpus:
+            an, pi = Analysis(rec["ns"], rec["pi"]), rec["pi"]
+            root = np.sqrt(pi.sizes)[None, :]
+            d_lp = an.deviation @ pi.char_matrix / root
+            scale = 1.0 + np.abs(rec["ns"].laplacian.mat).max()
+            assert np.abs(d_lp - an.reduced.residual / root).max() <= 1e-12 * scale, rec["seed"]
 
 
 def _reference_constants(an: Analysis) -> tuple:
@@ -274,8 +315,6 @@ class TestTriangleBound:
 
     def test_path5_delta_matches_reference_matrices(self):
         ns, pi = _path5()
-        from netred.graphcore import project_to_aep_laplacian
-
         _, delta = project_to_aep_laplacian(ns.laplacian, pi)
         reference = np.linalg.norm(PATH5_LAPLACIAN - PATH5_AEP_PROJECTION, "fro")
         assert abs(delta - reference) <= 1e-12

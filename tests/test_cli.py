@@ -136,6 +136,21 @@ class TestValidation:
     def test_missing_file_rejected(self, tmp_path):
         assert main(["analyze", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("command", ["analyze", "example"])
+    def test_unwritable_out_exits_2_with_kind_io(self, tmp_path, capsys, command):
+        # a directory that does not exist: the write fails, and the run says so instead of
+        # dying with a traceback (exit 1)
+        path = tmp_path / "k3.json"
+        path.write_text(dump_json(generate_example("k3-aep")))
+        out = tmp_path / "absent" / "r.json"
+        argv = [command, str(path) if command == "analyze" else "k3-aep", "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["kind"] == "io"
+        assert str(out) in err["message"]
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize(
         "field, path",

@@ -456,6 +456,20 @@ class TestNormProperties:
         assert cert["kind"] == "h2_quadrature"
         assert {"points_per_decade", "integral_fine", "integral_coarse", "tail"} <= set(cert)
 
+    @pytest.mark.parametrize("weight", [1e7, 1e9])
+    def test_quadrature_window_reaches_fast_poles(self, weight):
+        # K3 with heavy edges puts the error system's poles near -3 weight, far above the
+        # default window's 1e4; the window widens to a decade past them, so the oracle
+        # agrees with the Lyapunov value (a fixed [1e-4, 1e4] read 1.34e5 against 3.06e3)
+        graph = WeightedGraph(3, ((0, 1, weight), (0, 2, weight), (1, 2, weight)))
+        dyn = AgentDynamics(A=[[-1.0, 0.2], [0.1, -2.0]], B=np.eye(2), E=[[1.0], [0.5]])
+        ns = NetworkSystem(laplacian=laplacian_from_graph(graph), leaders=(1,), dyn=dyn)
+        err = Analysis(ns, Partition(3, ((0,), (1, 2)))).error_system
+        quad, exact = h2_norm_quadrature(err), h2_norm(err).value
+        assert abs(exact - quad.value) / quad.value < 1e-2
+        assert quad.certificate["w_lo"] == 1e-4
+        assert quad.certificate["w_hi"] >= 10.0 * 3.0 * weight
+
 
 def _oracle_cases():
     """Symmetric agents with n = 1, 2, 3 and dissipative ones with n = 2, each on an AEP
