@@ -217,12 +217,13 @@ def has_negative_weights(mat) -> bool:
     return bool((mat - np.diag(np.diag(mat)) > NEG_WEIGHT_TOL).any())
 
 
-def is_almost_equitable(lap: Laplacian, pi: Partition, rtol=AEP_RTOL, rg=None) -> bool:
+def is_almost_equitable(lap: Laplacian, pi: Partition, rtol: float = AEP_RTOL, rg=None) -> bool:
     """True iff max |R| <= rtol (1 + max |L|) for the AEP residual R of the reduction ``rg``
     (:func:`reduce_graph`, computed when not given): each node's total weight into any
     other cell then depends, within the tolerance, only on its own cell."""
     residual = (rg or reduce_graph(lap, pi, ())).residual
-    return bool(np.abs(residual).max(initial=0) <= rtol * (1.0 + np.abs(lap.mat).max(initial=0)))
+    scale = 1.0 + np.abs(lap.mat).max(initial=0.0)
+    return bool(np.abs(residual).max(initial=0.0) <= rtol * scale)
 
 
 def reduce_graph(lap: Laplacian, pi: Partition, leaders) -> ReducedGraph:

@@ -160,7 +160,7 @@ def test_spectrum_work_does_not_grow_with_the_network(tmp_path):
 def test_triangle_run_factors_one_network(tmp_path):
     # a non-AEP triangle run builds no network on l_aep: one N-row eigh (of L) and one
     # N-row eigvalsh (of the complement (I - proj) L (I - proj), whose spectrum the
-    # surrogate shares); the parent factored l_aep with a second eigh
+    # surrogate shares)
     n_nodes = 160
     path, out = tmp_path / "net.json", tmp_path / "report.json"
     path.write_text(dump_json(_non_aep_single_integrator_payload(n_nodes)), encoding="utf-8")

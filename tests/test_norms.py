@@ -460,7 +460,8 @@ class TestNormProperties:
     def test_quadrature_window_reaches_fast_poles(self, weight):
         # K3 with heavy edges puts the error system's poles near -3 weight, far above the
         # default window's 1e4; the window widens to a decade past them, so the oracle
-        # agrees with the Lyapunov value (a fixed [1e-4, 1e4] read 1.34e5 against 3.06e3)
+        # agrees with the Lyapunov value (a window fixed at [1e-4, 1e4] reads 1.34e5
+        # against 3.06e3 at weight 1e7)
         graph = WeightedGraph(3, ((0, 1, weight), (0, 2, weight), (1, 2, weight)))
         dyn = AgentDynamics(A=[[-1.0, 0.2], [0.1, -2.0]], B=np.eye(2), E=[[1.0], [0.5]])
         ns = NetworkSystem(laplacian=laplacian_from_graph(graph), leaders=(1,), dyn=dyn)
