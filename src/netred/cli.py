@@ -3,9 +3,9 @@
     netred analyze <file> [--norms h2,hinf] [--triangle] [--oracle-check] [--out FILE]
     netred example <name> [--seed N] [--out FILE]
 
-Exit codes: 0 success, 2 validation error (an unreadable input or an
-unwritable --out included), 3 theory-precondition refusal (for example,
-bounds requested for a non-AEP partition without --triangle).
+Exit codes: 0 success, 2 validation error (an unreadable or undecodable
+input, an unwritable --out and a negative --seed included), 3 theory-precondition
+refusal (for example, bounds requested for a non-AEP partition without --triangle).
 Errors are emitted as a JSON payload on stderr.
 """
 
@@ -101,7 +101,7 @@ def cmd_analyze(args) -> int:
             payload = json.load(handle)
     except OSError as exc:
         return _fail(EXIT_VALIDATION, "io", f"cannot read {args.input}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         return _fail(EXIT_VALIDATION, "json", f"invalid JSON in {args.input}: {exc}")
     try:
         ns, pi, options = network_from_payload(payload)
@@ -158,6 +158,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_example(args) -> int:
+    if args.seed < 0:
+        return _fail(EXIT_VALIDATION, "flags", f"--seed must be nonnegative, got {args.seed}")
     try:
         payload = generate_example(args.name, seed=args.seed)
     except UnknownExample as exc:

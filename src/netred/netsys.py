@@ -187,7 +187,8 @@ def assemble_reduced_bar(
     (i, j) is lam_i W_ij V_i^H V_hat_j, with W = U^T P (P^T P)^{-1/2} U_hat."""
     root = np.sqrt(pi.sizes)
     w = full.u.T @ (pi.char_matrix / root[None, :]) @ modes.u
-    c_scale = 1.0 + np.abs((ns.laplacian.mat @ pi.char_matrix) / root[None, :]).max(initial=0.0)
+    lp = rg.laplacian_hat[pi.labels] + rg.residual  # L P = P L_hat + R, by indexing
+    c_scale = 1.0 + np.abs(lp / root[None, :]).max(initial=0.0)
     c = modal_output(full.lams[:, None] * w, modes, left=full)
     return _modal_system(ns.dyn, modes, root[:, None] * rg.m_hat, c, c_scale)
 

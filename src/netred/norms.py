@@ -8,10 +8,10 @@ against the test suite's oracles:
   (``linalg.solve_lyapunov_with_kernel``); for the full system it is its
   block-diagonal head alone, and the value is the spectral sum
   sum_i ||(U^T M)_i||^2 tr(E^T X_i E) over the auxiliary Gramians.
-* ``hinf_norm_sweep``: adaptive frequency sweep with local refinement, the
-  oracle for everything H-infinity.  Its grids compare gains taken from the
-  smaller Gram matrix of each response; the value is one ``svd`` at the
-  frequency the search chose.
+* ``hinf_norm_sweep``: adaptive frequency sweep, the oracle for everything
+  H-infinity: a coarse log grid, then a zoom of fixed-size grids on each peak.
+  Its grids compare gains taken from the smaller Gram matrix of each response;
+  the value is one ``svd`` at the frequency the search chose.
 * ``hinf_norm_dc``: exact DC-gain value sigma_max(C A^+ B), valid when a
   symmetric witness X with CA = XC exists and ker A lies in ker C, read from
   the realization's real diagonal modal form; for the full network it is
@@ -47,7 +47,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import KernelViolated, NotSymmetric, WitnessInvalid
 from .linalg import (
@@ -67,11 +66,12 @@ METHOD_LYAPUNOV = "lyapunov_kernel"
 METHOD_DC = "dc_gain_closed_form"
 METHOD_SWEEP = "frequency_sweep"
 
-# Frequency grids (rad/s; PPD = points per decade) of the H-infinity sweep and
+# Frequency grids (rad/s; PPD = points per decade; the sweep zooms on a peak with
+# grids of SWEEP_ZOOM_POINTS points) of the H-infinity sweep and
 # the H2 quadrature oracle (whose window widens past the poles, see
 # h2_norm_quadrature).  Their certificates echo them.
 SWEEP_W_LO, SWEEP_W_HI, SWEEP_W_RTOL = 1e-6, 1e6, 1e-6
-SWEEP_COARSE_PPD, SWEEP_PEAK_PPD = 30, 400
+SWEEP_COARSE_PPD, SWEEP_ZOOM_POINTS = 30, 17
 # Coarse-grid neighbours closer than this many ulps of the coarse maximum are level.
 SWEEP_LEVEL_ULPS = 8
 QUAD_W_LO, QUAD_W_HI, QUAD_PPD = 1e-4, 1e4, 60
@@ -121,16 +121,16 @@ def _largest_gram_eigenvalue(g) -> np.ndarray:
 def hinf_norm_sweep(sys) -> NormResult:
     """H-infinity norm by adaptive frequency sweep.
 
-    Coarse log grid over [SWEEP_W_LO, SWEEP_W_HI], then a dense grid
-    (SWEEP_PEAK_PPD points per decade) around each interior peak of the coarse
-    grid that rises and falls by more than SWEEP_LEVEL_ULPS ulps, then
-    bounded scalar minimization in log-frequency down to relative width
-    SWEEP_W_RTOL.  The response at s = 0 anchors the w -> 0 end.  The
-    unobservable marginal modes are masked (``stable_unstable_split``); each
-    grid, the anchor and each Brent step is then one ``triangular_response`` call,
-    whose gains the search compares as the largest eigenvalues of the smaller Gram
-    matrices.  The value is sigma_max, by ``svd``, of the response with the largest
-    gain evaluated.
+    Coarse log grid over [SWEEP_W_LO, SWEEP_W_HI], then a zoom on each interior peak
+    of the coarse grid that rises and falls by more than SWEEP_LEVEL_ULPS ulps: from
+    the bracket of the peak's coarse neighbours, SWEEP_ZOOM_POINTS log-spaced points
+    on the bracket, then the bracket of the best point's neighbours, until it is
+    narrower than SWEEP_W_RTOL in relative frequency.  The response at s = 0 anchors
+    the w -> 0 end.  The unobservable marginal modes are masked
+    (``stable_unstable_split``); each grid, the anchor and each zoom is then one
+    ``triangular_response`` call, whose gains the search compares as the largest
+    eigenvalues of the smaller Gram matrices.  The value is sigma_max, by ``svd``, of
+    the response with the largest gain evaluated.
     """
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return _zero_result(METHOD_SWEEP)
@@ -169,19 +169,11 @@ def hinf_norm_sweep(sys) -> NormResult:
     step = (t_hi - t_lo) / (n_coarse - 1)
     for i in interior[:3]:
         lo, hi = ts[i] - step, ts[i] + step
-        n_dense = max(int(round((hi - lo) * SWEEP_PEAK_PPD)) + 1, 16)
-        dts = np.linspace(lo, hi, n_dense)
-        dvals = gains(10.0**dts)
-        evals += n_dense
-        j = int(dvals.argmax())
-        j0, j1 = max(j - 1, 0), min(j + 1, n_dense - 1)
-        res = minimize_scalar(
-            lambda t: -float(gains([10.0**t])[0]),
-            bounds=(dts[j0], dts[j1]),
-            method="bounded",
-            options={"xatol": SWEEP_W_RTOL / math.log(10.0)},
-        )
-        evals += int(res.nfev)
+        while hi - lo > SWEEP_W_RTOL / math.log(10.0):
+            zts = np.linspace(lo, hi, SWEEP_ZOOM_POINTS)
+            j = int(gains(10.0**zts).argmax())
+            lo, hi = zts[max(j - 1, 0)], zts[min(j + 1, SWEEP_ZOOM_POINTS - 1)]
+            evals += SWEEP_ZOOM_POINTS
     # the search compares Gram gains; the value is the svd of the response it chose
     _, best_omega, peak = best
     value = float(np.linalg.svd(peak, compute_uv=False).max(initial=0.0))
@@ -193,7 +185,7 @@ def hinf_norm_sweep(sys) -> NormResult:
             "w_lo": SWEEP_W_LO,
             "w_hi": SWEEP_W_HI,
             "coarse_points_per_decade": SWEEP_COARSE_PPD,
-            "peak_points_per_decade": SWEEP_PEAK_PPD,
+            "zoom_points": SWEEP_ZOOM_POINTS,
             "omega_rtol": SWEEP_W_RTOL,
             "gain_evaluations": int(evals),
         },

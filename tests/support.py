@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.optimize import minimize_scalar
 
 from netred.generators import (
     random_dissipative_dynamics,
@@ -40,10 +39,10 @@ from netred.netsys import hurwitz_over, is_synchronized
 from netred.norms import (
     SWEEP_COARSE_PPD,
     SWEEP_LEVEL_ULPS,
-    SWEEP_PEAK_PPD,
     SWEEP_W_HI,
     SWEEP_W_LO,
     SWEEP_W_RTOL,
+    SWEEP_ZOOM_POINTS,
     NormResult,
     aux_gramian_h2_sq,
 )
@@ -200,7 +199,7 @@ def real_schur_split(a) -> tuple:
 
 
 def reference_hinf_sweep(sys) -> float:
-    """The grids, peak choice and Brent refinement of ``norms.hinf_norm_sweep``, one
+    """The grids, peak choice and zoom refinement of ``norms.hinf_norm_sweep``, one
     frequency at a time: a dense LU per frequency on the realization restricted to
     its stable invariant subspace by ``real_schur_split``."""
     v_s, a_s, v_u = real_schur_split(sys.A)
@@ -227,17 +226,13 @@ def reference_hinf_sweep(sys) -> float:
                 peaks.append(max(range(rise, i), key=lambda j: vals[j]))
             rise = None
     for i in sorted(peaks, key=lambda i: -vals[i])[:3]:
-        n_dense = max(int(round(2 * step * SWEEP_PEAK_PPD)) + 1, 16)
-        dts = np.linspace(ts[i] - step, ts[i] + step, n_dense)
-        dvals = [gain(10.0**t) for t in dts]
-        j = int(np.argmax(dvals))
-        res = minimize_scalar(
-            lambda t: -gain(10.0**t),
-            bounds=(dts[max(j - 1, 0)], dts[min(j + 1, n_dense - 1)]),
-            method="bounded",
-            options={"xatol": SWEEP_W_RTOL / math.log(10.0)},
-        )
-        best = max(best, dvals[j], -res.fun)
+        lo, hi = ts[i] - step, ts[i] + step
+        while hi - lo > SWEEP_W_RTOL / math.log(10.0):
+            zts = np.linspace(lo, hi, SWEEP_ZOOM_POINTS)
+            zvals = [gain(10.0**t) for t in zts]
+            j = int(np.argmax(zvals))
+            best = max(best, zvals[j])
+            lo, hi = zts[max(j - 1, 0)], zts[min(j + 1, SWEEP_ZOOM_POINTS - 1)]
     return best
 
 

@@ -11,6 +11,7 @@ import importlib
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
@@ -28,6 +29,7 @@ from netred.generators import (
 from netred.netfile import dump_json, generate_example, network_from_payload
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = PERFBENCH.parent / "src"
 
 
 def _load(name: str):
@@ -210,3 +212,18 @@ def test_symmetric_eigendecompositions_stay_network_sized(tmp_path):
     assert tracer.stats["linalg.sym_eig"].calls == len(rows) == 2
     assert max(rows) <= payload["n_nodes"]
     assert eigh_rows and max(eigh_rows) <= payload["n_nodes"]
+
+
+def test_cli_import_loads_no_optimizer_or_sparse_scipy():
+    # setup_s times a fresh interpreter that imports netred.cli; netred uses scipy.linalg
+    # only, and scipy.optimize would pull in scipy.sparse and some 230 more modules
+    script = (
+        "import sys\nimport netred.cli\n"
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        check=True, timeout=120, capture_output=True, text=True,
+    )
+    assert done.stdout.strip() == "[]"

@@ -55,6 +55,12 @@ class TestExamples:
         b = generate_example("random-general", seed=7)
         assert dump_json(a) == dump_json(b)
 
+    def test_negative_seed_exits_2_with_kind_flags(self, capsys):
+        assert main(["example", "k3-aep", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["kind"] == "flags"
+
     def test_unknown_example_exits_2(self, capsys):
         assert main(["example", "does-not-exist"]) == 2
         err = json.loads(capsys.readouterr().err)
@@ -132,6 +138,16 @@ class TestValidation:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["analyze", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe\x00", b"[" * 200_000], ids=["not-utf8", "nested-too-deep"]
+    )
+    def test_unreadable_json_exits_2_with_kind_json(self, tmp_path, capsys, content):
+        # a decoding error and the decoder's recursion limit, not a traceback (exit 1)
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["analyze", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "json"
 
     def test_missing_file_rejected(self, tmp_path):
         assert main(["analyze", str(tmp_path / "absent.json")]) == 2
