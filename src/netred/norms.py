@@ -66,8 +66,7 @@ METHOD_LYAPUNOV = "lyapunov_kernel"
 METHOD_DC = "dc_gain_closed_form"
 METHOD_SWEEP = "frequency_sweep"
 
-# Frequency grids (rad/s; PPD = points per decade; the sweep zooms on a peak with
-# grids of SWEEP_ZOOM_POINTS points) of the H-infinity sweep and
+# Frequency grids (rad/s; PPD = points per decade) of the H-infinity sweep and
 # the H2 quadrature oracle (whose window widens past the poles, see
 # h2_norm_quadrature).  Their certificates echo them.
 SWEEP_W_LO, SWEEP_W_HI, SWEEP_W_RTOL = 1e-6, 1e6, 1e-6
@@ -122,15 +121,15 @@ def hinf_norm_sweep(sys) -> NormResult:
     """H-infinity norm by adaptive frequency sweep.
 
     Coarse log grid over [SWEEP_W_LO, SWEEP_W_HI], then a zoom on each interior peak
-    of the coarse grid that rises and falls by more than SWEEP_LEVEL_ULPS ulps: from
-    the bracket of the peak's coarse neighbours, SWEEP_ZOOM_POINTS log-spaced points
-    on the bracket, then the bracket of the best point's neighbours, until it is
-    narrower than SWEEP_W_RTOL in relative frequency.  The response at s = 0 anchors
-    the w -> 0 end.  The unobservable marginal modes are masked
-    (``stable_unstable_split``); each grid, the anchor and each zoom is then one
-    ``triangular_response`` call, whose gains the search compares as the largest
-    eigenvalues of the smaller Gram matrices.  The value is sigma_max, by ``svd``, of
-    the response with the largest gain evaluated.
+    of the coarse grid that rises and falls by more than SWEEP_LEVEL_ULPS ulps.  The
+    zoom starts from the bracket of the peak's two coarse neighbours; it evaluates
+    SWEEP_ZOOM_POINTS log-spaced frequencies on the bracket and narrows it to the
+    neighbours of the best of them, until the bracket is narrower than SWEEP_W_RTOL
+    in relative frequency.  The response at s = 0 anchors the w -> 0 end.  The
+    unobservable marginal modes are masked (``stable_unstable_split``); each grid, the
+    anchor and each zoom step is then one ``triangular_response`` call, whose gains the
+    search compares as the largest eigenvalues of the smaller Gram matrices.  The value
+    is sigma_max, by ``svd``, of the response with the largest gain evaluated.
     """
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return _zero_result(METHOD_SWEEP)
