@@ -1,21 +1,20 @@
 """Linear-algebra kernels used throughout the package.
 
-Symmetric eigendecompositions, a pseudoinverse, Hurwitz tests (of one matrix or a
-stack of blocks in one call) and Lyapunov solvers.  Only ``sorted_schur`` chooses
-between a real ``eigh`` (exactly symmetric input: T real diagonal) and a complex
-Schur form.
+Symmetric eigendecompositions, Hurwitz tests (of one matrix or a stack of blocks
+in one call) and Lyapunov solvers.  Only ``sorted_schur`` chooses between a real
+``eigh`` (exactly symmetric input: T real diagonal) and a complex Schur form.
 
 Every norm reads a ``ModalSystem``: a drift blockdiag(T_i) of K upper
 triangular b x b blocks (b = 1 for a real diagonal form, b = n for a network
-of nonsymmetric agents, K = 1 for a bare ``StateSpace``), with the input and
-the output in those coordinates.  Its ``unstable`` mask is the one decision on
-which modes a norm drops, and the one deflation (``stable_unstable_split``)
-masks those states in place, so every route sees the shapes of the form.  The
-response (``triangular_response``) and the Gramian (``solve_block_sylvester``)
-are each one path over the stack: a back substitution over the rows of all
-blocks, and an entrywise recurrence over block pairs.  No N n-state matrix is
-formed: the Gramian is an arrow whose block-diagonal head is eliminated before
-a pivoted Cholesky factorization cuts its rank.  Every function is pure: none
+of nonsymmetric agents), with the input and the output in those coordinates.
+Its ``unstable`` mask is the one decision on which modes a norm drops, and the
+one deflation (``stable_unstable_split``) masks those states in place, so
+every route sees the shapes of the form.  The response (``triangular_response``)
+and the Gramian (``solve_block_sylvester``) are each one path over the stack: a
+back substitution over the rows of all blocks, and an entrywise recurrence over
+block pairs.  No N n-state matrix is formed: the Gramian is an arrow whose
+block-diagonal head is eliminated before a pivoted Cholesky factorization cuts
+its rank.  Every function is pure: none
 mutates its arguments.
 """
 
@@ -27,7 +26,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import IllConditioned, NotHurwitz, NotSymmetric, UnstablePoles
+from .errors import NotHurwitz, NotSymmetric, UnstablePoles
 
 # Eigenvalues with real part >= -STABILITY_MARGIN count as closed right half
 # plane: the margin classifies agent modes (poles of A - lam B), since the
@@ -106,10 +105,6 @@ class ModalSystem:
     def n_outputs(self) -> int:
         return self.C.shape[0]
 
-    @property
-    def modal(self) -> ModalSystem:
-        return self
-
     def observation(self, states) -> float:
         """The largest |entry| of the output's columns at the ``states`` (a boolean mask)."""
         n1 = self.d.size
@@ -122,59 +117,6 @@ class ModalSystem:
     def poles(self) -> np.ndarray | None:
         """The diagonal of the drift when it is held as one-state blocks, else None."""
         return self.t[:, 0, 0] if self.t.shape[1] == 1 else None
-
-
-@dataclass(frozen=True)
-class StateSpace:
-    """A strictly proper LTI realization (A, B, C) with y = C x, dx/dt = A x + B u, given
-    densely (a bare realization; network realizations are ``ModalSystem``)."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-
-    def __post_init__(self):
-        a = _square(self.A, "A")
-        b = np.asarray(self.B, dtype=float)
-        c = np.asarray(self.C, dtype=float)
-        if b.ndim != 2 or b.shape[0] != a.shape[0]:
-            raise ValueError(f"B must have {a.shape[0]} rows, got shape {b.shape}")
-        if c.ndim != 2 or c.shape[1] != a.shape[0]:
-            raise ValueError(f"C must have {a.shape[0]} columns, got shape {c.shape}")
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "B", b)
-        object.__setattr__(self, "C", c)
-
-    @property
-    def n_states(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n_inputs(self) -> int:
-        return self.B.shape[1]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.C.shape[0]
-
-    @cached_property
-    def schur(self) -> tuple:
-        """``(T, Z, n_u)``: A = Z T Z^H with Z unitary, T upper triangular and the n_u
-        eigenvalues Re >= -STABILITY_MARGIN first on the diagonal of T, from one
-        ``sorted_schur`` of A on first use."""
-        return sorted_schur(self.A)
-
-    @cached_property
-    def modal(self) -> ModalSystem:
-        """The realization in the coordinates of ``schur``: (T, Z^H B, C Z) as one block."""
-        t, z, n_u = self.schur
-        return ModalSystem(
-            np.diagonal(t)[:, None, None] if np.isrealobj(t) else t[None],  # eigh: T diagonal
-            z.conj().T @ self.B,
-            self.C @ z,
-            np.arange(self.n_states) < n_u,
-            1.0 + np.abs(self.C).max(initial=0.0),
-        )
 
 
 def sym_eig(mat) -> SymmetricEig:
@@ -193,19 +135,6 @@ def sym_eig(mat) -> SymmetricEig:
     return SymmetricEig(eigenvalues=w, eigenvectors=u)
 
 
-def pinv(mat) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a symmetric matrix.
-
-    Built as U diag(w)^+ U^T: eigenvalues with |w| <= RANK_TOL * max|w| are
-    treated as zero and left uninverted.  The zero matrix maps to itself.
-    """
-    eig = sym_eig(mat)
-    w = eig.eigenvalues
-    keep = np.abs(w) > RANK_TOL * np.abs(w).max(initial=0.0)
-    w_plus = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
-    return (eig.eigenvectors * w_plus) @ eig.eigenvectors.T
-
-
 def is_hurwitz(mat) -> bool:
     """True iff every eigenvalue has real part < -STABILITY_MARGIN.  ``mat`` is one
     square matrix or a stack (k, n, n), decided by one batched ``eigvals``: LAPACK
@@ -219,6 +148,7 @@ def is_hurwitz(mat) -> bool:
     return bool(np.linalg.eigvals(m).real.max() < -STABILITY_MARGIN)
 
 
+# only tests call this; it stays while perfbench/tracing.py's linalg.lyapunov group names it
 def solve_lyapunov(a, q) -> np.ndarray:
     """Solve A^T X + X A + Q = 0 for Hurwitz A and symmetric PSD Q.
 
@@ -232,20 +162,20 @@ def solve_lyapunov(a, q) -> np.ndarray:
     return 0.5 * (x + x.T)
 
 
-def _psd_quadratic_trace(x, b, scale=None) -> float:
+def _psd_quadratic_trace(x, b, scale) -> float:
     """tr(B^H X B) for Hermitian PSD X, evaluated as ||L^H P^T B||_F^2 from a pivoted
     Cholesky factorization P^T X P = L L^H (LAPACK ``?pstrf`` on the lower triangle).
 
     Mathematically identical to the direct trace, but the factorization stops at the
-    first pivot at or below RANK_TOL * scale (default: max diag X) and its trailing
-    Schur complement counts as exactly zero.  Solver noise in X then cannot leak into
-    the trace through near-null directions, which matters when the exact value is zero.
+    first pivot at or below RANK_TOL * scale and its trailing Schur complement counts
+    as exactly zero.  Solver noise in X then cannot leak into the trace through
+    near-null directions, which matters when the exact value is zero.
     ``?pstrf`` never compares its first pivot with the tolerance, so an X whose whole
     diagonal is at or below it gives 0.0 without a factorization, as do the zero and the
     empty matrix.
     """
     top = np.diagonal(x).real.max(initial=0.0)
-    tol = RANK_TOL * (top if scale is None else scale)
+    tol = RANK_TOL * scale
     if top <= tol:
         return 0.0
     pstrf = sla.lapack.get_lapack_funcs("pstrf", (x,))
@@ -267,24 +197,23 @@ def require_unobserved(sys: ModalSystem, states) -> None:
         )
 
 
-def stable_unstable_split(sys) -> tuple:
-    """``(T_s, B_s, C_s, d_s)``: ``sys.modal`` with every closed-right-half-plane state
+def stable_unstable_split(sys: ModalSystem) -> tuple:
+    """``(T_s, B_s, C_s, d_s)``: ``sys`` with every closed-right-half-plane state
     masked, of the same shapes and with the same response (``triangular_response``).  A
     masked state gets its pole moved to -1 and a zero output column, in d and in C.  It
     comes first in its block, so it drives no other state; unobserved, it then changes
     neither the response nor the Gramian, whose rows for it are exactly zero.  With no
     such state the modal triple itself is returned.  Raises UnstablePoles if the output
     observes one of them."""
-    m = sys.modal
-    require_unobserved(m, m.unstable)
-    if not m.unstable.any():
-        return m.t, m.B, m.C, m.d
-    n1, w = m.d.size, m.t.shape[1]
-    t_s, c_s, d_s = m.t.copy(), m.C.copy(), m.d.copy()
-    blocks, rows = np.nonzero(m.unstable.reshape(-1, w))
+    require_unobserved(sys, sys.unstable)
+    if not sys.unstable.any():
+        return sys.t, sys.B, sys.C, sys.d
+    n1, w = sys.d.size, sys.t.shape[1]
+    t_s, c_s, d_s = sys.t.copy(), sys.C.copy(), sys.d.copy()
+    blocks, rows = np.nonzero(sys.unstable.reshape(-1, w))
     t_s[blocks, rows, rows] = -1.0
-    c_s[:, m.unstable[n1:]], d_s[m.unstable[:n1]] = 0.0, 0.0
-    return t_s, m.B, c_s, d_s
+    c_s[:, sys.unstable[n1:]], d_s[sys.unstable[:n1]] = 0.0, 0.0
+    return t_s, sys.B, c_s, d_s
 
 
 def apply_output(c, d, x) -> np.ndarray:
@@ -340,18 +269,17 @@ def solve_block_sylvester(t1, t2, g) -> tuple:
     return x, float(np.abs(residual).max(initial=0.0))
 
 
-def solve_lyapunov_with_kernel(sys):
+def solve_lyapunov_with_kernel(sys: ModalSystem):
     """``((D, F, R), h2sq, residual)``: the observability Gramian X_s = [[blockdiag(D),
     F], [F^H, R]] of ``stable_unstable_split``'s triple, T_s^H X_s + X_s T_s + C_s^H C_s
     = 0, whose head D (b x b blocks) belongs to the diagonal output block d.  It is the
     PSD solution of A^T X + X A + C^T C = 0 that vanishes on the closed right half plane,
     in modal coordinates.  D, F and R are ``solve_block_sylvester`` over the head's
-    blocks and the block pairs (LAPACK's ``ztrsyl`` for a one-block form, a bare
-    ``StateSpace``).  h2sq = tr(B_s^H X_s B_s) = tr(Y^H D Y) + tr(B_2^H S B_2) with
-    Y = B_1 + D^+ F B_2 and S = R - F^H D^+ F, whose rank ``_psd_quadratic_trace`` cuts
-    against RANK_TOL * max diag R.  D^+ F inverts the head's blocks at once, with a unit
-    pivot on each state with d = 0 (at lam = 0, or masked), whose rows of D and F are
-    zero.  Raises UnstablePoles, and IllConditioned when ``ztrsyl`` fails."""
+    blocks and the block pairs.  h2sq = tr(B_s^H X_s B_s) = tr(Y^H D Y) +
+    tr(B_2^H S B_2) with Y = B_1 + D^+ F B_2 and S = R - F^H D^+ F, whose rank
+    ``_psd_quadratic_trace`` cuts against RANK_TOL * max diag R.  D^+ F inverts the
+    head's blocks at once, with a unit pivot on each state with d = 0 (at lam = 0, or
+    masked), whose rows of D and F are zero.  Raises UnstablePoles."""
     t_s, b_s, c_s, d = stable_unstable_split(sys)
     w, n1 = t_s.shape[1], d.size
     t1, t2, n2 = t_s[: n1 // w], t_s[n1 // w :], b_s.shape[0] - n1
@@ -363,15 +291,7 @@ def solve_lyapunov_with_kernel(sys):
 
     head, res_head = solve_block_sylvester(t1, t1, np.eye(w) * np.abs(d.reshape(-1, 1, w)) ** 2)
     f, res_cross = solve(t1, d.conj()[:, None] * c_s[:n1])
-    gram = c_s.conj().T @ c_s
-    if len(t2) == len(t_s) == 1 < w:  # one block: LAPACK runs the recurrence
-        r, scale, info = sla.lapack.ztrsyl(t2[0], t2[0], -gram, trana="C")
-        if info:
-            raise IllConditioned(f"triangular Lyapunov solve failed (ztrsyl info={info})")
-        r = r / scale
-        res_tail = np.abs(t2[0].conj().T @ r + r @ t2[0] + gram).max()
-    else:
-        r, res_tail = solve(t2, gram)
+    r, res_tail = solve(t2, c_s.conj().T @ c_s)
     b1, b2 = b_s[:n1], b_s[n1:]
     unit = np.eye(w) * (d == 0).reshape(-1, 1, w)  # on the states whose rows of D and F are 0
     # the small blocks' inverses and one product: a batched solve is several times slower

@@ -13,11 +13,11 @@ against the test suite's oracles:
   Its grids compare gains taken from the smaller Gram matrix of each response;
   the value is one ``svd`` at the frequency the search chose.
 * ``hinf_norm_dc``: exact DC-gain value sigma_max(C A^+ B), valid when a
-  symmetric witness X with CA = XC exists and ker A lies in ker C, read from
+  diagonal witness X with CA = XC exists and ker A lies in ker C, read from
   the realization's real diagonal modal form; for the full network it is
   sigma_max(diag(d / p) B) over the stable poles p.
 
-Every route reads a realization in modal coordinates (``sys.modal``, see
+Every route reads a realization in modal coordinates (a
 ``linalg.ModalSystem``), whose output a network realization has rotated into
 the Laplacian eigenbasis (``netsys``): norms do not change under that
 rotation, and a witness is given in the rotated output coordinates (-L
@@ -263,47 +263,37 @@ def aux_dc_gain(dyn: AgentDynamics, lams) -> np.ndarray:
 def hinf_norm_dc(sys, x_witness) -> NormResult:
     """Exact H-infinity norm sigma_max(C A^+ B) under a DC-dominance witness.
 
-    Read from the modal form ``sys.modal`` (of a ``ModalSystem`` or a ``StateSpace``):
-    with a diagonal output block d it is sigma_max(diag(d w_1^+) B_1 + C diag(w_2^+) B_2),
-    w^+ = 1/w off ``unstable`` and 0 on it.  Of the states ``unstable`` marks, those with
-    w <= STABILITY_MARGIN span ker A and the others are positive poles; the output may
-    observe neither (KernelViolated, the certificate's ``kernel_residual``, and
-    UnstablePoles).  Preconditions besides: a real diagonal drift diag(w) (else
-    NotSymmetric); a witness X, symmetric, in the output coordinates of the realization,
-    with C A = X C (so the gain is maximal at zero frequency), given as a p x p matrix
-    or as the vector of a diagonal one.
-    """
+    Read from the modal form ``sys``: with a diagonal output block d it is
+    sigma_max(diag(d w_1^+) B_1 + C diag(w_2^+) B_2), w^+ = 1/w off ``unstable`` and 0
+    on it.  Of the states ``unstable`` marks, those with w <= STABILITY_MARGIN span
+    ker A and the others are positive poles; the output may observe neither
+    (KernelViolated, the certificate's ``kernel_residual``, and UnstablePoles).
+    Preconditions besides: a real diagonal drift diag(w) (else NotSymmetric); a witness
+    X, diagonal in the output coordinates of the realization, with C A = X C (so the
+    gain is maximal at zero frequency), given as the vector of its diagonal (else
+    WitnessInvalid)."""
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return _zero_result(METHOD_DC)
-    m = sys.modal
-    w = m.poles
+    w = sys.poles
     if w is None or not np.isrealobj(w):
         raise NotSymmetric("the DC-gain route needs a real diagonal Schur form (a symmetric A)")
-    x = np.asarray(x_witness, dtype=float)
-    p, n1 = m.n_outputs, m.d.size
-    if x.shape not in ((p,), (p, p)):
-        raise WitnessInvalid(f"witness must be {p} x {p} or a diagonal of {p}, got {x.shape}")
-    if np.abs(x - x.T).max(initial=0.0) > WITNESS_RTOL * (1.0 + np.abs(x).max(initial=0.0)):
-        raise WitnessInvalid("witness matrix is not symmetric")
+    x, n1 = np.asarray(x_witness, dtype=float), sys.d.size
+    if x.shape != (sys.n_outputs,):
+        raise WitnessInvalid(f"witness must be a vector of shape ({sys.n_outputs},), got {x.shape}")
     # C A - X C, column block by column block: the diagonal output block, then C
-    ca_head, ca_rest = m.d * w[:n1], m.C * w[n1:]
-    if x.ndim == 1:
-        head, rest = ca_head - x[:n1] * m.d, ca_rest - x[:, None] * m.C
-    else:
-        head = -x[:, :n1] * m.d
-        head[np.arange(n1), np.arange(n1)] += ca_head
-        rest = ca_rest - x @ m.C
+    ca_head, ca_rest = sys.d * w[:n1], sys.C * w[n1:]
+    head, rest = ca_head - x[:n1] * sys.d, ca_rest - x[:, None] * sys.C
     witness_residual = max(np.abs(head).max(initial=0.0), np.abs(rest).max(initial=0.0))
     ca_scale = max(np.abs(ca_head).max(initial=0.0), np.abs(ca_rest).max(initial=0.0))
     if witness_residual > WITNESS_RTOL * (1.0 + ca_scale):
         raise WitnessInvalid(f"CA != XC (residual {witness_residual:.3e})")
-    kernel = m.unstable & (w <= STABILITY_MARGIN)
-    kernel_residual = m.observation(kernel)
-    if kernel_residual > KERNEL_TOL * m.c_scale:
+    kernel = sys.unstable & (w <= STABILITY_MARGIN)
+    kernel_residual = sys.observation(kernel)
+    if kernel_residual > KERNEL_TOL * sys.c_scale:
         raise KernelViolated(f"ker A not contained in ker C (residual {kernel_residual:.3e})")
-    require_unobserved(m, m.unstable & ~kernel)  # the positive poles
-    w_plus = np.divide(1.0, w, out=np.zeros_like(w), where=~m.unstable)  # A^+ = diag(w_plus)
-    gain = apply_output(m.C, m.d, w_plus[:, None] * m.B)  # C A^+ B
+    require_unobserved(sys, sys.unstable & ~kernel)  # the positive poles
+    w_plus = np.divide(1.0, w, out=np.zeros_like(w), where=~sys.unstable)  # A^+ = diag(w_plus)
+    gain = apply_output(sys.C, sys.d, w_plus[:, None] * sys.B)  # C A^+ B
     value = float(np.linalg.svd(gain, compute_uv=False).max(initial=0.0))
     return NormResult(
         value,

@@ -1,13 +1,24 @@
 """Shared oracles and reference data for the test suite.
 
-The oracles here deliberately avoid the production code paths they check:
-the Lyapunov oracle solves the linear system by Kronecker vectorization,
-the frequency-response oracle does one dense LU per frequency (the package
-uses one Schur form for all of them), the reference sweep deflates with two
-real Schur forms, the dense route factors a whole network realization in one
-complex Schur form (the package assembles it from the Laplacian eigenbasis),
-and the equitability oracles test degree constancy cell by cell.  The
-reduced realization, the auxiliary systems and the spectral H2 formulas
+The oracles here deliberately avoid the production code paths they check,
+and each stays independent of one path only:
+
+* the Gramian: ``lyap_kron_oracle`` solves the Lyapunov equation by
+  Kronecker vectorization and ``linalg.solve_lyapunov`` by LAPACK's dense
+  solver, where the package runs an entrywise recurrence over Schur blocks;
+* the response: ``dense_response`` does one dense LU per frequency (the
+  package uses one Schur form for all of them), and the reference sweep
+  deflates with two real Schur forms;
+* the assembly: the Kronecker builders (``dense_full`` ...) form a network
+  realization as a ``Dense`` triple, and ``dense_route`` factors it in one
+  complex Schur form of its whole drift, where the package assembles it from
+  the Laplacian eigenbasis.  ``dense_route`` and ``modal_form`` (a dense
+  triple on ``linalg.sorted_schur``) feed the package's own Gramian,
+  response and deflation, so they check the assembly, not those kernels;
+* the DC gain: ``pinv`` gives sigma_max(C A^+ B) from a dense pseudoinverse;
+* equitability: the oracles test degree constancy cell by cell.
+
+The reduced realization, the auxiliary systems and the spectral H2 formulas
 re-derive what ``bounds.Analysis`` decides and assembles once, from the
 module-default tolerances.
 """
@@ -16,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -34,7 +46,7 @@ from netred.graphcore import (
     project_to_aep_laplacian,
     reduce_graph,
 )
-from netred.linalg import RANK_TOL, STABILITY_MARGIN, ModalSystem, StateSpace, sym_eig
+from netred.linalg import RANK_TOL, STABILITY_MARGIN, ModalSystem, sorted_schur, sym_eig
 from netred.netsys import hurwitz_over, is_synchronized
 from netred.norms import (
     SWEEP_COARSE_PPD,
@@ -74,6 +86,42 @@ PATH5_AEP_PROJECTION = (
 )
 
 
+class Dense(NamedTuple):
+    """A dense realization dx/dt = A x + B u, y = C x."""
+
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+
+
+def modal_form(a, b, c) -> ModalSystem:
+    """The dense realization (A, B, C) in the coordinates of ``sorted_schur`` of A:
+    (T, Z^H B, C Z), as one-state blocks when A is exactly symmetric (T diagonal), else
+    as one triangular block."""
+    a, b, c = (np.asarray(m, dtype=float) for m in (a, b, c))
+    t, z, n_u = sorted_schur(a)
+    return ModalSystem(
+        np.diagonal(t)[:, None, None] if np.isrealobj(t) else t[None],
+        z.conj().T @ b,
+        c @ z,
+        np.arange(len(a)) < n_u,
+        1.0 + np.abs(c).max(initial=0.0),
+    )
+
+
+def pinv(mat) -> np.ndarray:
+    """Moore-Penrose pseudoinverse of a symmetric matrix, the dense DC-gain oracle's.
+
+    Built as U diag(w)^+ U^T: eigenvalues with |w| <= RANK_TOL * max|w| are
+    treated as zero and left uninverted.  The zero matrix maps to itself.
+    """
+    eig = sym_eig(mat)
+    w = eig.eigenvalues
+    keep = np.abs(w) > RANK_TOL * np.abs(w).max(initial=0.0)
+    w_plus = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
+    return (eig.eigenvectors * w_plus) @ eig.eigenvectors.T
+
+
 def lyap_kron_oracle(a, q):
     """Brute-force Lyapunov solve: (I (x) A^T + A^T (x) I) vec(X) = -vec(Q)."""
     a = np.asarray(a, dtype=float)
@@ -84,14 +132,14 @@ def lyap_kron_oracle(a, q):
     return x.reshape((n, n), order="F")
 
 
-def dense_gramian(sys, arrow) -> np.ndarray:
-    """X = Z_s X_s Z_s^H: the Gramian of ``solve_lyapunov_with_kernel`` on a bare
-    ``StateSpace`` (whose arrow (D, F, X_s) has an empty head) in the coordinates of A,
-    from its X_s on the trailing states of ``sys.schur``: the stable ones of a diagonal
-    form, all of them (zero on the deflated ones) of a triangular one."""
+def dense_gramian(a, arrow) -> np.ndarray:
+    """X = Z X_s Z^H: the Gramian of ``solve_lyapunov_with_kernel`` on ``modal_form`` of
+    a realization with drift A (whose arrow (D, F, X_s) has an empty head) in the
+    coordinates of A, from its X_s on the states of ``sorted_schur(A)``, zero on the
+    deflated ones."""
     head, _, x_s = arrow
     assert head.size == 0
-    z = sys.schur[1][:, sys.n_states - len(x_s) :]
+    z = sorted_schur(np.asarray(a, dtype=float))[1]
     x = (z @ x_s @ z.conj().T).real
     return 0.5 * (x + x.T)
 
@@ -106,10 +154,10 @@ def eigh_quadratic_trace(x, b) -> float:
 
 
 def dense_response(sys, s: complex) -> np.ndarray:
-    """C (sI - A)^{-1} B at one complex frequency by one dense LU solve (of a
-    ``ModalSystem``, on ``modal_dense``)."""
-    a, b, c = modal_dense(sys) if isinstance(sys, ModalSystem) else (sys.A, sys.B, sys.C)
-    return c @ np.linalg.solve(s * np.eye(sys.n_states) - a, b.astype(complex))
+    """C (sI - A)^{-1} B at one complex frequency by one dense LU solve (of a ``Dense``
+    triple, or of a ``ModalSystem`` on ``modal_dense``)."""
+    a, b, c = modal_dense(sys) if isinstance(sys, ModalSystem) else sys
+    return c @ np.linalg.solve(s * np.eye(len(a)) - a, b.astype(complex))
 
 
 def modal_dense(sys) -> tuple:
@@ -126,19 +174,19 @@ def response_gram(sys, s: complex) -> np.ndarray:
     return g.conj().T @ g
 
 
-def dense_network(dyn, coupling, b_nodes, c_nodes) -> StateSpace:
+def dense_network(dyn, coupling, b_nodes, c_nodes) -> Dense:
     """(I (x) A - coupling (x) B, b_nodes (x) E, c_nodes (x) I) by Kronecker products."""
     drift = np.kron(np.eye(coupling.shape[0]), dyn.A) - np.kron(coupling, dyn.B)
-    return StateSpace(drift, np.kron(b_nodes, dyn.E), np.kron(c_nodes, np.eye(dyn.n)))
+    return Dense(drift, np.kron(b_nodes, dyn.E), np.kron(c_nodes, np.eye(dyn.n)))
 
 
-def dense_full(ns) -> StateSpace:
+def dense_full(ns) -> Dense:
     """The full network (I (x) A - L (x) B, M (x) E, L (x) I), assembled densely."""
     lap = ns.laplacian.mat
     return dense_network(ns.dyn, lap, ns.m_matrix, lap)
 
 
-def dense_reduced_bar(ns, pi, output=None) -> StateSpace:
+def dense_reduced_bar(ns, pi, output=None) -> Dense:
     """The reduced network in the coordinates (P^T P)^{1/2} x, assembled densely:
     (I (x) A - l_bar (x) B, (P^T P)^{1/2} M_hat (x) E, output (x) I), by default with
     output L P (P^T P)^{-1/2}."""
@@ -149,11 +197,11 @@ def dense_reduced_bar(ns, pi, output=None) -> StateSpace:
     return dense_network(ns.dyn, rg.laplacian_bar, root[:, None] * rg.m_hat, output)
 
 
-def dense_error(ns, pi) -> StateSpace:
+def dense_error(ns, pi) -> Dense:
     """The error system S - S_hat as the dense parallel difference of ``dense_full`` and
     ``dense_reduced_bar``."""
     full, red = dense_full(ns), dense_reduced_bar(ns, pi)
-    return StateSpace(
+    return Dense(
         sla.block_diag(full.A, red.A), np.vstack([full.B, red.B]), np.hstack([full.C, -red.C])
     )
 
@@ -164,7 +212,7 @@ def dense_triangle_terms(an) -> tuple:
     ns, pi = an.ns, an.pi
     d_l = ns.laplacian.mat - project_to_aep_laplacian(ns.laplacian, pi)[0]
     full = dense_full(ns)
-    term1 = StateSpace(full.A, full.B, np.kron(d_l, np.eye(ns.dyn.n)))
+    term1 = Dense(full.A, full.B, np.kron(d_l, np.eye(ns.dyn.n)))
     d_lp = d_l @ pi.char_matrix / np.sqrt(pi.sizes)[None, :]
     return term1, dense_reduced_bar(ns, pi, output=d_lp)
 
@@ -181,9 +229,10 @@ def dense_schur(a) -> tuple:
 
 
 def dense_route(sys) -> ModalSystem:
-    """The realization in the coordinates of ``dense_schur`` of its drift, as one block."""
+    """The dense realization in the coordinates of ``dense_schur`` of its drift, as one
+    block."""
     t, z, n_u = dense_schur(sys.A)
-    unstable = np.arange(sys.n_states) < n_u
+    unstable = np.arange(len(sys.A)) < n_u
     return ModalSystem(t[None], z.conj().T @ sys.B, sys.C @ z, unstable, 1.0 + np.abs(sys.C).max())
 
 
@@ -206,7 +255,7 @@ def reference_hinf_sweep(sys) -> float:
     if v_s.shape[1] == 0:
         return 0.0
     b_s = np.linalg.solve(np.hstack([v_s, v_u]), sys.B)[: v_s.shape[1]]
-    stable = StateSpace(a_s, b_s, sys.C @ v_s)
+    stable = Dense(a_s, b_s, sys.C @ v_s)
 
     def gain(omega):
         return float(np.linalg.svd(dense_response(stable, 1j * omega), compute_uv=False).max())
@@ -292,7 +341,7 @@ def make_dynamics(rng, kind: str, n: int | None = None, r: int | None = None):
     raise ValueError(kind)
 
 
-def assemble_reduced(ns, pi) -> StateSpace:
+def assemble_reduced(ns, pi) -> Dense:
     """Reduced realization (I (x) A - L_hat (x) B, M_hat (x) E, LP (x) I).
 
     Coincides with the Petrov-Galerkin projection (W^T A V, W^T B, C V)
@@ -302,7 +351,7 @@ def assemble_reduced(ns, pi) -> StateSpace:
     drift = np.kron(np.eye(pi.n_cells), ns.dyn.A) - np.kron(rg.laplacian_hat, ns.dyn.B)
     b = np.kron(rg.m_hat, ns.dyn.E)
     c = np.kron(ns.laplacian.mat @ pi.char_matrix, np.eye(ns.dyn.n))
-    return StateSpace(drift, b, c)
+    return Dense(drift, b, c)
 
 
 def symmetrized_reduced_coupling(lap, pi) -> np.ndarray:
@@ -316,7 +365,7 @@ class AuxSystem:
     """Scalar-coupled companion system (A - lam B, E, lam I) for one nonzero eigenvalue."""
 
     lam: float
-    realization: StateSpace
+    realization: Dense
 
 
 def aux_systems(ns) -> list:
@@ -330,7 +379,7 @@ def aux_systems(ns) -> list:
     out = []
     for lam in ns.laplacian.spectral.eigenvalues:
         if lam > ZERO_EIG_TOL:
-            real = StateSpace(ns.dyn.A - lam * ns.dyn.B, ns.dyn.E, lam * np.eye(n))
+            real = Dense(ns.dyn.A - lam * ns.dyn.B, ns.dyn.E, lam * np.eye(n))
             out.append(AuxSystem(lam=float(lam), realization=real))
     return out
 

@@ -31,7 +31,6 @@ from netred.graphcore import (
     project_to_aep_laplacian,
     reduce_graph,
 )
-from netred.linalg import StateSpace, pinv
 from netred.netsys import (
     NetworkSystem,
     assemble_full,
@@ -49,6 +48,8 @@ from .support import (
     PATH5_LAPLACIAN,
     aep_by_degree_constancy,
     make_dynamics,
+    modal_form,
+    pinv,
     random_hurwitz,
 )
 
@@ -200,12 +201,12 @@ def test_criterion_7_cross_method_agreement(symmetric_hinf_corpus):
     lap2 = laplacian_from_graph(path_graph(2))
     h2_cases.append(assemble_full(NetworkSystem(laplacian=lap2, leaders=(0,), dyn=single_integrator())))
     for lam in (0.5, 2.0, 7.0):
-        h2_cases.append(StateSpace(A=[[-lam]], B=[[1.0]], C=[[lam]]))
+        h2_cases.append(modal_form([[-lam]], [[1.0]], [[lam]]))
     for seed in range(8):
         rng = np.random.default_rng(70_000 + seed)
         n = int(rng.integers(2, 7))
         h2_cases.append(
-            StateSpace(A=random_hurwitz(rng, n), B=rng.normal(size=(n, 2)), C=rng.normal(size=(2, n)))
+            modal_form(random_hurwitz(rng, n), rng.normal(size=(n, 2)), rng.normal(size=(2, n)))
         )
     for seed in range(8):
         rng = np.random.default_rng(71_000 + seed)

@@ -4,9 +4,11 @@
 their defining module, and ``perfbench/run.py`` fails a traced run in which a
 group it always expects records no call.  A rename, or a call path that
 stops reaching a group, fails a traced benchmark run after tens of seconds;
-these tests fail in about one.
+these tests fail in about one.  The same names are the only public package
+functions that the package itself need not call.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -227,3 +229,38 @@ def test_cli_import_loads_no_optimizer_or_sparse_scipy():
         check=True, timeout=120, capture_output=True, text=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+def _references(nodes) -> set:
+    """The names that code refers to: every ``Name``, the attribute of every ``Attribute``
+    and every imported name.  A docstring is a constant and refers to nothing."""
+    refs = set()
+    for node in (sub for top in nodes for sub in ast.walk(top)):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name)
+    return refs
+
+
+def test_package_holds_no_test_only_code():
+    # a public top-level function or class of netred is used by the package's code
+    # elsewhere, by its own module outside its definition, or traced by the benchmark;
+    # what only the tests use belongs in tests/support.py.  generators keeps its
+    # randomized fixtures by design
+    trees = {path.stem: ast.parse(path.read_text()).body for path in (SRC / "netred").glob("*.py")}
+    traced = {(module, name) for module, names in GROUPS.values() for name in names}
+    unused = []
+    for module, body in trees.items():
+        if module == "generators":
+            continue
+        others = _references(b for name, tree in trees.items() if name != module for b in tree)
+        for node in body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            own = _references(b for b in body if b is not node)
+            if node.name not in others | own and (module, node.name) not in traced:
+                unused.append(f"{module}.{node.name}")
+    assert unused == []

@@ -10,10 +10,9 @@ from netred.linalg import (
     RANK_TOL,
     SCHUR_CHUNK,
     STABILITY_MARGIN,
-    StateSpace,
+    ModalSystem,
     _psd_quadratic_trace,
     is_hurwitz,
-    pinv,
     solve_lyapunov,
     solve_lyapunov_with_kernel,
     sorted_schur,
@@ -26,11 +25,14 @@ from netred.netsys import NetworkSystem
 from .support import (
     PATH5_CELLS,
     PATH5_LAPLACIAN,
+    Dense,
     dense_gramian,
     dense_response,
     eigh_quadratic_trace,
     lyap_kron_oracle,
     make_dynamics,
+    modal_form,
+    pinv,
     random_hurwitz,
 )
 
@@ -233,9 +235,9 @@ class TestStableUnstableSplit:
         a = np.block(
             [[random_hurwitz(rng, 3), rng.normal(size=(3, 2))], [np.zeros((2, 3)), np.eye(2)]]
         )
-        sys = StateSpace(A=a, B=rng.normal(size=(5, 2)), C=np.zeros((1, 5)))
-        t, z, n_u = sys.schur
-        t_s, b_s, c_s, d_s = stable_unstable_split(sys)
+        b = rng.normal(size=(5, 2))
+        t, z, n_u = sorted_schur(a)
+        t_s, b_s, c_s, d_s = stable_unstable_split(modal_form(a, b, np.zeros((1, 5))))
         assert n_u == 2 and t_s.shape == (1, 5, 5) and d_s.size == 0
         # the one block keeps its size: each closed-right-half-plane state has its pole
         # moved to -1 and a zero output column
@@ -245,7 +247,7 @@ class TestStableUnstableSplit:
         z_u, z_s = z[:, :n_u], z[:, n_u:]
         assert np.abs(a @ z_u - z_u @ t[:n_u, :n_u]).max() <= 1e-10
         assert np.abs(z_s.conj().T @ a - t_s[0, n_u:, n_u:] @ z_s.conj().T).max() <= 1e-10
-        np.testing.assert_array_equal(b_s, z.conj().T @ sys.B)
+        np.testing.assert_array_equal(b_s, z.conj().T @ b)
 
 
 class TestSolveLyapunovWithKernel:
@@ -253,9 +255,8 @@ class TestSolveLyapunovWithKernel:
         a = np.diag([-1.0, 0.0])
         b = np.array([[1.0], [1.0]])
         c = np.array([[1.0, 0.0]])
-        sys = StateSpace(a, b, c)
-        x_s, h2sq, _ = solve_lyapunov_with_kernel(sys)
-        x = dense_gramian(sys, x_s)
+        x_s, h2sq, _ = solve_lyapunov_with_kernel(modal_form(a, b, c))
+        x = dense_gramian(a, x_s)
         np.testing.assert_allclose(x, np.diag([0.5, 0.0]), atol=1e-12)
         assert abs(h2sq - 0.5) <= 1e-12
 
@@ -264,16 +265,15 @@ class TestSolveLyapunovWithKernel:
         b = np.array([[1.0], [1.0]])
         c = np.array([[0.0, 1.0]])  # observes the zero mode
         with pytest.raises(UnstablePoles):
-            solve_lyapunov_with_kernel(StateSpace(a, b, c))
+            solve_lyapunov_with_kernel(modal_form(a, b, c))
 
     def test_agrees_with_plain_solve_for_hurwitz(self):
         rng = np.random.default_rng(6)
         a = random_hurwitz(rng, 5)
         b = rng.normal(size=(5, 2))
         c = rng.normal(size=(3, 5))
-        sys = StateSpace(a, b, c)
-        x_s, h2sq, _ = solve_lyapunov_with_kernel(sys)
-        x_kernel = dense_gramian(sys, x_s)
+        x_s, h2sq, _ = solve_lyapunov_with_kernel(modal_form(a, b, c))
+        x_kernel = dense_gramian(a, x_s)
         x_plain = solve_lyapunov(a, c.T @ c)
         assert np.abs(x_kernel - x_plain).max() <= 1e-9
         assert abs(h2sq - np.trace(b.T @ x_plain @ b)) <= 1e-9
@@ -281,9 +281,8 @@ class TestSolveLyapunovWithKernel:
     def test_psd_and_kernel_containment(self):
         # network-style marginal system: K2 single integrator, one leader
         lap = laplacian_from_graph(path_graph(2)).mat
-        sys = StateSpace(-lap, np.array([[1.0], [0.0]]), lap)
-        x_s, h2sq, _ = solve_lyapunov_with_kernel(sys)
-        x = dense_gramian(sys, x_s)
+        x_s, h2sq, _ = solve_lyapunov_with_kernel(modal_form(-lap, [[1.0], [0.0]], lap))
+        x = dense_gramian(-lap, x_s)
         assert abs(h2sq - 0.5) <= 1e-12
         assert np.linalg.eigvalsh(x).min() >= -1e-12
         ones = np.ones(2) / np.sqrt(2)
@@ -295,7 +294,7 @@ class TestSolveLyapunovWithKernel:
         # max|T_s^H X_s + X_s T_s + C_s^H C_s| over the whole arrow X_s, at rounding level
         rng = np.random.default_rng(7)
         systems = [
-            StateSpace(a, rng.normal(size=(len(a), 2)), rng.normal(size=(3, len(a))))
+            modal_form(a, rng.normal(size=(len(a), 2)), rng.normal(size=(3, len(a))))
             for a in (-np.diag([1.0, 2.0, 3.0]), random_hurwitz(rng, 5))
         ]
         ns, pi = random_aep_instance(rng, dynamics=make_dynamics(rng, "dissipative", n=3))
@@ -327,12 +326,12 @@ class TestPsdQuadraticTrace:
             g = g + 1j * rng.normal(size=(6, rank))
             b = b + 1j * rng.normal(size=(6, 2))
         x = g @ g.conj().T
-        got = _psd_quadratic_trace(x, b)
+        got = _psd_quadratic_trace(x, b, np.diagonal(x).real.max())
         assert got == pytest.approx(eigh_quadratic_trace(x, b), rel=1e-12, abs=0.0)
 
     def test_zero_and_empty(self):
-        assert _psd_quadratic_trace(np.zeros((4, 4)), np.ones((4, 2))) == 0.0
-        assert _psd_quadratic_trace(np.zeros((0, 0)), np.zeros((0, 2))) == 0.0
+        assert _psd_quadratic_trace(np.zeros((4, 4)), np.ones((4, 2)), 0.0) == 0.0
+        assert _psd_quadratic_trace(np.zeros((0, 0)), np.zeros((0, 2)), 0.0) == 0.0
 
     def test_whole_diagonal_under_the_cut_skips_the_factorization(self, monkeypatch):
         # ?pstrf takes its first pivot whatever the tolerance, so it keeps a matrix of
@@ -351,33 +350,8 @@ class TestPsdQuadraticTrace:
         assert _psd_quadratic_trace(x, b, scale=1.0) == 0.0
         assert calls == []
         # against its own diagonal nothing is cut: tr(b^T x b) = 6e-13
-        assert _psd_quadratic_trace(x, b) == pytest.approx(6e-13, rel=1e-12)
+        assert _psd_quadratic_trace(x, b, np.diagonal(x).max()) == pytest.approx(6e-13, rel=1e-12)
         assert calls == ["pstrf"]
-
-
-class TestStateSpace:
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            StateSpace(A=np.eye(2), B=np.ones((3, 1)), C=np.ones((1, 2)))
-        with pytest.raises(ValueError):
-            StateSpace(A=np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 3)))
-
-    def test_response_scalar(self):
-        sys = StateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]])
-        val = triangular_response(*stable_unstable_split(sys), [1j * 1.0])
-        np.testing.assert_allclose(val, [[[1.0 / (1j + 1.0)]]])
-
-    def test_response_stacked_matches_dense_oracle(self):
-        rng = np.random.default_rng(12)
-        a, b, c = random_hurwitz(rng, 6), rng.normal(size=(6, 2)), rng.normal(size=(3, 6))
-        sys = StateSpace(A=a, B=b, C=c)
-        for count in (1, SCHUR_CHUNK, SCHUR_CHUNK + 5):
-            s = 1j * np.logspace(-2, 2, count)
-            got = triangular_response(*stable_unstable_split(sys), s)
-            assert got.shape == (count, 3, 2)
-            for k in range(count):
-                want = dense_response(sys, s[k])
-                assert np.abs(got[k] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _error_system(lap, leaders, cells):
@@ -386,8 +360,10 @@ def _error_system(lap, leaders, cells):
 
 
 def _schur_matches_dense(sys, omegas):
-    got = triangular_response(*stable_unstable_split(sys), 1j * omegas)
-    assert got.shape == (len(omegas), sys.n_outputs, sys.n_inputs)
+    """``sys`` a ``ModalSystem``, or a ``Dense`` triple whose ``modal_form`` is checked."""
+    modal = sys if isinstance(sys, ModalSystem) else modal_form(*sys)
+    got = triangular_response(*stable_unstable_split(modal), 1j * omegas)
+    assert got.shape == (len(omegas), modal.n_outputs, modal.n_inputs)
     for k, omega in enumerate(omegas):
         want = dense_response(sys, 1j * omega)
         assert np.abs(got[k] - want).max() <= 1e-12 * np.abs(want).max()
@@ -398,17 +374,33 @@ class TestSchurResponse:
 
     OMEGAS = np.logspace(-2, 2, 2 * SCHUR_CHUNK + 5)  # not a multiple of the chunk
 
+    def test_response_scalar(self):
+        sys = modal_form([[-1.0]], [[1.0]], [[1.0]])
+        val = triangular_response(*stable_unstable_split(sys), [1j * 1.0])
+        np.testing.assert_allclose(val, [[[1.0 / (1j + 1.0)]]])
+
+    def test_response_stacked_matches_dense_oracle(self):
+        rng = np.random.default_rng(12)
+        sys = Dense(random_hurwitz(rng, 6), rng.normal(size=(6, 2)), rng.normal(size=(3, 6)))
+        for count in (1, SCHUR_CHUNK, SCHUR_CHUNK + 5):
+            s = 1j * np.logspace(-2, 2, count)
+            got = triangular_response(*stable_unstable_split(modal_form(*sys)), s)
+            assert got.shape == (count, 3, 2)
+            for k in range(count):
+                want = dense_response(sys, s[k])
+                assert np.abs(got[k] - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_non_normal(self):
         rng = np.random.default_rng(13)
         a = random_hurwitz(rng, 8) + np.triu(50.0 * rng.normal(size=(8, 8)), 1)
         a -= (np.linalg.eigvals(a).real.max() + 0.5) * np.eye(8)
-        sys = StateSpace(A=a, B=rng.normal(size=(8, 2)), C=rng.normal(size=(3, 8)))
+        sys = Dense(a, rng.normal(size=(8, 2)), rng.normal(size=(3, 8)))
         _schur_matches_dense(sys, self.OMEGAS)
 
     def test_defective_jordan_block(self):
         rng = np.random.default_rng(14)
         a = -np.eye(5) + np.eye(5, k=1)  # one Jordan block at -1
-        sys = StateSpace(A=a, B=rng.normal(size=(5, 1)), C=rng.normal(size=(2, 5)))
+        sys = Dense(a, rng.normal(size=(5, 1)), rng.normal(size=(2, 5)))
         _schur_matches_dense(sys, self.OMEGAS)
 
     def test_unobservable_marginal_modes_are_deflated(self):
@@ -429,7 +421,7 @@ class TestSchurResponse:
     def test_single_frequency(self):
         rng = np.random.default_rng(15)
         a, b, c = random_hurwitz(rng, 4), rng.normal(size=(4, 2)), rng.normal(size=(2, 4))
-        sys = StateSpace(A=a, B=b, C=c)
+        sys = Dense(a, b, c)
         _schur_matches_dense(sys, np.array([0.7]))
         _schur_matches_dense(sys, np.array([0.0]))
 
@@ -441,8 +433,8 @@ class TestSchurResponse:
         h, n = random_hurwitz(rng, 4), rng.normal(size=(4, 2))
         c1, b = rng.normal(size=(3, 4)), rng.normal(size=(6, 2))
         a = np.block([[h, n], [np.zeros((2, 6))]])
-        sys = StateSpace(a, b, np.hstack([c1, c1 @ np.linalg.solve(h, n)]))
-        minimal = StateSpace(h, b[:4] + np.linalg.solve(h, n @ b[4:]), c1)
+        sys = modal_form(a, b, np.hstack([c1, c1 @ np.linalg.solve(h, n)]))
+        minimal = modal_form(h, b[:4] + np.linalg.solve(h, n @ b[4:]), c1)
         t, _, _, _ = stable_unstable_split(sys)
         assert t.shape == (1, 6, 6)
         got = triangular_response(*stable_unstable_split(sys), 1j * self.OMEGAS)
@@ -452,6 +444,6 @@ class TestSchurResponse:
         assert h2sq[0] == pytest.approx(h2sq[1], rel=1e-10)
 
     def test_observable_marginal_mode_raises(self):
-        sys = StateSpace(A=np.diag([-1.0, 0.0]), B=np.ones((2, 1)), C=[[0.0, 1.0]])
+        sys = modal_form(np.diag([-1.0, 0.0]), np.ones((2, 1)), [[0.0, 1.0]])
         with pytest.raises(UnstablePoles):
             stable_unstable_split(sys)

@@ -26,7 +26,7 @@ from netred.generators import (
     single_integrator,
 )
 from netred.graphcore import Partition, WeightedGraph, laplacian_from_graph
-from netred.linalg import StateSpace, pinv, solve_lyapunov
+from netred.linalg import solve_lyapunov
 from netred.netfile import dump_json
 from netred.netsys import (
     AgentDynamics,
@@ -49,6 +49,8 @@ from .support import (
     h2_norm_network_spectral,
     h2_norm_reduced_spectral,
     make_dynamics,
+    modal_form,
+    pinv,
     reference_hinf_sweep,
 )
 from .test_golden import GOLDEN
@@ -61,7 +63,7 @@ def _k2(leaders=(0,)):
 
 class TestH2Norm:
     def test_first_order_lag(self):
-        sys = StateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]])
+        sys = modal_form([[-1.0]], [[1.0]], [[1.0]])
         assert h2_norm(sys).value == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
 
     def test_aux_gramian_single_integrator(self):
@@ -84,7 +86,7 @@ class TestH2Norm:
     def test_aux_value_confirmed_by_quadrature(self):
         # settles the lam/2 reading: the H2 integral of lam/(s+lam) equals lam/2
         for lam in (0.5, 2.0):
-            sys = StateSpace(A=[[-lam]], B=[[1.0]], C=[[lam]])
+            sys = modal_form([[-lam]], [[1.0]], [[lam]])
             quad = h2_norm_quadrature(sys)
             assert quad.value**2 == pytest.approx(lam / 2.0, rel=1e-6)
 
@@ -109,12 +111,12 @@ class TestH2Norm:
         assert report.true_h2_error.value <= 1e-10 * report.full_h2_norm.value
 
     def test_kernel_violation_raises(self):
-        sys = StateSpace(A=np.diag([-1.0, 0.0]), B=np.ones((2, 1)), C=[[0.0, 1.0]])
+        sys = modal_form(np.diag([-1.0, 0.0]), np.ones((2, 1)), [[0.0, 1.0]])
         with pytest.raises(UnstablePoles):
             h2_norm(sys)
 
     def test_no_inputs_gives_zero(self):
-        sys = StateSpace(A=[[-1.0]], B=np.zeros((1, 0)), C=[[1.0]])
+        sys = modal_form([[-1.0]], np.zeros((1, 0)), [[1.0]])
         assert h2_norm(sys).value == 0.0
 
 
@@ -201,7 +203,7 @@ class TestSpectralFormulas:
             kind = ("single", "symmetric", "dissipative")[seed % 3]
             ns, pi = random_aep_instance(rng, dynamics=make_dynamics(rng, kind))
             spectral = h2_norm_reduced_spectral(ns, pi).value
-            lyap = h2_norm(assemble_reduced(ns, pi)).value
+            lyap = h2_norm(modal_form(*assemble_reduced(ns, pi))).value
             assert abs(spectral - lyap) <= 1e-8 * (1.0 + lyap)
 
     def test_reduced_spectral_singleton_equals_full(self):
@@ -228,14 +230,14 @@ class TestSpectralFormulas:
 
 class TestHinfSweep:
     def test_first_order_lag_peaks_at_dc(self):
-        sys = StateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]])
+        sys = modal_form([[-1.0]], [[1.0]], [[1.0]])
         res = hinf_norm_sweep(sys)
         assert res.value == pytest.approx(1.0, abs=1e-9)
         assert res.certificate["peak_omega"] == 0.0
 
     def test_all_pass_at_dc(self):
         for lam in (0.3, 5.0):
-            sys = StateSpace(A=[[-lam]], B=[[1.0]], C=[[lam]])
+            sys = modal_form([[-lam]], [[1.0]], [[lam]])
             assert hinf_norm_sweep(sys).value == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("zeta", [0.2, 0.05, 0.005])
@@ -243,10 +245,8 @@ class TestHinfSweep:
         # the zoom narrows the peak's bracket to SWEEP_W_RTOL in relative frequency; the
         # gain is flat to second order there, so the value is far more accurate
         omega0 = 3.0
-        sys = StateSpace(
-            A=[[0.0, 1.0], [-omega0**2, -2.0 * zeta * omega0]],
-            B=[[0.0], [omega0**2]],
-            C=[[1.0, 0.0]],
+        sys = modal_form(
+            [[0.0, 1.0], [-omega0**2, -2.0 * zeta * omega0]], [[0.0], [omega0**2]], [[1.0, 0.0]]
         )
         expected = 1.0 / (2.0 * zeta * np.sqrt(1.0 - zeta**2))
         res = hinf_norm_sweep(sys)
@@ -262,14 +262,14 @@ class TestHinfSweep:
         rng = np.random.default_rng(1)
         g, b = rng.normal(size=(n, n)), rng.normal(size=(n, 2))
         a = -1e3 * (g @ g.T + np.eye(n))
-        sys = StateSpace(A=a, B=b, C=b.T)
+        sys = modal_form(a, b, b.T)
         dc = np.linalg.svd(b.T @ np.linalg.solve(-a, b), compute_uv=False).max()
         res = hinf_norm_sweep(sys)
         assert res.certificate["gain_evaluations"] == 361
         assert res.value == pytest.approx(dc, rel=1e-14)
 
     def test_observable_unstable_pole_raises(self):
-        sys = StateSpace(A=[[1.0]], B=[[1.0]], C=[[1.0]])
+        sys = modal_form([[1.0]], [[1.0]], [[1.0]])
         with pytest.raises(UnstablePoles):
             hinf_norm_sweep(sys)
 
@@ -279,7 +279,7 @@ class TestHinfSweep:
         assert hinf_norm_sweep(sys).value == pytest.approx(1.0, abs=1e-9)
 
     def test_observable_marginal_pole_raises(self):
-        sys = StateSpace(A=np.diag([-1.0, 0.0]), B=np.ones((2, 1)), C=[[0.0, 1.0]])
+        sys = modal_form(np.diag([-1.0, 0.0]), np.ones((2, 1)), [[0.0, 1.0]])
         with pytest.raises(UnstablePoles):
             hinf_norm_sweep(sys)
 
@@ -323,49 +323,54 @@ class TestHinfDc:
         rng = np.random.default_rng(4)
         a = np.diag([-1.0, -2.0])
         b = rng.normal(size=(2, 2))
-        sys = StateSpace(A=a, B=b, C=np.eye(2))
-        dc = hinf_norm_dc(sys, a)
+        sys = modal_form(a, b, np.eye(2))
+        dc = hinf_norm_dc(sys, np.diagonal(a))
         sweep = hinf_norm_sweep(sys)
         assert abs(dc.value - sweep.value) <= 1e-6 * dc.value
 
     def test_nonsymmetric_bare_drift_raises(self):
         a = np.array([[-1.0, 0.5], [0.0, -2.0]])
-        sys = StateSpace(A=a, B=np.eye(2), C=np.eye(2))
+        sys = modal_form(a, np.eye(2), np.eye(2))
         with pytest.raises(NotSymmetric):
-            hinf_norm_dc(sys, a)
+            hinf_norm_dc(sys, np.diagonal(a))
 
     def test_bare_drift_must_be_exactly_symmetric(self):
-        # a bare StateSpace takes the complex Schur form of a drift symmetric only up to
-        # rounding; agents symmetric within SYMMETRY_RTOL are symmetrized when built
+        # a dense drift symmetric only up to rounding takes the complex Schur form; agents
+        # symmetric within SYMMETRY_RTOL are symmetrized when built
         a = np.array([[-1.0, 0.5], [0.5 + 1e-15, -2.0]])
-        sys = StateSpace(A=a, B=np.eye(2), C=np.eye(2))
         with pytest.raises(NotSymmetric):
-            hinf_norm_dc(sys, np.eye(2))
-        sym = StateSpace(A=0.5 * (a + a.T), B=np.eye(2), C=np.eye(2))
-        assert hinf_norm_dc(sym, sym.A).method == "dc_gain_closed_form"
+            hinf_norm_dc(modal_form(a, np.eye(2), np.eye(2)), np.ones(2))
+        # the output in the eigenbasis of the symmetric part, where the witness is diag(w)
+        w, u = np.linalg.eigh(0.5 * (a + a.T))
+        res = hinf_norm_dc(modal_form(0.5 * (a + a.T), np.eye(2), u.T), w)
+        assert res.method == "dc_gain_closed_form"
+        assert res.value == pytest.approx(1.0 / np.abs(w).min(), rel=1e-12)
 
     def test_invalid_witness_raises(self):
-        sys = StateSpace(A=np.diag([-1.0, -2.0]), B=np.eye(2), C=np.eye(2))
-        with pytest.raises(WitnessInvalid):
-            hinf_norm_dc(sys, np.diag([-2.0, -1.0]))
+        sys = modal_form(np.diag([-1.0, -2.0]), np.eye(2), np.eye(2))
+        with pytest.raises(WitnessInvalid, match="CA != XC"):
+            hinf_norm_dc(sys, [-2.0, -1.0])
+        # the witness is the vector of a diagonal X, never the p x p matrix
+        with pytest.raises(WitnessInvalid, match=r"shape \(2,\)"):
+            hinf_norm_dc(sys, np.diag([-1.0, -2.0]))
 
     def test_kernel_violation_raises(self):
         # A singular with its kernel observable through C
-        sys = StateSpace(A=np.diag([0.0, -1.0]), B=np.eye(2), C=np.eye(2))
+        sys = modal_form(np.diag([0.0, -1.0]), np.eye(2), np.eye(2))
         with pytest.raises(KernelViolated):
-            hinf_norm_dc(sys, np.diag([0.0, -1.0]))
+            hinf_norm_dc(sys, [0.0, -1.0])
 
     def test_observable_positive_eigenvalue_raises(self):
-        sys = StateSpace(A=np.diag([1.0, -1.0]), B=np.eye(2), C=np.eye(2))
+        sys = modal_form(np.diag([1.0, -1.0]), np.eye(2), np.eye(2))
         with pytest.raises(UnstablePoles, match="closed-right-half-plane"):
-            hinf_norm_dc(sys, np.diag([1.0, -1.0]))
+            hinf_norm_dc(sys, [1.0, -1.0])
 
 
 class TestOneFactorization:
     def test_three_norm_routes_factor_a_realization_once(self, monkeypatch):
         # a network realization brings its Schur form from assembly, one n x n form per
-        # Laplacian eigenvalue, and the three routes factor nothing more; a bare
-        # StateSpace of the same drift is factored once, on first use
+        # Laplacian eigenvalue, and the three routes factor nothing more; a dense
+        # realization of the same drift is factored once, by modal_form
         calls = []
 
         def counting_schur(a, *args, **kwargs):
@@ -382,7 +387,7 @@ class TestOneFactorization:
         routes = (h2_norm, hinf_norm_sweep, h2_norm_quadrature)
         values = [route(err).value for route in routes]
         assert calls == []
-        bare = dense_error(ns, pi)
+        bare = modal_form(*dense_error(ns, pi))
         dense = [route(bare).value for route in routes]
         assert calls == [(err.n_states, err.n_states)]
         assert abs(values[0] - values[2]) <= 1e-2 * values[2]
@@ -437,7 +442,7 @@ class TestNormProperties:
             rng = np.random.default_rng(3000 + seed)
             ns, pi = random_aep_instance(rng, dynamics=make_dynamics(rng, "symmetric", n=2))
             full_sq = h2_norm(assemble_full(ns)).value ** 2
-            red_sq = h2_norm(assemble_reduced(ns, pi)).value ** 2
+            red_sq = h2_norm(modal_form(*assemble_reduced(ns, pi))).value ** 2
             err_sq = h2_norm(Analysis(ns, pi).error_system).value ** 2
             assert abs(err_sq - (full_sq - red_sq)) <= 1e-7 * (1.0 + full_sq)
 
@@ -500,7 +505,8 @@ def _value_or_refusal(route, *args):
 
 class TestModalAgainstDenseOracle:
     """The modal realizations against the dense Kronecker ones (``support.dense_full``,
-    ``support.dense_error``), each bare realization factored as a whole."""
+    ``support.dense_error``), each dense realization factored as a whole by
+    ``support.modal_form``, and the DC gain against the dense pseudoinverse."""
 
     @pytest.mark.parametrize("ns,pi", _oracle_cases())
     def test_norms_agree(self, ns, pi):
@@ -508,6 +514,7 @@ class TestModalAgainstDenseOracle:
         full, dense_f = an.full_system, dense_full(ns)
         pairs = ((full, dense_f), (an.error_system, dense_error(ns, pi)))
         for sys, dense in pairs:
+            dense = modal_form(*dense)
             for route in (h2_norm, hinf_norm_sweep, h2_norm_quadrature):
                 got, want = _value_or_refusal(route, sys), _value_or_refusal(route, dense)
                 if isinstance(want, str):
@@ -517,4 +524,5 @@ class TestModalAgainstDenseOracle:
                     assert abs(got - want) <= 1e-12 * want + 1e-14, route.__name__
         if ns.dyn.symmetric:
             got = hinf_norm_dc(full, full.poles).value
-            assert got == pytest.approx(hinf_norm_dc(dense_f, dense_f.A).value, rel=1e-12)
+            gain = dense_f.C @ pinv(dense_f.A) @ dense_f.B
+            assert got == pytest.approx(np.linalg.svd(gain, compute_uv=False).max(), rel=1e-12)
