@@ -27,7 +27,8 @@ class IllConditioned(NetredError, np.linalg.LinAlgError):
 
 
 class WitnessInvalid(NetredError):
-    """The supplied witness matrix does not intertwine C and A (CA != XC)."""
+    """The supplied witness is not the vector of a diagonal matrix X of the output's size,
+    or X does not intertwine C and A (CA != XC)."""
 
 
 class KernelViolated(NetredError):
