@@ -118,6 +118,31 @@ class ModalSystem:
         """The diagonal of the drift when it is held as one-state blocks, else None."""
         return self.t[:, 0, 0] if self.t.shape[1] == 1 else None
 
+    @cached_property
+    def gramian(self) -> tuple:
+        """``((D, F, R), residual)``: the observability Gramian X_s = [[blockdiag(D), F],
+        [F^H, R]] of ``stable_unstable_split``'s triple, T_s^H X_s + X_s T_s + C_s^H C_s = 0,
+        whose head D (b x b blocks) belongs to the diagonal output block d.  It is the PSD
+        solution of A^T X + X A + C^T C = 0 that vanishes on the closed right half plane,
+        in modal coordinates, and the H2 route and the H-infinity sweep share it.  D, F
+        and R are ``solve_block_sylvester`` over the head's blocks and the block pairs;
+        the residual is the largest of their three.  Solved on first use and kept on this
+        realization (``dataclasses.replace`` builds one without it).  Raises
+        UnstablePoles."""
+        t_s, _, c_s, d = stable_unstable_split(self)
+        w, n1 = t_s.shape[1], d.size
+        t1, t2 = t_s[: n1 // w], t_s[n1 // w :]
+
+        def solve(ta, g):  # over the block pairs of ta and t2; g and X are (len(ta) w, n2)
+            pairs = g.reshape(len(ta), w, len(t2), w).swapaxes(1, 2)
+            x, res = solve_block_sylvester(ta[:, None], t2, pairs)
+            return x.swapaxes(1, 2).reshape(g.shape), res
+
+        head, res_head = solve_block_sylvester(t1, t1, np.eye(w) * np.abs(d.reshape(-1, 1, w)) ** 2)
+        f, res_cross = solve(t1, d.conj()[:, None] * c_s[:n1])
+        r, res_tail = solve(t2, c_s.conj().T @ c_s)
+        return (head, f, r), float(max(res_head, res_cross, res_tail))
+
 
 def sym_eig(mat) -> SymmetricEig:
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
@@ -233,21 +258,23 @@ def triangular_response(t, b, c, d, s) -> np.ndarray:
     """C (sI - T)^{-1} B, shape (len(s), p, m), of a deflated triple (drift blockdiag(t),
     output [diag(d); 0] on the first len(d) states and c on the rest) for a 1-D array s:
     a back substitution over the b rows of all blocks and SCHUR_CHUNK frequencies at once,
-    then one output product.  With b = 1 it is d * B_1 / (s - p_1) + c (B_2 / (s - p_2))."""
+    then one output product.  With b = 1 it is d * B_1 / (s - p_1) + c (B_2 / (s - p_2)).
+    The frequency is the innermost axis of the substitution, whose divisions then run
+    along SCHUR_CHUNK entries rather than along the m inputs."""
     s = np.asarray(s, dtype=complex)
     (n, m), p, (k, w) = b.shape, c.shape[0], t.shape[:2]
     out = np.empty((s.size, p, m), dtype=complex)
     for j in range(0, s.size, SCHUR_CHUNK):
         shift = s[j : j + SCHUR_CHUNK]
-        x = np.empty((k, w, shift.size, m), dtype=complex)  # [block, row, frequency, input]
+        x = np.empty((k, w, m, shift.size), dtype=complex)  # [block, row, input, frequency]
         for i in range(w - 1, -1, -1):
-            acc = b[i::w, None]
+            acc = b[i::w, :, None]
             if i < w - 1:
                 rest = t[:, i, None, i + 1 :] @ x[:, i + 1 :].reshape(k, w - i - 1, -1)
-                acc = acc + rest.reshape(k, shift.size, m)
-            np.divide(acc, (shift - t[:, i, i, None])[:, :, None], out=x[:, i])
+                acc = acc + rest.reshape(k, m, shift.size)
+            np.divide(acc, (shift - t[:, i, i, None])[:, None, :], out=x[:, i])
         y = apply_output(c, d, x.reshape(n, -1))
-        out[j : j + SCHUR_CHUNK] = y.reshape(p, -1, m).transpose(1, 0, 2)
+        out[j : j + SCHUR_CHUNK] = y.reshape(p, m, -1).transpose(2, 0, 1)
     return out
 
 
@@ -270,34 +297,21 @@ def solve_block_sylvester(t1, t2, g) -> tuple:
 
 
 def solve_lyapunov_with_kernel(sys: ModalSystem):
-    """``((D, F, R), h2sq, residual)``: the observability Gramian X_s = [[blockdiag(D),
-    F], [F^H, R]] of ``stable_unstable_split``'s triple, T_s^H X_s + X_s T_s + C_s^H C_s
-    = 0, whose head D (b x b blocks) belongs to the diagonal output block d.  It is the
-    PSD solution of A^T X + X A + C^T C = 0 that vanishes on the closed right half plane,
-    in modal coordinates.  D, F and R are ``solve_block_sylvester`` over the head's
-    blocks and the block pairs.  h2sq = tr(B_s^H X_s B_s) = tr(Y^H D Y) +
-    tr(B_2^H S B_2) with Y = B_1 + D^+ F B_2 and S = R - F^H D^+ F, whose rank
-    ``_psd_quadratic_trace`` cuts against RANK_TOL * max diag R.  D^+ F inverts the
-    head's blocks at once, with a unit pivot on each state with d = 0 (at lam = 0, or
-    masked), whose rows of D and F are zero.  Raises UnstablePoles."""
-    t_s, b_s, c_s, d = stable_unstable_split(sys)
-    w, n1 = t_s.shape[1], d.size
-    t1, t2, n2 = t_s[: n1 // w], t_s[n1 // w :], b_s.shape[0] - n1
-
-    def solve(ta, g):  # over the block pairs of ta and t2; g and X are (len(ta) w, n2)
-        pairs = g.reshape(len(ta), w, len(t2), w).swapaxes(1, 2)
-        x, res = solve_block_sylvester(ta[:, None], t2, pairs)
-        return x.swapaxes(1, 2).reshape(g.shape), res
-
-    head, res_head = solve_block_sylvester(t1, t1, np.eye(w) * np.abs(d.reshape(-1, 1, w)) ** 2)
-    f, res_cross = solve(t1, d.conj()[:, None] * c_s[:n1])
-    r, res_tail = solve(t2, c_s.conj().T @ c_s)
+    """``((D, F, R), h2sq, residual)``: the Gramian arrow ``sys.gramian`` with its
+    residual, and h2sq = tr(B_s^H X_s B_s) = tr(Y^H D Y) + tr(B_2^H S B_2) with
+    Y = B_1 + D^+ F B_2 and S = R - F^H D^+ F, whose rank ``_psd_quadratic_trace`` cuts
+    against RANK_TOL * max diag R.  D^+ F inverts the head's blocks at once, with a unit
+    pivot on each state with d = 0 (at lam = 0, or masked), whose rows of D and F are
+    zero.  Raises UnstablePoles."""
+    (head, f, r), residual = sys.gramian
+    _, b_s, _, d = stable_unstable_split(sys)
+    w, n1, n2 = sys.t.shape[1], d.size, b_s.shape[0] - d.size
     b1, b2 = b_s[:n1], b_s[n1:]
     unit = np.eye(w) * (d == 0).reshape(-1, 1, w)  # on the states whose rows of D and F are 0
     # the small blocks' inverses and one product: a batched solve is several times slower
-    g = (np.linalg.inv(head + unit) @ f.reshape(len(t1), w, n2)).reshape(n1, n2)  # D^+ F
-    y = (b1 + g @ b2).reshape(len(t1), w, b_s.shape[1])
+    g = (np.linalg.inv(head + unit) @ f.reshape(len(head), w, n2)).reshape(n1, n2)  # D^+ F
+    y = (b1 + g @ b2).reshape(len(head), w, b_s.shape[1])
     t_head = np.vdot(y, head @ y).real
     s = r - f.conj().T @ g if n1 else r
     tail = _psd_quadratic_trace(s, b2, np.diagonal(r).real.max(initial=0.0))
-    return (head, f, r), t_head + tail, float(max(res_head, res_cross, res_tail))
+    return (head, f, r), t_head + tail, residual

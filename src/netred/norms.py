@@ -109,14 +109,6 @@ def h2_norm(sys) -> NormResult:
     )
 
 
-def _largest_gram_eigenvalue(g) -> np.ndarray:
-    """sigma_max(G)^2 of each matrix of a stack, the largest eigenvalue of the smaller
-    of the Gram matrices G^H G and G G^H (one batched ``eigvalsh``)."""
-    gh = np.swapaxes(g, -1, -2).conj()
-    gram = gh @ g if g.shape[-1] <= g.shape[-2] else g @ gh
-    return np.linalg.eigvalsh(gram)[..., -1]
-
-
 def hinf_norm_sweep(sys) -> NormResult:
     """H-infinity norm by adaptive frequency sweep.
 
@@ -126,24 +118,39 @@ def hinf_norm_sweep(sys) -> NormResult:
     SWEEP_ZOOM_POINTS log-spaced frequencies on the bracket and narrows it to the
     neighbours of the best of them, until the bracket is narrower than SWEEP_W_RTOL
     in relative frequency.  The response at s = 0 anchors the w -> 0 end.  The
-    unobservable marginal modes are masked (``stable_unstable_split``); each grid, the
-    anchor and each zoom step is then one ``triangular_response`` call, whose gains the
-    search compares as the largest eigenvalues of the smaller Gram matrices.  The value
-    is sigma_max, by ``svd``, of the response with the largest gain evaluated.
+    unobservable marginal modes are masked (``stable_unstable_split``).
+
+    The search compares squared gains, read from the observability Gramian X_s
+    (``ModalSystem.gramian``, which ``h2_norm`` shares): on s = i w,
+    C_s^H C_s = (sI - T_s)^H X_s + X_s (sI - T_s), so G^H G = H + H^H for the m x m
+    response H(s) = K (sI - T_s)^{-1} B_s with K = B_s^H X_s.  Each grid, the anchor
+    and each zoom step is one ``triangular_response`` call on (T_s, B_s, K), and a gain
+    is the largest eigenvalue of H + H^H, clipped at 0 (where G vanishes, rounding can
+    make it negative); no p-row response is formed.  The Gram matrix is m x m also where
+    the output is narrower, p < m, which needs r > n (more columns of E than agent
+    states).  Square roots would lift the rounding of H + H^H on a tail that falls as
+    1/w^2 above the level test and make peaks of it.  The value is sigma_max, by
+    ``svd``, of the response G itself at the frequency with the largest squared gain.
     """
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return _zero_result(METHOD_SWEEP)
     t_s, b_s, c_s, d_s = stable_unstable_split(sys)
+    (head, f, r), _ = sys.gramian
+    n1, w = d_s.size, t_s.shape[1]
+    b1, b2 = b_s[:n1], b_s[n1:]
+    xb_head = (head @ b1.reshape(len(head), w, b_s.shape[1])).reshape(b1.shape) + f @ b2
+    k = np.vstack([xb_head, f.conj().T @ b1 + r @ b2]).conj().T  # K = B_s^H X_s
+    no_head = np.zeros(0)
 
-    best = [-1.0, 0.0, None]  # the largest gain evaluated, its frequency and response
+    best = [-1.0, 0.0]  # the largest squared gain evaluated and its frequency
 
     def gains(omegas) -> np.ndarray:
         omegas = np.asarray(omegas, dtype=float)
-        response = triangular_response(t_s, b_s, c_s, d_s, 1j * omegas)
-        vals = np.sqrt(np.maximum(_largest_gram_eigenvalue(response), 0.0))
+        h = triangular_response(t_s, b_s, k, no_head, 1j * omegas)
+        vals = np.maximum(np.linalg.eigvalsh(h + np.swapaxes(h, -1, -2).conj())[..., -1], 0.0)
         j = int(vals.argmax())
         if vals[j] > best[0]:
-            best[:] = float(vals[j]), float(omegas[j]), response[j].copy()
+            best[:] = float(vals[j]), float(omegas[j])
         return vals
 
     gains([0.0])
@@ -173,8 +180,8 @@ def hinf_norm_sweep(sys) -> NormResult:
             j = int(gains(10.0**zts).argmax())
             lo, hi = zts[max(j - 1, 0)], zts[min(j + 1, SWEEP_ZOOM_POINTS - 1)]
             evals += SWEEP_ZOOM_POINTS
-    # the search compares Gram gains; the value is the svd of the response it chose
-    _, best_omega, peak = best
+    _, best_omega = best
+    peak = triangular_response(t_s, b_s, c_s, d_s, [1j * best_omega])[0]
     value = float(np.linalg.svd(peak, compute_uv=False).max(initial=0.0))
     return NormResult(
         value,

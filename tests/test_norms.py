@@ -26,12 +26,14 @@ from netred.generators import (
     single_integrator,
 )
 from netred.graphcore import Partition, WeightedGraph, laplacian_from_graph
-from netred.linalg import solve_lyapunov
+from netred import linalg
+from netred.linalg import solve_lyapunov, stable_unstable_split, triangular_response
 from netred.netfile import dump_json
 from netred.netsys import (
     AgentDynamics,
     NetworkSystem,
     assemble_full,
+    with_output,
 )
 from netred.norms import (
     SWEEP_W_RTOL,
@@ -43,14 +45,17 @@ from netred.norms import (
 )
 
 from .support import (
+    Dense,
     assemble_reduced,
     dense_error,
     dense_full,
+    dense_response,
     h2_norm_network_spectral,
     h2_norm_reduced_spectral,
     make_dynamics,
     modal_form,
     pinv,
+    random_hurwitz,
     reference_hinf_sweep,
 )
 from .test_golden import GOLDEN
@@ -292,6 +297,99 @@ class TestHinfSweep:
             for sys, dense in ((assemble_full(ns), dense_full(ns)), (err, dense_error(ns, pi))):
                 got, want = hinf_norm_sweep(sys).value, reference_hinf_sweep(dense)
                 assert abs(got - want) <= 1e-12 * want + 1e-14
+
+
+    def test_tail_falling_as_inverse_square_makes_no_peak(self):
+        # C B = 0 and C A B != 0: the gain falls as 1/w^2, and H + H^H cancels to it from
+        # terms of order 1/w.  Compared as squares, its rounding stays far below the
+        # level test; square roots lifted it above and refined noise peaks on the tail
+        c = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 3.0, 4.0]])
+        b = np.array([[1.0, 0.0], [-2.0, 1.0], [1.0, -2.0], [0.0, 1.0]])
+        a = -np.diag([1.0, 2.0, 3.0, 4.0])
+        assert not (c @ b).any() and (c @ a @ b).any()
+        res = hinf_norm_sweep(modal_form(a, b, c))
+        assert res.certificate["gain_evaluations"] == 361
+        assert res.certificate["peak_omega"] == 0.0
+        dc = np.linalg.svd(c @ np.linalg.solve(-a, b), compute_uv=False).max()
+        assert res.value == pytest.approx(dc, rel=1e-14)
+
+
+def _symmetric_error_system():
+    rng = np.random.default_rng(21)  # singular A: each consensus block has masked states
+    ns, pi = random_aep_instance(rng, dynamics=make_dynamics(rng, "singular", n=3, r=2))
+    return Analysis(ns, pi).error_system
+
+
+def _nonsymmetric_error_system():
+    rng = np.random.default_rng(22)
+    ns, pi = random_aep_instance(rng, dynamics=make_dynamics(rng, "dissipative", n=3, r=2))
+    return Analysis(ns, pi).error_system
+
+
+def _non_normal_modal_form():
+    rng = np.random.default_rng(23)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    a = q @ (np.diag([-1.0, -2.0, -3.0, -0.5]) + np.triu(5.0 * np.ones((4, 4)), 1)) @ q.T
+    assert np.abs(a @ a.T - a.T @ a).max() > 1.0
+    return modal_form(a, rng.normal(size=(4, 2)), rng.normal(size=(3, 4)))
+
+
+class TestGramianGains:
+    """The sweep's gains: with X_s the observability Gramian of the deflated triple
+    (T_s, B_s, C_s), G(iw)^H G(iw) = H(iw) + H(iw)^H for H(s) = K (sI - T_s)^{-1} B_s,
+    K = B_s^H X_s."""
+
+    @pytest.mark.parametrize(
+        "build", [_symmetric_error_system, _nonsymmetric_error_system, _non_normal_modal_form]
+    )
+    def test_h_plus_h_adjoint_is_the_gram_of_the_true_response(self, build):
+        sys = build()
+        t_s, b_s, c_s, d_s = stable_unstable_split(sys)
+        n1, (k, w) = d_s.size, t_s.shape[:2]
+        if build is _symmetric_error_system:  # a diagonal head, masked consensus states
+            assert w == 1 and n1 > 0 and sys.unstable.any()
+        elif build is _nonsymmetric_error_system:
+            assert w == 3 and n1 > 0
+        (head, f, r), _ = sys.gramian
+        head = scipy.linalg.block_diag(*head) if n1 else np.zeros((0, 0))
+        x_s = np.block([[head, f], [f.conj().T, r]])
+        gain = b_s.conj().T @ x_s  # K
+        output = np.hstack([np.eye(len(c_s), n1) * d_s, c_s])
+        true = Dense(scipy.linalg.block_diag(*t_s), b_s, output)
+        omegas = np.array([0.0, 1e-2, 1.0, 1e2])
+        h = triangular_response(t_s, b_s, gain, np.zeros(0), 1j * omegas)
+        for omega, h_w in zip(omegas, h):
+            g = dense_response(true, 1j * omega)
+            gram = g.conj().T @ g
+            scale = np.abs(gain).max() * np.abs(b_s).max() / max(omega, 1.0)
+            np.testing.assert_allclose(h_w + h_w.conj().T, gram, rtol=0, atol=1e-12 * scale)
+            assert np.abs(gram).max() > 1e-8 * scale  # not a comparison of two zeros
+
+    def test_h2_and_the_sweep_share_one_gramian(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(len(args))
+            return solve(*args)
+
+        solve = linalg.solve_block_sylvester
+        monkeypatch.setattr(linalg, "solve_block_sylvester", counting)
+        rng = np.random.default_rng(24)
+        ns, pi = random_aep_instance(rng, dynamics=make_dynamics(rng, "dissipative", n=2))
+        an = Analysis(ns, pi)
+        err = an.error_system
+        del calls[:]
+        h2_norm(err)
+        hinf_norm_sweep(err)
+        assert len(calls) == 3  # the head, the cross term and the tail, once
+        # a realization with another output solves its own Gramian
+        full = an.full_system
+        full.gramian
+        term = with_output(full, an.full_modes, np.ones((2, ns.n_agents)))
+        assert "gramian" in vars(full) and "gramian" not in vars(term)
+        del calls[:]
+        hinf_norm_sweep(term)
+        assert len(calls) == 3
 
 
 class TestHinfDc:
