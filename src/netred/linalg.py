@@ -12,10 +12,12 @@ one deflation (``stable_unstable_split``) masks those states in place, so
 every route sees the shapes of the form.  The response (``triangular_response``)
 and the Gramian (``solve_block_sylvester``) are each one path over the stack: a
 back substitution over the rows of all blocks, and an entrywise recurrence over
-block pairs.  No N n-state matrix is formed: the Gramian is an arrow whose
-block-diagonal head is eliminated before a pivoted Cholesky factorization cuts
-its rank.  Every function is pure: none
-mutates its arguments.
+block pairs.  No N n-state matrix is formed: the observability Gramian is an
+arrow, solved once per realization and kept on it (``ModalSystem.gramian``),
+which the H-infinity sweep reads as it is and the H2 route eliminates: its
+block-diagonal head goes before a pivoted Cholesky factorization cuts its rank.
+Every function is pure: none mutates its arguments, and a realization's one
+cached value is a function of its fields.
 """
 
 from __future__ import annotations
@@ -84,7 +86,9 @@ class ModalSystem:
     of the DC route.  The output is [diag(d); 0] on the first len(d) <= p states
     (whole blocks) plus C on the others: a diagonal block that a network realization
     gets when its output is rotated into the eigenbasis of its coupling.  ``c_scale`` is
-    1 + max|C| of the output before any such rotation, the scale of the kernel test."""
+    1 + max|C| of the output before any such rotation, the scale of the kernel test.
+    ``gramian``, the observability Gramian of the deflated triple, is solved on first use
+    and shared by the H2 route and the H-infinity sweep."""
 
     t: np.ndarray
     B: np.ndarray

@@ -10,8 +10,11 @@ against the test suite's oracles:
   sum_i ||(U^T M)_i||^2 tr(E^T X_i E) over the auxiliary Gramians.
 * ``hinf_norm_sweep``: adaptive frequency sweep, the oracle for everything
   H-infinity: a coarse log grid, then a zoom of fixed-size grids on each peak.
-  Its grids compare gains taken from the smaller Gram matrix of each response;
-  the value is one ``svd`` at the frequency the search chose.
+  Its grids compare squared gains, the largest eigenvalues of H + H^H for the
+  m x m response H = K (sI - T)^{-1} B with K = B^H X from the observability
+  Gramian X that ``h2_norm`` shares (``linalg.ModalSystem.gramian``): on the
+  imaginary axis G^H G = H + H^H.  The value is one ``svd`` of the true
+  response at the frequency the search chose.
 * ``hinf_norm_dc``: exact DC-gain value sigma_max(C A^+ B), valid when a
   diagonal witness X with CA = XC exists and ker A lies in ker C, read from
   the realization's real diagonal modal form; for the full network it is
@@ -30,8 +33,9 @@ the quadrature through one deflation that masks them in place
 (``linalg.stable_unstable_split``), the DC route by inverting only the poles
 off the mask.  The sweep and the quadrature evaluate every frequency grid
 with ``linalg.triangular_response``: a back substitution over the rows of
-every b x b block of the modal form, one division per state when it is
-diagonal (b = 1, symmetric agents), then one output product per grid.
+every b x b block of the modal form, one division per state and input when
+it is diagonal (b = 1, symmetric agents), then one output product per grid,
+an m-row one (K) for the sweep and the p-row output for the quadrature.
 
 The a-priori bounds need two quantities of the auxiliary systems
 (A - lam B, E, lam I), one per eigenvalue lam of a spectrum: the squared H2
