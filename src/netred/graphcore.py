@@ -33,35 +33,75 @@ NEG_WEIGHT_TOL = 1e-12
 class WeightedGraph:
     """Undirected weighted graph on nodes 0..n_nodes-1.
 
-    Edges are (i, j, weight) triples with nonnegative weights.
+    ``edges`` is given as (i, j, weight) triples or as their (E, 3) float array, and kept
+    as a tuple of (int, int, float) triples with integer indices in range, no self-loop,
+    no repeated pair and finite nonnegative weights.  ``pairs`` and ``weights`` hold them
+    as an (E, 2) index array and an (E,) weight array.  The checks run on whole arrays;
+    only when they fail are the edges scanned one at a time, to name the first that fails.
     """
 
     n_nodes: int
     edges: tuple
+    pairs: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        normalized = []
-        seen = set()
-        for idx, edge in enumerate(self.edges):
-            i, j, w = edge
+        # Python triples go through an object array, where a bool index is still a bool
+        raw = self.edges if isinstance(self.edges, np.ndarray) else np.array(self.edges, object)
+        raw = raw.reshape(len(raw), 3)
+        try:
+            arr = raw.astype(float)
+        except OverflowError:  # an integer beyond the float range: the scan names its edge
+            self._refuse(raw.tolist())
+        pairs = self._pairs(arr)
+        if pairs is None or (
+            raw.dtype == object and np.frompyfunc(isinstance, 2, 1)(raw[:, :2], bool).any()
+        ):
+            self._refuse(raw.tolist())
+            pairs = arr[:, :2].astype(np.intp)  # the scan passed: keys collided as floats
+        object.__setattr__(self, "edges", tuple(zip(*pairs.T.tolist(), arr[:, 2].tolist())))
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "weights", arr[:, 2])
+
+    def _pairs(self, arr):
+        """The (E, 2) index array of the (E, 3) float ``arr`` when every row is an edge,
+        checked on whole arrays; else None."""
+        i, j, w = arr.T
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        # NaN and inf fail these comparisons, so none reaches the cast or the keys
+        if not ((0 <= lo) & (lo < hi) & (hi < self.n_nodes) & (0 <= w) & (w < np.inf)).all():
+            return None
+        pairs = arr[:, :2].astype(np.intp)
+        keys = (lo * (self.n_nodes + 1) + hi).tolist()  # exact while (N + 1)**2 < 2**53
+        return pairs if (pairs == arr[:, :2]).all() and len(set(keys)) == len(keys) else None
+
+    def _refuse(self, rows: list):
+        """Raise the error of the first edge of ``rows`` that fails a check, scanning them one
+        at a time: where :meth:`_pairs` refuses the array, this names the edge."""
+        n, seen = self.n_nodes, set()
+        for k, (i, j, w) in enumerate(rows):
+            if not all(
+                type(v) is int or (type(v) is not bool and float(v).is_integer()) for v in (i, j)
+            ):
+                raise ValueError(f"edge {k} = ({i!r}, {j!r}) has a non-integer node index")
             i, j, w = int(i), int(j), float(w)
-            if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
-                raise ValueError(f"edge {idx} = ({i}, {j}) out of range for {self.n_nodes} nodes")
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"edge {k} = ({i}, {j}) out of range for {n} nodes")
             if i == j:
-                raise ValueError(f"edge {idx} is a self-loop on node {i}")
+                raise ValueError(f"edge {k} is a self-loop on node {i}")
             key = (min(i, j), max(i, j))
             if key in seen:
-                raise ValueError(f"edge {idx} duplicates the pair {key}")
+                raise ValueError(f"edge {k} duplicates the pair {key}")
             seen.add(key)
             if w < 0:
-                raise NegativeWeight(f"edge {idx} = ({i}, {j}) has negative weight {w}")
-            normalized.append((i, j, w))
-        object.__setattr__(self, "edges", tuple(normalized))
+                raise NegativeWeight(f"edge {k} = ({i}, {j}) has negative weight {w}")
+            if not w < np.inf:
+                raise ValueError(f"edge {k} = ({i}, {j}) has non-finite weight {w}")
 
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.n_nodes, self.n_nodes))
-        for i, j, w in self.edges:
-            a[i, j] = a[j, i] = w
+        i, j = self.pairs.T
+        a[i, j] = a[j, i] = self.weights
         return a
 
 
@@ -77,6 +117,8 @@ class Laplacian:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"Laplacian must be square, got shape {m.shape}")
         scale = 1.0 + np.abs(m).max(initial=0.0)
+        if not scale < np.inf:  # NaN and inf entries, which the checks below would pass
+            raise ValueError("Laplacian has non-finite entries")
         asym = np.abs(m - m.T).max(initial=0.0)
         if asym > ROW_SUM_TOL * scale:
             raise ValueError(f"Laplacian asymmetry {asym:.3e} exceeds tolerance")

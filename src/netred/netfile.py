@@ -2,6 +2,11 @@
 
 Node indices in files are 1-based to match the usual drawing convention;
 everything internal is 0-based.  Conversion happens here and only here.
+
+The edge list is checked as a whole: one pass over the list for the types, then the
+array checks of :class:`~netred.graphcore.WeightedGraph` and the weight bound.  Only
+when that check fails is the list scanned edge by edge (:func:`_edge_error`), so the
+first failing edge is still the one named.
 """
 
 from __future__ import annotations
@@ -9,10 +14,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
-from .errors import NetredError, UnknownExample
+from .errors import NegativeWeight, NetredError, UnknownExample
 from .generators import EXAMPLES
 from .graphcore import (
     Laplacian,
@@ -101,10 +107,33 @@ def _edge_error(edge, n_nodes: int, first: dict, e_idx: int):
     return None
 
 
-def validate_network_payload(payload: dict) -> dict:
-    """Check the raw JSON payload and return it normalized (still 1-based).
+def _edge_graph(edges: list, n_nodes: int):
+    """The 0-based :class:`WeightedGraph` of ``edges`` when no edge fails :func:`_edge_error`,
+    checked over the whole list at once; else None, as also where the float checks cannot
+    decide (from 2**53 nodes on, or an integer weight that rounds to ``MAX_MAGNITUDE``)."""
+    if n_nodes >= 2**53 or not all(
+        type(e) is list and len(e) == 3 and type(e[0]) is int and type(e[1]) is int
+        and (type(e[2]) is float or type(e[2]) is int)
+        for e in edges
+    ):
+        return None
+    try:
+        arr = np.fromiter(chain.from_iterable(edges), float, 3 * len(edges)).reshape(-1, 3)
+        if not (arr[:, 2] < MAX_MAGNITUDE).all():  # the graph refuses negative weights
+            return None
+        arr[:, :2] -= 1
+        return WeightedGraph(n_nodes=n_nodes, edges=arr)
+    except (OverflowError, ValueError, NegativeWeight):  # a huge integer; a failing edge
+        return None
 
-    Every failure names the offending field (and index) in the exception.
+
+def validate_network_payload(payload: dict) -> WeightedGraph:
+    """Check the raw JSON payload, without changing it, and return the (0-based) graph of
+    its edge list.
+
+    Every failure names the offending field (and index) in the exception.  The edge list is
+    checked as a whole; only when that check fails is it scanned edge by edge, so that the
+    first failing edge is the one named.
     """
     _require(isinstance(payload, dict), "$", "top level must be an object")
     unknown = sorted(set(payload) - _TOP_LEVEL_FIELDS)
@@ -124,11 +153,13 @@ def validate_network_payload(payload: dict) -> dict:
 
     edges = payload["edges"]
     _require(isinstance(edges, list), "edges", "must be a list")
-    first = {}
-    for e_idx, edge in enumerate(edges):
-        error = _edge_error(edge, n_nodes, first, e_idx)
-        if error is not None:
-            raise FileFormatError(f"edges[{e_idx}]{error[0]}", error[1])
+    graph = _edge_graph(edges, n_nodes)
+    if graph is None:
+        first = {}
+        for e_idx, edge in enumerate(edges):
+            error = _edge_error(edge, n_nodes, first, e_idx)
+            if error is not None:
+                raise FileFormatError(f"edges[{e_idx}]{error[0]}", error[1])
 
     leaders = payload["leaders"]
     _require(isinstance(leaders, list), "leaders", "must be a list")
@@ -197,15 +228,15 @@ def validate_network_payload(payload: dict) -> dict:
             f"options.tolerances.{name}",
             "must be a finite positive number",
         )
-    return payload
+    if graph is None:  # the scan passed what the float checks could not decide
+        graph = WeightedGraph(n_nodes, np.array(edges, float).reshape(-1, 3) - (1, 1, 0))
+    return graph
 
 
 def network_from_payload(payload: dict):
     """Build (NetworkSystem, Partition, options) from a validated payload."""
-    payload = validate_network_payload(payload)
+    graph = validate_network_payload(payload)
     n_nodes = payload["n_nodes"]
-    edges = tuple((i - 1, j - 1, float(w)) for i, j, w in payload["edges"])
-    graph = WeightedGraph(n_nodes=n_nodes, edges=edges)
     pi = Partition(
         n_nodes=n_nodes,
         cells=tuple(tuple(v - 1 for v in cell) for cell in payload["partition"]),
@@ -227,16 +258,10 @@ def report_to_dict(report) -> dict:
 
 
 def edges_from_laplacian(lap: Laplacian) -> list:
-    """Recover the (1-based) edge list of the graph underlying a Laplacian."""
-    mat = lap.mat
-    n = lap.n_nodes
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = -mat[i, j]
-            if abs(w) > EDGE_TOL:
-                edges.append([i + 1, j + 1, float(w)])
-    return edges
+    """Recover the (1-based) edge list of the graph underlying a Laplacian, row by row."""
+    upper = -np.triu(lap.mat, 1)
+    i, j = np.nonzero(np.abs(upper) > EDGE_TOL)
+    return list(map(list, zip((i + 1).tolist(), (j + 1).tolist(), upper[i, j].tolist())))
 
 
 def _instance_payload(ns: NetworkSystem, pi: Partition, meta: dict) -> dict:

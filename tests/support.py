@@ -16,7 +16,9 @@ and each stays independent of one path only:
   triple on ``linalg.sorted_schur``) feed the package's own Gramian,
   response and deflation, so they check the assembly, not those kernels;
 * the DC gain: ``pinv`` gives sigma_max(C A^+ B) from a dense pseudoinverse;
-* equitability: the oracles test degree constancy cell by cell.
+* equitability: the oracles test degree constancy cell by cell;
+* the edge list: ``laplacian_by_edge_loop`` and ``edges_by_entry_loop`` fill and read
+  the matrix one edge or entry at a time, where the package scatters and gathers arrays.
 
 The reduced realization, the auxiliary systems and the spectral H2 formulas
 re-derive what ``bounds.Analysis`` decides and assembles once, from the
@@ -47,6 +49,7 @@ from netred.graphcore import (
     reduce_graph,
 )
 from netred.linalg import RANK_TOL, STABILITY_MARGIN, ModalSystem, sorted_schur, sym_eig
+from netred.netfile import EDGE_TOL
 from netred.netsys import hurwitz_over, is_synchronized
 from netred.norms import (
     SWEEP_COARSE_PPD,
@@ -283,6 +286,29 @@ def reference_hinf_sweep(sys) -> float:
             best = max(best, zvals[j])
             lo, hi = zts[max(j - 1, 0)], zts[min(j + 1, SWEEP_ZOOM_POINTS - 1)]
     return best
+
+
+def laplacian_by_edge_loop(n_nodes: int, edges) -> np.ndarray:
+    """Laplacian of a 1-based [i, j, weight] edge list, its adjacency filled one edge at a
+    time: the reference for the scatter of ``WeightedGraph.adjacency_matrix``."""
+    a = np.zeros((n_nodes, n_nodes))
+    for i, j, w in edges:
+        a[i - 1, j - 1] = a[j - 1, i - 1] = float(w)
+    return np.diag(a.sum(axis=1)) - a
+
+
+def edges_by_entry_loop(mat) -> list:
+    """1-based edge list read off the strict upper triangle of a Laplacian-like ``mat``,
+    one entry at a time in row-major order: the reference for
+    ``netfile.edges_from_laplacian``."""
+    n = mat.shape[0]
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = -mat[i, j]
+            if abs(w) > EDGE_TOL:
+                edges.append([i + 1, j + 1, float(w)])
+    return edges
 
 
 class NodeInCell(ValueError):

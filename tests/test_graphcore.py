@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netred.errors import InvalidPartition, NegativeWeight
 from netred.generators import (
@@ -32,6 +34,10 @@ from .support import (
 )
 
 
+INDICES = st.one_of(st.integers(-1, 5), st.sampled_from([0.0, 1.0, 0.5, np.nan, np.inf, True]))
+WEIGHTS = st.one_of(st.floats(), st.integers(-2, 2), st.sampled_from([-0.0, np.inf, -np.inf]))
+
+
 @pytest.fixture()
 def path5():
     graph = path_graph(5)
@@ -48,6 +54,58 @@ class TestGraphValidation:
             WeightedGraph(n_nodes=2, edges=((0, 0, 1.0),))
         with pytest.raises(ValueError):
             WeightedGraph(n_nodes=2, edges=((0, 1, 1.0), (1, 0, 2.0)))
+
+    @pytest.mark.parametrize(
+        "edges, error, message",
+        [
+            (((0, 1, 1.0), (0, 2, 1.0)), ValueError, "edge 1 = (0, 2) out of range for 2 nodes"),
+            (((-1, 1, 1.0),), ValueError, "edge 0 = (-1, 1) out of range for 2 nodes"),
+            (((1, 1, 1.0),), ValueError, "edge 0 is a self-loop on node 1"),
+            (((1, 0, 1.0), (0, 1, -2.0)), ValueError, "edge 1 duplicates the pair (0, 1)"),
+            (((0, 1, -0.5),), NegativeWeight, "edge 0 = (0, 1) has negative weight -0.5"),
+            (((0, 1, -np.inf),), NegativeWeight, "edge 0 = (0, 1) has negative weight -inf"),
+            (((0, 1, np.nan),), ValueError, "edge 0 = (0, 1) has non-finite weight nan"),
+            (((0, 1, 1.0), (1, 0, np.inf)), ValueError, "edge 1 duplicates the pair (0, 1)"),
+            (((0, 1, np.inf),), ValueError, "edge 0 = (0, 1) has non-finite weight inf"),
+            (((0.7, 1, 1.0),), ValueError, "edge 0 = (0.7, 1) has a non-integer node index"),
+            (((0, True, 1.0),), ValueError, "edge 0 = (0, True) has a non-integer node index"),
+            (((0, np.nan, 1.0),), ValueError, "edge 0 = (0, nan) has a non-integer node index"),
+            (((0, np.inf, 1.0),), ValueError, "edge 0 = (0, inf) has a non-integer node index"),
+            (((10**400, 1, 1.0),), ValueError, f"edge 0 = ({10**400}, 1) out of range for 2 nodes"),
+        ],
+    )
+    def test_names_the_first_failing_edge(self, edges, error, message):
+        with pytest.raises(error) as err:
+            WeightedGraph(n_nodes=2, edges=edges)
+        assert str(err.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_nodes=st.integers(1, 5),
+        edges=st.lists(st.tuples(INDICES, INDICES, WEIGHTS), max_size=8),
+    )
+    def test_whole_array_check_refuses_what_the_scan_refuses(self, n_nodes, edges):
+        try:
+            WeightedGraph(n_nodes, ())._refuse(edges)
+            expected = None
+        except (ValueError, NegativeWeight) as exc:
+            expected = (type(exc), str(exc))
+        if expected is None:
+            graph = WeightedGraph(n_nodes, edges)
+            assert graph.edges == tuple((int(i), int(j), float(w)) for i, j, w in edges)
+            assert graph._pairs(np.array(edges, float).reshape(-1, 3)) is not None
+        else:
+            with pytest.raises((ValueError, NegativeWeight)) as err:
+                WeightedGraph(n_nodes, edges)
+            assert (type(err.value), str(err.value)) == expected
+
+    def test_array_edges_are_kept_as_int_int_float_triples(self):
+        g = WeightedGraph(n_nodes=3, edges=np.array([[2.0, 0.0, 1.5], [0.0, 1.0, 2.0]]))
+        assert g.edges == ((2, 0, 1.5), (0, 1, 2.0))
+        assert [type(v) for v in g.edges[0]] == [int, int, float]
+        np.testing.assert_array_equal(
+            g.adjacency_matrix(), [[0.0, 2.0, 1.5], [2.0, 0.0, 0.0], [1.5, 0.0, 0.0]]
+        )
 
 
 class TestLaplacianFromGraph:
@@ -70,6 +128,12 @@ class TestLaplacianFromGraph:
         # before it is stored as the exact consensus eigenvalue 0
         with pytest.raises(ValueError, match="Laplacian is not positive semi-definite"):
             Laplacian([[-1.0, 1.0], [1.0, -1.0]])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_laplacian_type_rejects_non_finite_entries(self, value):
+        # NaN compares False, so the symmetry, row-sum and PSD checks alone let it through
+        with pytest.raises(ValueError, match="non-finite"):
+            Laplacian([[value, -value], [-value, value]])
 
 
 class TestIsConnected:
