@@ -109,8 +109,9 @@ def _edge_error(edge, n_nodes: int, first: dict, e_idx: int):
 
 def _edge_graph(edges: list, n_nodes: int):
     """The 0-based :class:`WeightedGraph` of ``edges`` when no edge fails :func:`_edge_error`,
-    checked over the whole list at once; else None, as also where the float checks cannot
-    decide (from 2**53 nodes on, or an integer weight that rounds to ``MAX_MAGNITUDE``)."""
+    checked over the whole list at once; else None, as also where that check cannot decide:
+    numbers of a subclass of int or float, 2**53 nodes or more (indices are no longer exact
+    floats), or an integer weight that rounds to ``MAX_MAGNITUDE``."""
     if n_nodes >= 2**53 or not all(
         type(e) is list and len(e) == 3 and type(e[0]) is int and type(e[1]) is int
         and (type(e[2]) is float or type(e[2]) is int)
@@ -228,7 +229,7 @@ def validate_network_payload(payload: dict) -> WeightedGraph:
             f"options.tolerances.{name}",
             "must be a finite positive number",
         )
-    if graph is None:  # the scan passed what the float checks could not decide
+    if graph is None:  # the scan passed a list the whole-list check left undecided
         graph = WeightedGraph(n_nodes, np.array(edges, float).reshape(-1, 3) - (1, 1, 0))
     return graph
 

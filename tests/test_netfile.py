@@ -118,6 +118,15 @@ def test_valid_input_skips_the_scan(monkeypatch):
     assert ns.n_agents == 64 and len(edges) > 400
 
 
+def test_subclassed_numbers_are_scanned_and_read():
+    # numpy scalars are int and float subclasses, which only the scan accepts
+    payload = generate_example("k3-aep")
+    edges = [[i, j, np.float64(w)] for i, j, w in payload["edges"]]
+    assert netfile._edge_graph(edges, 3) is None
+    ns, _, _ = network_from_payload({**payload, "edges": edges})
+    assert np.array_equal(ns.laplacian.mat, laplacian_by_edge_loop(3, payload["edges"]))
+
+
 @pytest.mark.parametrize("n_nodes", [5, 40, 120, 300])
 @pytest.mark.parametrize("kind", ["lifted-aep", "random", "random-int-weights"])
 def test_laplacian_is_bit_identical_to_the_edge_loop(n_nodes, kind):
