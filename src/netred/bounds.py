@@ -57,6 +57,7 @@ from .norms import (
     METHOD_LYAPUNOV,
     METHOD_SWEEP,
     NormResult,
+    all_finite,
     aux_dc_gain,
     aux_gramian_h2_sq,
     h2_norm,
@@ -463,10 +464,11 @@ def full_report(an: Analysis, norms=("h2", "hinf")) -> BoundReport:
 
     def fill(names: tuple, compute) -> None:
         """Set the report attributes ``names`` to the values ``compute()`` returns.  When
-        it raises, the report fields among ``names`` record why: IllConditioned for a
-        numerical kernel that failed on the data (any LinAlgError), NotSynchronized for
-        an output that observes an unstable mode (only an error system's reduced part,
-        under a non-AEP partition, can have one)."""
+        it raises, or returns a value or certificate that is not finite, the report fields
+        among ``names`` record why: IllConditioned for a numerical kernel that failed on
+        the data (any LinAlgError) or overflowed, NotSynchronized for an output that
+        observes an unstable mode (only an error system's reduced part, under a non-AEP
+        partition, can have one)."""
         try:
             values = compute()
         except np.linalg.LinAlgError:
@@ -474,9 +476,11 @@ def full_report(an: Analysis, norms=("h2", "hinf")) -> BoundReport:
         except UnstablePoles:
             kind = NotSynchronized.__name__
         else:
-            for name, value in zip(names, values):
-                setattr(report, name, value)
-            return
+            if all_finite(values):
+                for name, value in zip(names, values):
+                    setattr(report, name, value)
+                return
+            kind = IllConditioned.__name__
         report.unavailable.update((name, kind) for name in names if name in PRECONDITIONS)
 
     if "abs_h2_bound" in admitted:
@@ -498,12 +502,13 @@ def full_report(an: Analysis, norms=("h2", "hinf")) -> BoundReport:
         spread = leader_spread(ns.n_leaders, ns.n_agents)
         report.rel_hinf_bound = exact / math.sqrt(spread) if exact > 0.0 else 0.0
     elif "abs_hinf_bound" in admitted:
-        fill(
-            ("s_max_hinf", "s_min_hinf", "abs_hinf_bound", "rel_hinf_bound"),
-            lambda: (*an.hinf_constants, *hinf_bound_symmetric(an)),
-        )
-        if report.rel_hinf_bound == math.inf:
-            report.rel_hinf_bound = None
+
+        def hinf_bounds():  # an infinite relative bound is a rank-deficient E, not an overflow
+            abs_bound, rel_bound = hinf_bound_symmetric(an)
+            return *an.hinf_constants, abs_bound, None if rel_bound == math.inf else rel_bound
+
+        fill(("s_max_hinf", "s_min_hinf", "abs_hinf_bound", "rel_hinf_bound"), hinf_bounds)
+        if report.abs_hinf_bound is not None and report.rel_hinf_bound is None:
             report.unavailable["rel_hinf_bound"] = "RankDeficientInput"
     if "triangle_hinf_bound" in admitted:
         fill(

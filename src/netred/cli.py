@@ -18,6 +18,7 @@ import time
 
 from .bounds import Analysis, Tolerances, full_report
 from .errors import (
+    IllConditioned,
     InvalidPartition,
     KernelViolated,
     NegativeWeight,
@@ -34,7 +35,7 @@ from .netfile import (
     network_from_payload,
     report_to_dict,
 )
-from .norms import h2_norm_quadrature, hinf_norm_dc
+from .norms import all_finite, h2_norm_quadrature, hinf_norm_dc
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -91,7 +92,9 @@ def _oracle_checks(an: Analysis, report) -> dict:
         except (WitnessInvalid, KernelViolated) as exc:
             entry = {"value": None, "unavailable": type(exc).__name__, "message": str(exc)}
         checks["true_hinf_error_dc"] = entry
-    return checks
+    # an oracle that overflowed has no value to compare
+    ill = {"value": None, "unavailable": IllConditioned.__name__}
+    return {name: entry if all_finite(entry) else ill for name, entry in checks.items()}
 
 
 def cmd_analyze(args) -> int:

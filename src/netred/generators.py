@@ -97,7 +97,7 @@ def lift_aep_graph(rng, cell_sizes):
     edges = {}
     if k > 1:
         quotient = random_connected_graph(rng, k, extra_edge_prob=0.3)
-        for p, q, w in quotient.edges:
+        for (p, q), w in zip(quotient.pairs.tolist(), quotient.weights.tolist()):
             # uniform cross weight keeps every cross-cell degree constant
             for i in cells[p]:
                 for j in cells[q]:

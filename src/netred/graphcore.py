@@ -13,7 +13,7 @@ N x N x N product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -29,25 +29,25 @@ AEP_RTOL = 1e-9
 NEG_WEIGHT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Undirected weighted graph on nodes 0..n_nodes-1.
 
-    ``edges`` is given as (i, j, weight) triples or as their (E, 3) float array, and kept
-    as a tuple of (int, int, float) triples with integer indices in range, no self-loop,
-    no repeated pair and finite nonnegative weights.  ``pairs`` and ``weights`` hold them
-    as an (E, 2) index array and an (E,) weight array.  The checks run on whole arrays;
-    only when they fail are the edges scanned one at a time, to name the first that fails.
+    ``edges`` is given as (i, j, weight) triples or as their (E, 3) float array, with
+    integer indices in range, no self-loop, no repeated pair and finite nonnegative weights,
+    and kept only as ``pairs``, an (E, 2) index array, and ``weights``, an (E,) float array.
+    The checks run on whole arrays; only when they fail are the edges scanned one at a time,
+    to name the first that fails.
     """
 
     n_nodes: int
-    edges: tuple
-    pairs: np.ndarray = field(init=False, repr=False, compare=False)
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    edges: InitVar[object]
+    pairs: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, edges):
         # Python triples go through an object array, where a bool index is still a bool
-        raw = self.edges if isinstance(self.edges, np.ndarray) else np.array(self.edges, object)
+        raw = edges if isinstance(edges, np.ndarray) else np.array(edges, object)
         raw = raw.reshape(len(raw), 3)
         try:
             arr = raw.astype(float)
@@ -59,7 +59,6 @@ class WeightedGraph:
         ):
             self._refuse(raw.tolist())
             pairs = arr[:, :2].astype(np.intp)  # the scan passed: keys collided as floats
-        object.__setattr__(self, "edges", tuple(zip(*pairs.T.tolist(), arr[:, 2].tolist())))
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "weights", arr[:, 2])
 

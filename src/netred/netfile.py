@@ -3,9 +3,12 @@
 Node indices in files are 1-based to match the usual drawing convention;
 everything internal is 0-based.  Conversion happens here and only here.
 
-The edge list is checked as a whole: one pass over the list for the types, then the
-array checks of :class:`~netred.graphcore.WeightedGraph` and the weight bound.  Only
-when that check fails is the list scanned edge by edge (:func:`_edge_error`), so the
+:func:`network_from_payload` reads a network file in one pass: each field is checked and
+converted once, as it is read and in file order, and the graph, agent, leaders, partition
+and options are built from the converted values.  The edge list is checked as a whole:
+one pass over the list for the types, then the array checks of
+:class:`~netred.graphcore.WeightedGraph` and the weight bound.  Only when that check
+fails, or cannot decide, is the list scanned edge by edge (:func:`_edge_error`), so the
 first failing edge is still the one named.
 """
 
@@ -128,13 +131,15 @@ def _edge_graph(edges: list, n_nodes: int):
         return None
 
 
-def validate_network_payload(payload: dict) -> WeightedGraph:
-    """Check the raw JSON payload, without changing it, and return the (0-based) graph of
-    its edge list.
+def network_from_payload(payload: dict):
+    """Read the raw JSON payload, without changing it, into (NetworkSystem, Partition,
+    options); nodes are 0-based from here on.
 
-    Every failure names the offending field (and index) in the exception.  The edge list is
-    checked as a whole; only when that check fails is it scanned edge by edge, so that the
-    first failing edge is the one named.
+    Each field is checked and converted once, as it is read, in file order, and the objects
+    are built from the converted values, so of two faulty fields the earlier is named.
+    Every failure names the offending field (and index).  The edge list is checked as a
+    whole; only when that check fails or cannot decide is it scanned edge by edge, so that
+    the first failing edge is the one named.
     """
     _require(isinstance(payload, dict), "$", "top level must be an object")
     unknown = sorted(set(payload) - _TOP_LEVEL_FIELDS)
@@ -229,28 +234,15 @@ def validate_network_payload(payload: dict) -> WeightedGraph:
             f"options.tolerances.{name}",
             "must be a finite positive number",
         )
-    if graph is None:  # the scan passed a list the whole-list check left undecided
+
+    # an edge list only the scan passed is built now, once the partition, which lists every
+    # node, has bounded n_nodes: its indices are then exact as floats
+    if graph is None:
         graph = WeightedGraph(n_nodes, np.array(edges, float).reshape(-1, 3) - (1, 1, 0))
-    return graph
-
-
-def network_from_payload(payload: dict):
-    """Build (NetworkSystem, Partition, options) from a validated payload."""
-    graph = validate_network_payload(payload)
-    n_nodes = payload["n_nodes"]
-    pi = Partition(
-        n_nodes=n_nodes,
-        cells=tuple(tuple(v - 1 for v in cell) for cell in payload["partition"]),
-    )
-    dyn = AgentDynamics(A=payload["agent"]["A"], B=payload["agent"]["B"], E=payload["agent"]["E"])
-    leaders = tuple(v - 1 for v in payload["leaders"])
-    ns = NetworkSystem(laplacian=laplacian_from_graph(graph), leaders=leaders, dyn=dyn)
-    options = payload.get("options", {})
-    return ns, pi, {
-        "norms": tuple(options.get("norms", ("h2", "hinf"))),
-        "oracle_check": bool(options.get("oracle_check", False)),
-        "tolerances": dict(options.get("tolerances", {})),
-    }
+    pi = Partition(n_nodes, tuple(tuple(v - 1 for v in cell) for cell in partition))
+    dyn = AgentDynamics(A=a, B=b, E=e)
+    ns = NetworkSystem(laplacian_from_graph(graph), tuple(v - 1 for v in leaders), dyn)
+    return ns, pi, {"norms": tuple(norms), "oracle_check": oracle, "tolerances": dict(tolerances)}
 
 
 def report_to_dict(report) -> dict:

@@ -90,6 +90,18 @@ class NormResult:
     certificate: dict = field(default_factory=dict)
 
 
+def all_finite(value) -> bool:
+    """True when every float in ``value`` is finite: a number, a NormResult (its value and
+    certificate), or a tuple, list or dict of these, nested; other entries pass."""
+    if isinstance(value, NormResult):
+        value = (value.value, value.certificate)
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list)):
+        return all(map(all_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _zero_result(method: str) -> NormResult:
     return NormResult(0.0, method, {"trivial": "system has no inputs or no outputs"})
 

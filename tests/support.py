@@ -297,6 +297,11 @@ def laplacian_by_edge_loop(n_nodes: int, edges) -> np.ndarray:
     return np.diag(a.sum(axis=1)) - a
 
 
+def one_based_edges(graph) -> list:
+    """The 1-based [i, j, weight] edge list of a ``WeightedGraph``, as a network file holds it."""
+    return [[i + 1, j + 1, w] for (i, j), w in zip(graph.pairs.tolist(), graph.weights.tolist())]
+
+
 def edges_by_entry_loop(mat) -> list:
     """1-based edge list read off the strict upper triangle of a Laplacian-like ``mat``,
     one entry at a time in row-major order: the reference for
@@ -322,7 +327,7 @@ def degree_wrt_cell(graph, node: int, cell) -> float:
     if node in members:
         raise NodeInCell(f"node {node} belongs to the cell")
     total = 0.0
-    for i, j, w in graph.edges:
+    for (i, j), w in zip(graph.pairs.tolist(), graph.weights.tolist()):
         if i == node and j in members:
             total += w
         elif j == node and i in members:

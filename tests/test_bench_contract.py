@@ -30,6 +30,8 @@ from netred.generators import (
 )
 from netred.netfile import dump_json, generate_example, network_from_payload
 
+from .support import one_based_edges
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = PERFBENCH.parent / "src"
 
@@ -136,7 +138,7 @@ def _non_aep_single_integrator_payload(n_nodes: int) -> dict:
     pi = random_partition(rng, n_nodes, n_nodes // 8)
     return {
         "n_nodes": n_nodes,
-        "edges": [[int(i) + 1, int(j) + 1, float(w)] for i, j, w in graph.edges],
+        "edges": one_based_edges(graph),
         "leaders": [1, n_nodes // 2],
         "agent": {"A": [[0.0]], "B": [[1.0]], "E": [[1.0]]},
         "partition": [[int(v) + 1 for v in cell] for cell in pi.cells],

@@ -8,13 +8,7 @@ import pytest
 
 from netred.cli import main
 from netred.linalg import SYMMETRY_RTOL
-from netred.netfile import (
-    FileFormatError,
-    dump_json,
-    generate_example,
-    network_from_payload,
-    validate_network_payload,
-)
+from netred.netfile import FileFormatError, dump_json, generate_example, network_from_payload
 
 from .support import PATH5_AEP_PROJECTION
 
@@ -41,7 +35,7 @@ class TestExamples:
     def test_k3_payload(self):
         payload = generate_example("k3-aep")
         assert payload["partition"] == [[1], [2, 3]]
-        validate_network_payload(payload)
+        network_from_payload(payload)
 
     def test_random_aep_is_almost_equitable(self):
         from netred.graphcore import is_almost_equitable
@@ -101,6 +95,21 @@ class TestValidation:
         assert err["message"] == "edges[3]: duplicates the pair (1, 2) of edges[0]"
 
     @pytest.mark.parametrize(
+        "n_nodes", [2**53 + 1, 2**64, 10**400], ids=["2^53+1", "2^64", "10^400"]
+    )
+    def test_node_counts_past_2_53_are_refused_by_the_partition(self, tmp_path, capsys, n_nodes):
+        # the scan passes the edge [n - 1, n]; built into a graph before the partition is
+        # read, it would be a self-loop as floats (2**53 + 1 has no float), or its indices
+        # would fit no index array
+        payload = generate_example("k3-aep")
+        payload.update(n_nodes=n_nodes, edges=[[n_nodes - 1, n_nodes, 1.0]], partition=[[1]])
+        code, _ = _run(tmp_path, payload)
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["field"] == "partition"
+        assert err["message"] == "partition: node 2 not covered"
+
+    @pytest.mark.parametrize(
         "edge_at, edge, field, message",
         [
             (3, [1, 2], "edges[3]", "must be [i, j, weight]"),
@@ -119,7 +128,7 @@ class TestValidation:
         payload = generate_example("k3-aep")
         payload["edges"][edge_at:] = [edge]
         with pytest.raises(FileFormatError) as err:
-            validate_network_payload(payload)
+            network_from_payload(payload)
         assert err.value.field == field
         assert str(err.value) == f"{field}: {message}"
 
@@ -285,11 +294,51 @@ class TestValidation:
             assert bounds["unavailable"][name] == "IllConditioned"
         assert bounds["abs_h2_bound"] is not None and bounds["true_hinf_error"] is not None
 
+    def test_overflowed_bound_constants_are_ill_conditioned(self, tmp_path):
+        # every entry is within MAX_MAGNITUDE, but rounding loses A's damping -1 beside its
+        # rotation 1e50, and the auxiliary H2 constants overflow (NumPy warns as they do)
+        payload = {
+            "n_nodes": 3,
+            "edges": [[1, 2, 1.0], [2, 3, 1.0], [1, 3, 1.0]],
+            "leaders": [1],
+            "partition": [[1], [2, 3]],
+            "agent": {
+                "A": [[-1.0, 1e50], [-1e50, -1.0]],
+                "B": [[1.0, 0.0], [0.0, 1.0]],
+                "E": [[1e50], [1.0]],
+            },
+        }
+        with pytest.warns(RuntimeWarning):
+            code, report = _run(tmp_path, payload)
+        assert code == 0
+        bounds = report["bounds"]
+        assert bounds["s_max_h2"] is None and bounds["s_min_h2"] is None
+        for name in ("abs_h2_bound", "rel_h2_bound"):
+            assert bounds[name] is None
+            assert bounds["unavailable"][name] == "IllConditioned"
+
+    def test_overflowed_oracle_is_ill_conditioned(self, tmp_path):
+        # only the quadrature oracle's value overflows; the bounds and norms are finite
+        payload = {
+            "n_nodes": 3,
+            "edges": [[1, 2, 1e100], [2, 3, 1e100], [1, 3, 1e100]],
+            "leaders": [1],
+            "partition": [[1], [2, 3]],
+            "agent": {"A": [[-1e-100]], "B": [[1.0]], "E": [[1e100]]},
+        }
+        with pytest.warns(RuntimeWarning):
+            code, report = _run(tmp_path, payload, "--oracle-check")
+        assert code == 0
+        quadrature = report["oracle_checks"]["true_h2_error_quadrature"]
+        assert quadrature == {"value": None, "unavailable": "IllConditioned"}
+        assert report["bounds"]["true_h2_error"]["value"] > 0.0
+        assert report["bounds"]["unavailable"] == {"hinf_exact_error": "NotSingleIntegrator"}
+
     def test_validators_name_field(self):
         payload = generate_example("k3-aep")
         payload["agent"]["B"] = [[1.0, 0.0]]
         with pytest.raises(FileFormatError) as err:
-            validate_network_payload(payload)
+            network_from_payload(payload)
         assert "agent.B" in str(err.value)
 
 

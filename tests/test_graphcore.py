@@ -92,17 +92,19 @@ class TestGraphValidation:
             expected = (type(exc), str(exc))
         if expected is None:
             graph = WeightedGraph(n_nodes, edges)
-            assert graph.edges == tuple((int(i), int(j), float(w)) for i, j, w in edges)
+            assert graph.pairs.tolist() == [[int(i), int(j)] for i, j, _ in edges]
+            assert graph.weights.tolist() == [float(w) for *_, w in edges]
             assert graph._pairs(np.array(edges, float).reshape(-1, 3)) is not None
         else:
             with pytest.raises((ValueError, NegativeWeight)) as err:
                 WeightedGraph(n_nodes, edges)
             assert (type(err.value), str(err.value)) == expected
 
-    def test_array_edges_are_kept_as_int_int_float_triples(self):
+    def test_edges_are_kept_as_pairs_and_weights_only(self):
         g = WeightedGraph(n_nodes=3, edges=np.array([[2.0, 0.0, 1.5], [0.0, 1.0, 2.0]]))
-        assert g.edges == ((2, 0, 1.5), (0, 1, 2.0))
-        assert [type(v) for v in g.edges[0]] == [int, int, float]
+        assert g.pairs.dtype == np.intp and g.pairs.tolist() == [[2, 0], [0, 1]]
+        assert g.weights.dtype == float and g.weights.tolist() == [1.5, 2.0]
+        assert not hasattr(g, "edges")
         np.testing.assert_array_equal(
             g.adjacency_matrix(), [[0.0, 2.0, 1.5], [2.0, 0.0, 0.0], [1.5, 0.0, 0.0]]
         )

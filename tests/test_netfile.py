@@ -1,7 +1,9 @@
 """The input layer: the whole-list edge check, the adjacency scatter and the edge list
-read back from a Laplacian, each against its per-edge reference."""
+read back from a Laplacian, each against its per-edge reference, and the file order in
+which faulty fields are refused."""
 
 import copy
+import itertools
 import json
 import math
 
@@ -12,14 +14,9 @@ from hypothesis import strategies as st
 
 from netred import netfile
 from netred.generators import EXAMPLES, lift_aep_graph, random_connected_graph
-from netred.netfile import (
-    FileFormatError,
-    generate_example,
-    network_from_payload,
-    validate_network_payload,
-)
+from netred.netfile import FileFormatError, generate_example, network_from_payload
 
-from .support import edges_by_entry_loop, laplacian_by_edge_loop
+from .support import edges_by_entry_loop, laplacian_by_edge_loop, one_based_edges
 
 
 def _payload(n_nodes, edges, cells=None) -> dict:
@@ -94,12 +91,12 @@ def test_bulk_check_refuses_what_the_scan_refuses(data):
     before = copy.deepcopy(payload)
     expected = _scan(edges, n)
     if expected is None:
-        graph = validate_network_payload(payload)
-        assert graph.edges == tuple((i - 1, j - 1, float(w)) for i, j, w in edges)
+        ns, _, _ = network_from_payload(payload)
+        assert np.array_equal(ns.laplacian.mat, laplacian_by_edge_loop(n, edges))
     else:
         assert netfile._edge_graph(edges, n) is None
         with pytest.raises(FileFormatError) as err:
-            validate_network_payload(payload)
+            network_from_payload(payload)
         assert (err.value.field, str(err.value)) == expected
     assert repr(payload) == repr(before)
 
@@ -107,7 +104,7 @@ def test_bulk_check_refuses_what_the_scan_refuses(data):
 def test_valid_input_skips_the_scan(monkeypatch):
     rng = np.random.default_rng(0)
     graph, pi = lift_aep_graph(rng, [16, 16, 16, 16])
-    edges = [[i + 1, j + 1, w] for i, j, w in graph.edges]
+    edges = one_based_edges(graph)
     payload = _payload(64, edges, [[v + 1 for v in cell] for cell in pi.cells])
 
     def scan(*args):
@@ -127,6 +124,30 @@ def test_subclassed_numbers_are_scanned_and_read():
     assert np.array_equal(ns.laplacian.mat, laplacian_by_edge_loop(3, payload["edges"]))
 
 
+# one defect per field, in file order, each with the field it is refused under
+FIELD_DEFECTS = [
+    ("edges", "edges[0].weight", lambda p: p["edges"][0].__setitem__(2, -1.0)),
+    ("leaders", "leaders[0]", lambda p: p.update(leaders=[7])),
+    ("agent", "agent.B", lambda p: p["agent"].update(B=[[1.0, 0.0]])),
+    ("partition", "partition", lambda p: p.update(partition=[[1]])),
+    ("options", "options.norms", lambda p: p.update(options={"norms": []})),
+]
+
+
+@pytest.mark.parametrize(
+    "earlier, later",
+    list(itertools.combinations(FIELD_DEFECTS, 2)),
+    ids=lambda defect: defect[0],
+)
+def test_the_earlier_of_two_defective_fields_is_named(earlier, later):
+    payload = generate_example("k3-aep")
+    for _, _, spoil in (later, earlier):
+        spoil(payload)
+    with pytest.raises(FileFormatError) as err:
+        network_from_payload(payload)
+    assert err.value.field == earlier[1]
+
+
 @pytest.mark.parametrize("n_nodes", [5, 40, 120, 300])
 @pytest.mark.parametrize("kind", ["lifted-aep", "random", "random-int-weights"])
 def test_laplacian_is_bit_identical_to_the_edge_loop(n_nodes, kind):
@@ -136,7 +157,7 @@ def test_laplacian_is_bit_identical_to_the_edge_loop(n_nodes, kind):
         graph, _ = lift_aep_graph(rng, sizes)
     else:
         graph = random_connected_graph(rng, n_nodes, extra_edge_prob=min(1.0, 8.0 / n_nodes))
-    edges = [[i + 1, j + 1, w] for i, j, w in graph.edges]
+    edges = one_based_edges(graph)
     if kind == "random-int-weights":
         edges = [[i, j, int(rng.integers(1, 100))] for i, j, _ in edges]
     # any order and orientation
