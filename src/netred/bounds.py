@@ -4,8 +4,9 @@ For almost equitable partitions the H2 and H-infinity errors of the
 clustered network admit closed upper bounds built from three ingredients:
 the auxiliary-system norms over the eigenvalues lost in the reduction, the
 auxiliary-system norms over the whole nonzero spectrum (for relative
-bounds), and the leaders' cellmate counts 1 - 1/|cell|.  For a single
-integrator the H-infinity error is known exactly.  For arbitrary
+bounds), and the leaders' cellmate counts 1 - 1/|cell|.  For single
+integrators every auxiliary DC gain is exactly 1, and the symmetric-agent
+H-infinity bound is the exact H-infinity error.  For arbitrary
 partitions, a triangle-inequality route through the closest AEP-compatible
 Laplacian gives a computable (single-integrator) bound.
 
@@ -138,6 +139,16 @@ def cellmate_terms(pi: Partition, leaders) -> tuple:
 def leaders_share_cell(pi: Partition, leaders) -> bool:
     cells = [pi.cell_of(v) for v in leaders]
     return len(set(cells)) < len(cells)
+
+
+def leader_factor(pi: Partition, leaders) -> float:
+    """||(I - proj) M||_2^2, the leaders' factor in the H-infinity bound: 1 when two
+    leaders share a cell (their Gram block I - J/|cell| has norm 1), otherwise the
+    largest 1 - 1/|cell of a leader| (the columns are then orthogonal), and 0 with
+    no leader."""
+    if leaders_share_cell(pi, leaders):
+        return 1.0
+    return max(cellmate_terms(pi, leaders), default=0.0)
 
 
 def leader_spread(n_leaders: int, n_agents: int) -> float:
@@ -321,7 +332,7 @@ class Analysis:
     @cached_property
     def hinf_constants(self) -> tuple:
         """(s_max, s_min) for symmetric dynamics: the auxiliary H-infinity norms are then
-        sigma_max of the DC gains lam (lam B - A)^{-1} E; s_min takes their sigma_min."""
+        sigma_max of the DC gains (B - A/lam)^{-1} E; s_min takes their sigma_min."""
 
         def sv(lams):
             return np.linalg.svd(aux_dc_gain(self.ns.dyn, lams), compute_uv=False)
@@ -337,61 +348,45 @@ def h2_bound_aep(an: Analysis):
 
     abs^2 = s_max^2 * sum_i (1 - 1/|cell of leader i|), with s_max the
     largest auxiliary H2 norm over the eigenvalues lost by the reduction;
-    rel^2 = (s_max/s_min)^2 * sum_i(...) / (m (1 - 1/N)).
+    rel^2 = (s_max/s_min)^2 * sum_i(...) / (m (1 - 1/N)).  Both are 0 when
+    the sum is 0 (no leader, or every leader alone in its cell).
     """
     an.require("the a-priori H2 bound", "connected", "aep", "synchronized", "lost_hurwitz")
-    m, n_agents = an.ns.n_leaders, an.ns.n_agents
-    if m == 0 or n_agents == 1:
-        return 0.0, 0.0
     s_max, s_min = an.h2_constants
     terms = sum(cellmate_terms(an.pi, an.ns.leaders))
-    abs_bound = s_max * math.sqrt(terms)
     if terms == 0.0 or s_max == 0.0:
         return 0.0, 0.0
+    m, n_agents = an.ns.n_leaders, an.ns.n_agents
     rel_bound = (s_max / s_min) * math.sqrt(terms / (m * (1.0 - 1.0 / n_agents)))
-    return abs_bound, rel_bound
+    return s_max * math.sqrt(terms), rel_bound
 
 
 def hinf_error_single_integrator(an: Analysis) -> float:
-    """Exact H-infinity reduction error for single-integrator agents on an AEP.
-
-    Equals 1 when two leaders share a cell, otherwise
-    sqrt(max_i (1 - 1/|cell of leader i|)).
-    """
+    """Exact H-infinity reduction error for single-integrator agents on an AEP:
+    ||(I - proj) M||_2, the symmetric-agent bound with s_max = 1 (see
+    :func:`leader_factor`)."""
     an.require("the exact H-infinity error", "single_integrator", "connected", "aep")
-    if an.ns.n_leaders == 0:
-        return 0.0
-    if leaders_share_cell(an.pi, an.ns.leaders):
-        return 1.0
-    return math.sqrt(max(cellmate_terms(an.pi, an.ns.leaders)))
+    return math.sqrt(leader_factor(an.pi, an.ns.leaders))
 
 
 def hinf_bound_symmetric(an: Analysis):
     """Absolute and relative a-priori H-infinity bounds for symmetric (A, B) on an AEP.
 
-    abs^2 = s_max^2 * max_i (1 - 1/|cell_i|) when the leaders occupy
-    distinct cells and s_max^2 otherwise.  The relative bound divides by
-    s_min^2 times the leader spread factor (the spread is 1 for two or more
-    leaders); it is infinite when s_min = 0, i.e. when E has rank below
+    abs = s_max * ||(I - proj) M||_2 (see :func:`leader_factor`), with s_max the
+    largest auxiliary DC gain over the lost spectrum.  The relative bound divides by
+    s_min times the square root of the leader spread factor (the spread is 1 for two
+    or more leaders); it is infinite when s_min = 0, i.e. when E has rank below
     min(n, r).
     """
     an.require(
         "the a-priori H-infinity bound",
         "symmetric", "connected", "aep", "synchronized", "lost_hurwitz",
     )
-    ns, pi = an.ns, an.pi
-    m = ns.n_leaders
-    if m == 0 or ns.n_agents == 1:
-        return 0.0, 0.0
     s_max, s_min = an.hinf_constants
-    if leaders_share_cell(pi, ns.leaders):
-        factor = 1.0
-    else:
-        factor = max(cellmate_terms(pi, ns.leaders))
-    abs_bound = s_max * math.sqrt(factor)
+    abs_bound = s_max * math.sqrt(leader_factor(an.pi, an.ns.leaders))
     if abs_bound == 0.0:
         return 0.0, 0.0
-    scale = s_min * math.sqrt(leader_spread(m, ns.n_agents))
+    scale = s_min * math.sqrt(leader_spread(an.ns.n_leaders, an.ns.n_agents))
     return abs_bound, abs_bound / scale if scale > 0.0 else math.inf
 
 
@@ -424,12 +419,53 @@ def triangle_bound_general(an: Analysis, norm: str):
     return term1 + term2 + term3, (term1, term2, term3)
 
 
+def _hinf_bounds(an: Analysis) -> tuple:
+    # an infinite relative bound is a rank-deficient E, not an overflow: None, not inf
+    abs_bound, rel_bound = hinf_bound_symmetric(an)
+    return *an.hinf_constants, abs_bound, None if rel_bound == math.inf else rel_bound
+
+
+def _full_hinf(an: Analysis) -> tuple:
+    # symmetric agents (single integrators included) peak at DC, with the drift as
+    # witness: in the output coordinates of the full realization, diag(poles)
+    sys = an.full_system
+    return (hinf_norm_dc(sys, sys.poles) if an.symmetric else hinf_norm_sweep(sys),)
+
+
+# The report's fill table, in fill order: the field whose PRECONDITIONS admit a row -> (the
+# fields the row fills together, their values computed from an Analysis).  A report field
+# is declared by its PRECONDITIONS entry and its row here.
+FILLS = {
+    "abs_h2_bound": (
+        ("s_max_h2", "s_min_h2", "abs_h2_bound", "rel_h2_bound"),
+        lambda an: (*an.h2_constants, *h2_bound_aep(an)),
+    ),
+    "triangle_h2_bound": (
+        ("triangle_h2_bound", "triangle_h2_terms"), lambda an: triangle_bound_general(an, "h2")
+    ),
+    "full_h2_norm": (("full_h2_norm",), lambda an: (h2_norm(an.full_system),)),
+    "true_h2_error": (("true_h2_error",), lambda an: (h2_norm(an.error_system),)),
+    "abs_hinf_bound": (
+        ("s_max_hinf", "s_min_hinf", "abs_hinf_bound", "rel_hinf_bound"), _hinf_bounds
+    ),
+    "hinf_exact_error": (("hinf_exact_error",), lambda an: (hinf_error_single_integrator(an),)),
+    "triangle_hinf_bound": (
+        ("triangle_hinf_bound", "triangle_hinf_terms"),
+        lambda an: triangle_bound_general(an, "hinf"),
+    ),
+    "full_hinf_norm": (("full_hinf_norm",), _full_hinf),
+    "true_hinf_error": (("true_hinf_error",), lambda an: (hinf_norm_sweep(an.error_system),)),
+}
+
+
 def full_report(an: Analysis, norms=("h2", "hinf")) -> BoundReport:
     """Evaluate every applicable bound plus oracle true errors.
 
     Inapplicable quantities stay None with the reason recorded in
     ``report.unavailable`` (see PRECONDITIONS).  Norm-based work is gated on
-    connectivity and synchronization rather than reported as infinite.
+    connectivity and synchronization rather than reported as infinite.  Each admitted
+    row of FILLS is computed under ``np.errstate`` that silences NumPy's floating-point
+    warnings: a value that overflows is recorded as IllConditioned instead.
     """
     ns, pi = an.ns, an.pi
     report = BoundReport(
@@ -463,14 +499,16 @@ def full_report(an: Analysis, norms=("h2", "hinf")) -> BoundReport:
     admitted = {name for name, need in needs.items() if need is None}
 
     def fill(names: tuple, compute) -> None:
-        """Set the report attributes ``names`` to the values ``compute()`` returns.  When
+        """Set the report attributes ``names`` to the values ``compute(an)`` returns.  When
         it raises, or returns a value or certificate that is not finite, the report fields
         among ``names`` record why: IllConditioned for a numerical kernel that failed on
         the data (any LinAlgError) or overflowed, NotSynchronized for an output that
         observes an unstable mode (only an error system's reduced part, under a non-AEP
-        partition, can have one)."""
+        partition, can have one).  A value None is a field left empty on purpose: the
+        relative H-infinity bound of an E of deficient rank, recorded as RankDeficientInput."""
         try:
-            values = compute()
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                values = compute(an)
         except np.linalg.LinAlgError:
             kind = IllConditioned.__name__
         except UnstablePoles:
@@ -479,50 +517,13 @@ def full_report(an: Analysis, norms=("h2", "hinf")) -> BoundReport:
             if all_finite(values):
                 for name, value in zip(names, values):
                     setattr(report, name, value)
+                    if value is None:
+                        report.unavailable[name] = "RankDeficientInput"
                 return
             kind = IllConditioned.__name__
         report.unavailable.update((name, kind) for name in names if name in PRECONDITIONS)
 
-    if "abs_h2_bound" in admitted:
-        fill(
-            ("s_max_h2", "s_min_h2", "abs_h2_bound", "rel_h2_bound"),
-            lambda: (*an.h2_constants, *h2_bound_aep(an)),
-        )
-    if "triangle_h2_bound" in admitted:
-        fill(("triangle_h2_bound", "triangle_h2_terms"), lambda: triangle_bound_general(an, "h2"))
-    if "full_h2_norm" in admitted:
-        fill(("full_h2_norm",), lambda: (h2_norm(an.full_system),))
-    if "true_h2_error" in admitted:
-        fill(("true_h2_error",), lambda: (h2_norm(an.error_system),))
-
-    if "abs_hinf_bound" in admitted and an.single_integrator:
-        exact = hinf_error_single_integrator(an)
-        report.hinf_exact_error = report.abs_hinf_bound = exact
-        report.s_max_hinf = report.s_min_hinf = 1.0
-        spread = leader_spread(ns.n_leaders, ns.n_agents)
-        report.rel_hinf_bound = exact / math.sqrt(spread) if exact > 0.0 else 0.0
-    elif "abs_hinf_bound" in admitted:
-
-        def hinf_bounds():  # an infinite relative bound is a rank-deficient E, not an overflow
-            abs_bound, rel_bound = hinf_bound_symmetric(an)
-            return *an.hinf_constants, abs_bound, None if rel_bound == math.inf else rel_bound
-
-        fill(("s_max_hinf", "s_min_hinf", "abs_hinf_bound", "rel_hinf_bound"), hinf_bounds)
-        if report.abs_hinf_bound is not None and report.rel_hinf_bound is None:
-            report.unavailable["rel_hinf_bound"] = "RankDeficientInput"
-    if "triangle_hinf_bound" in admitted:
-        fill(
-            ("triangle_hinf_bound", "triangle_hinf_terms"),
-            lambda: triangle_bound_general(an, "hinf"),
-        )
-    if "full_hinf_norm" in admitted:
-        # symmetric agents (single integrators included) peak at DC, with the drift as
-        # witness: in the output coordinates of the full realization, diag(poles)
-        def full_hinf():
-            sys = an.full_system
-            return (hinf_norm_dc(sys, sys.poles) if an.symmetric else hinf_norm_sweep(sys),)
-
-        fill(("full_hinf_norm",), full_hinf)
-    if "true_hinf_error" in admitted:
-        fill(("true_hinf_error",), lambda: (hinf_norm_sweep(an.error_system),))
+    for admitting, (names, compute) in FILLS.items():
+        if admitting in admitted:
+            fill(names, compute)
     return report

@@ -16,6 +16,8 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from .bounds import Analysis, Tolerances, full_report
 from .errors import (
     IllConditioned,
@@ -72,8 +74,11 @@ def _write(text: str, out_path) -> int:
     return EXIT_OK
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _oracle_checks(an: Analysis, report) -> dict:
-    """Independent recomputation of the true errors where an oracle applies."""
+    """Independent recomputation of the true errors where an oracle applies, with NumPy's
+    floating-point warnings silenced, as for the report's fields: an oracle that overflows
+    is recorded as IllConditioned."""
     checks = {}
     if report.true_h2_error is not None:
         quad = h2_norm_quadrature(an.error_system)

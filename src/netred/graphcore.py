@@ -37,7 +37,8 @@ class WeightedGraph:
     integer indices in range, no self-loop, no repeated pair and finite nonnegative weights,
     and kept only as ``pairs``, an (E, 2) index array, and ``weights``, an (E,) float array.
     The checks run on whole arrays; only when they fail are the edges scanned one at a time,
-    to name the first that fails.
+    to name the first that fails.  Past 2**53 nodes, where a float cannot hold every index,
+    the scan decides alone and keeps the exact integer indices; one beyond np.intp is refused.
     """
 
     n_nodes: int
@@ -51,20 +52,22 @@ class WeightedGraph:
         raw = raw.reshape(len(raw), 3)
         try:
             arr = raw.astype(float)
-        except OverflowError:  # an integer beyond the float range: the scan names its edge
-            self._refuse(raw.tolist())
+        except OverflowError:  # an integer beyond the float range, so beyond np.intp: the
+            self._refuse(raw.tolist())  # scan names its edge and raises
         pairs = self._pairs(arr)
         if pairs is None or (
             raw.dtype == object and np.frompyfunc(isinstance, 2, 1)(raw[:, :2], bool).any()
         ):
-            self._refuse(raw.tolist())
-            pairs = arr[:, :2].astype(np.intp)  # the scan passed: keys collided as floats
+            pairs = self._refuse(raw.tolist())
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "weights", arr[:, 2])
 
     def _pairs(self, arr):
         """The (E, 2) index array of the (E, 3) float ``arr`` when every row is an edge,
-        checked on whole arrays; else None."""
+        checked on whole arrays; else None.  Past 2**53 nodes a float no longer holds every
+        index, so only the scan decides."""
+        if self.n_nodes > 2**53:
+            return None
         i, j, w = arr.T
         lo, hi = np.minimum(i, j), np.maximum(i, j)
         # NaN and inf fail these comparisons, so none reaches the cast or the keys
@@ -74,10 +77,11 @@ class WeightedGraph:
         keys = (lo * (self.n_nodes + 1) + hi).tolist()  # exact while (N + 1)**2 < 2**53
         return pairs if (pairs == arr[:, :2]).all() and len(set(keys)) == len(keys) else None
 
-    def _refuse(self, rows: list):
+    def _refuse(self, rows: list) -> np.ndarray:
         """Raise the error of the first edge of ``rows`` that fails a check, scanning them one
-        at a time: where :meth:`_pairs` refuses the array, this names the edge."""
-        n, seen = self.n_nodes, set()
+        at a time: where :meth:`_pairs` refuses the array, this names the edge.  When none
+        fails, the (E, 2) index array of the exact integer indices."""
+        n, seen, pairs, limit = self.n_nodes, set(), [], np.iinfo(np.intp).max
         for k, (i, j, w) in enumerate(rows):
             if not all(
                 type(v) is int or (type(v) is not bool and float(v).is_integer()) for v in (i, j)
@@ -86,16 +90,20 @@ class WeightedGraph:
             i, j, w = int(i), int(j), float(w)
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge {k} = ({i}, {j}) out of range for {n} nodes")
+            if max(i, j) > limit:
+                raise ValueError(f"edge {k} = ({i}, {j}) has a node index beyond {limit}")
             if i == j:
                 raise ValueError(f"edge {k} is a self-loop on node {i}")
             key = (min(i, j), max(i, j))
             if key in seen:
                 raise ValueError(f"edge {k} duplicates the pair {key}")
             seen.add(key)
+            pairs.append((i, j))
             if w < 0:
                 raise NegativeWeight(f"edge {k} = ({i}, {j}) has negative weight {w}")
             if not w < np.inf:
                 raise ValueError(f"edge {k} = ({i}, {j}) has non-finite weight {w}")
+        return np.array(pairs, np.intp).reshape(len(rows), 2)
 
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.n_nodes, self.n_nodes))
@@ -187,12 +195,6 @@ class Partition:
     @cached_property
     def char_matrix(self) -> np.ndarray:
         return np.eye(self.n_cells)[self.labels]
-
-    @cached_property
-    def projector(self) -> np.ndarray:
-        """Orthogonal projector P (P^T P)^{-1} P^T onto the column span of P."""
-        p = self.char_matrix
-        return (p / self.sizes[None, :]) @ p.T
 
     def cell_of(self, node: int) -> int:
         return int(self.labels[node])

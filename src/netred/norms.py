@@ -276,11 +276,11 @@ def aux_gramian_h2_sq(dyn: AgentDynamics, lams) -> np.ndarray:
 
 
 def aux_dc_gain(dyn: AgentDynamics, lams) -> np.ndarray:
-    """DC gains lam_i (lam_i B - A)^{-1} E of the auxiliary systems, shape (len(lams), n, r),
-    from one stacked solve."""
+    """DC gains lam_i (lam_i B - A)^{-1} E = (B - A/lam_i)^{-1} E of the auxiliary systems,
+    shape (len(lams), n, r), from one stacked solve.  The second form is exactly 1 for
+    single integrators, where the first can round to 1 - 1 ulp (at lam = 49)."""
     lams = np.asarray(lams, dtype=float)
-    blocks = lams[:, None, None] * dyn.B - dyn.A
-    return lams[:, None, None] * np.linalg.solve(blocks, dyn.E)
+    return np.linalg.solve(dyn.B - dyn.A / lams[:, None, None], dyn.E)
 
 
 def hinf_norm_dc(sys, x_witness) -> NormResult:

@@ -385,6 +385,13 @@ def assemble_reduced(ns, pi) -> Dense:
     return Dense(drift, b, c)
 
 
+def projector(pi) -> np.ndarray:
+    """Orthogonal projector P (P^T P)^{-1} P^T onto the column span of the characteristic
+    matrix P of the partition ``pi``."""
+    p = pi.char_matrix
+    return (p / pi.sizes[None, :]) @ p.T
+
+
 def symmetrized_reduced_coupling(lap, pi) -> np.ndarray:
     """Size-symmetrized quotient coupling (P^T P)^{-1/2} P^T L P (P^T P)^{-1/2}
     (``ReducedGraph.laplacian_bar``)."""

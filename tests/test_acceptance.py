@@ -50,6 +50,7 @@ from .support import (
     make_dynamics,
     modal_form,
     pinv,
+    projector,
     random_hurwitz,
 )
 
@@ -279,7 +280,7 @@ def test_criterion_8_property_suites():
         subspace = is_almost_equitable(lap, pi)
         ok = ok and subspace == aep_by_degree_constancy(graph, pi)
         # projector idempotency and quotient row sums (any partition)
-        proj = pi.projector
+        proj = projector(pi)
         ok = ok and np.abs(proj @ proj - proj).max() <= 1e-10
         rg = reduce_graph(lap, pi, leaders=(0,))
         ok = ok and np.abs(rg.laplacian_hat.sum(axis=1)).max() <= 1e-10

@@ -12,6 +12,7 @@ from netred.bounds import (
     h2_bound_aep,
     hinf_bound_symmetric,
     hinf_error_single_integrator,
+    leader_factor,
     leader_spread,
     leaders_share_cell,
     triangle_bound_general,
@@ -120,7 +121,7 @@ def _reference_constants(an: Analysis) -> tuple:
         return math.sqrt(float(np.trace(dyn.E.T @ x @ dyn.E)))
 
     def sv(lam):
-        return np.linalg.svd(lam * np.linalg.solve(lam * dyn.B - dyn.A, dyn.E), compute_uv=False)
+        return np.linalg.svd(np.linalg.solve(dyn.B - dyn.A / lam, dyn.E), compute_uv=False)
 
     lost, nonzero = list(an.lost_eigenvalues), list(an.nonzero_eigenvalues)
     return (
@@ -167,6 +168,17 @@ class TestCellmateBookkeeping:
         _, pi = _path5()
         assert leaders_share_cell(pi, (3, 4))
         assert not leaders_share_cell(pi, (0, 3))
+
+    def test_leader_factor_is_the_squared_norm_of_the_projected_inputs(self):
+        # ||(I - proj) M||_2^2 with M the leader columns of the identity
+        _, pi = _path5()
+        for leaders in ((), (0,), (3,), (0, 3), (3, 4), (0, 1, 3)):
+            m = np.eye(5)[:, list(leaders)]
+            p = pi.char_matrix / np.sqrt(pi.sizes)
+            residual = m - p @ (p.T @ m)
+            want = np.linalg.norm(residual, 2) ** 2 if leaders else 0.0
+            assert leader_factor(pi, leaders) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert leader_factor(pi, (3, 4)) == 1.0  # exactly, not up to rounding
 
     def test_leader_spread(self):
         assert leader_spread(0, 5) == 0.0
@@ -267,6 +279,18 @@ class TestHinfBoundSymmetric:
             abs_bound, _ = hinf_bound_symmetric(Analysis(ns, pi))
             exact = hinf_error_single_integrator(Analysis(ns, pi))
             assert abs(abs_bound - exact) <= 1e-9
+
+    def test_single_integrator_bound_is_the_exact_error_bit_for_bit(self):
+        # the auxiliary DC gain (B - A/lam)^{-1} E is exactly 1, so s_max = s_min = 1
+        for seed in range(24):
+            rng = np.random.default_rng(5300 + seed)
+            mode = ("any", "shared", "alone")[seed % 3]
+            ns, pi = random_aep_instance(rng, dynamics=single_integrator(), leader_mode=mode)
+            an = Analysis(ns, pi)
+            rep = full_report(an, norms=("hinf",))
+            assert rep.abs_hinf_bound == rep.hinf_exact_error == hinf_error_single_integrator(an)
+            assert rep.s_min_hinf == 1.0
+            assert rep.s_max_hinf == (1.0 if an.lost_eigenvalues.size else 0.0)
 
     def test_leaders_alone_bound_zero(self):
         lap = laplacian_from_graph(complete_graph(4))
@@ -375,6 +399,16 @@ class TestFullReport:
         assert rep.rel_hinf_bound == 0.0
         assert rep.true_h2_error.value <= 1e-12
         assert rep.true_hinf_error.value <= 1e-12
+
+    def test_empty_lost_spectrum_reads_zero_constants(self):
+        # singleton cells lose no eigenvalue: s_max is 0.0 for both norms, single
+        # integrators included, and every bound is 0.0
+        ns, _ = _k3(leaders=(0, 1))
+        rep = full_report(Analysis(ns, Partition(n_nodes=3, cells=((0,), (1,), (2,)))))
+        assert rep.s_max_h2 == 0.0 and rep.s_max_hinf == 0.0
+        assert rep.s_min_hinf == 1.0
+        assert rep.abs_h2_bound == rep.abs_hinf_bound == rep.rel_hinf_bound == 0.0
+        assert rep.hinf_exact_error == 0.0
 
     def test_leaderless_all_zero(self):
         lap = laplacian_from_graph(complete_graph(3))

@@ -31,6 +31,7 @@ from .support import (
     NodeInCell,
     aep_by_degree_constancy,
     degree_wrt_cell,
+    projector,
 )
 
 
@@ -99,6 +100,16 @@ class TestGraphValidation:
             with pytest.raises((ValueError, NegativeWeight)) as err:
                 WeightedGraph(n_nodes, edges)
             assert (type(err.value), str(err.value)) == expected
+
+    def test_indices_past_2_53_are_kept_exactly(self):
+        # 2**53 + 1 rounds to 2**53 as a float; the scan takes the pair from the integers
+        g = WeightedGraph(2**53 + 3, [(2**53 + 1, 0, 1.0)])
+        assert g.pairs.tolist() == [[2**53 + 1, 0]] and g.weights.tolist() == [1.0]
+
+    @pytest.mark.parametrize("n_nodes", [2**64, 10**400], ids=["2^64", "10^400"])
+    def test_an_index_beyond_intp_names_its_edge(self, n_nodes):
+        with pytest.raises(ValueError, match=r"^edge 0 = \(\d+, 0\) has a node index beyond"):
+            WeightedGraph(n_nodes, [(n_nodes - 1, 0, 1.0)])
 
     def test_edges_are_kept_as_pairs_and_weights_only(self):
         g = WeightedGraph(n_nodes=3, edges=np.array([[2.0, 0.0, 1.5], [0.0, 1.0, 2.0]]))
@@ -173,7 +184,7 @@ class TestDegreeWrtCell:
 class TestPartition:
     def test_projector_idempotent(self, path5):
         _, _, pi = path5
-        proj = pi.projector
+        proj = projector(pi)
         assert np.abs(proj @ proj - proj).max() <= 1e-10
         assert np.abs(proj @ pi.char_matrix - pi.char_matrix).max() <= 1e-10
 
@@ -338,7 +349,7 @@ class TestProjectToAepLaplacian:
         l_aep, delta = project_to_aep_laplacian(lap, pi)
         assert is_almost_equitable(Laplacian(l_aep), pi)
         rng = np.random.default_rng(13)
-        proj = pi.projector
+        proj = projector(pi)
         comp = np.eye(5) - proj
         center = np.eye(5) - np.ones((5, 5)) / 5.0
         for _ in range(50):

@@ -37,6 +37,7 @@ from netred.netsys import (
 )
 from netred.norms import (
     SWEEP_W_RTOL,
+    aux_dc_gain,
     aux_gramian_h2_sq,
     h2_norm,
     h2_norm_quadrature,
@@ -55,6 +56,7 @@ from .support import (
     make_dynamics,
     modal_form,
     pinv,
+    projector,
     random_hurwitz,
     reference_hinf_sweep,
 )
@@ -149,6 +151,13 @@ class TestAuxiliaryBatches:
         np.testing.assert_allclose(
             aux_gramian_h2_sq(single_integrator(), lams), lams / 2.0, rtol=1e-15, atol=0.0
         )
+
+    def test_single_integrator_dc_gain_is_exactly_one(self):
+        # lam (lam B - A)^{-1} E reads 49 * (1/49) = 1 - 1 ulp at lam = 49
+        assert 49.0 * (1.0 / 49.0) != 1.0
+        lams = np.r_[49.0, np.linspace(0.1, 100.0, 2001)]
+        gains = aux_dc_gain(single_integrator(), lams)
+        assert gains.shape == (lams.size, 1, 1) and (gains == 1.0).all()
 
     def test_nonsymmetric_agents_match_the_lyapunov_route(self):
         for seed in range(8):
@@ -405,7 +414,7 @@ class TestHinfDc:
         err = Analysis(ns, pi).error_system
         res = hinf_norm_dc(err, -lap.spectral.eigenvalues)  # -L in the output coordinates
         m = ns.m_matrix
-        expected_sq = 1.0 - np.linalg.eigvalsh(m.T @ pi.projector @ m).min()
+        expected_sq = 1.0 - np.linalg.eigvalsh(m.T @ projector(pi) @ m).min()
         assert res.value**2 == pytest.approx(expected_sq, abs=1e-9)
 
     def test_stable_mode_far_below_the_largest_is_kept(self):
